@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
-from .measures import DiscreteMeasure, MeasureEnsemble, merge_atoms
+from .measures import DiscreteMeasure, MeasureEnsemble
 from .multimarginal import (
     DEFAULT_PRODUCT_CAP,
     pushforward_barycenter,
     solve_multimarginal,
 )
 from .simplex import solve_lp
-from .spaces import MetricMatrix, Space, as_atoms, pairwise_distances
+from .spaces import Space, as_atoms, pairwise_distances
 from .transport import wasserstein
 
 
@@ -76,7 +76,7 @@ def barycenter_fixed_support(
     S = support.shape[0]
     if S == 0:
         raise DimensionMismatch("support must be nonempty")
-    measures = [merge_atoms(m) for m in ens.measures]
+    measures = ens.measures
     J = len(measures)
     sizes = [m.n_atoms for m in measures]
     blocks = np.concatenate([[0], np.cumsum([S * n for n in sizes])])
@@ -110,7 +110,7 @@ def barycenter_fixed_support(
     w = np.clip(pi0.sum(axis=1), 0.0, None)
     if w.sum() <= 0:
         raise NumericalFailure("fixed-support LP returned zero total mass")
-    nu = merge_atoms(DiscreteMeasure(space, support, w / w.sum()))
+    nu = DiscreteMeasure(space, support, w / w.sum())
     costs = _per_measure(space, p, ens, nu)
     return BarycenterResult(
         measure=nu,
@@ -134,17 +134,15 @@ def variance(
     ).objective
 
 
-def quantize(m: DiscreteMeasure, k: int, seed: int = 0) -> DiscreteMeasure:
+def quantize(m: DiscreteMeasure, k: int) -> DiscreteMeasure:
     """Support reduction to at most k atoms: greedy farthest-first center
     selection over the atoms, mass assigned to the nearest center.
 
     Centers are nested in k, so the quantization error is nonincreasing.
-    Selection is deterministic; ``seed`` is accepted for interface stability
-    but unused.
+    Selection is deterministic.
     """
     if k < 1:
         raise DimensionMismatch(f"k must be >= 1, got {k}")
-    m = merge_atoms(m)
     if k >= m.n_atoms:
         return m
     D = pairwise_distances(m.space, m.atoms, m.atoms)
@@ -160,8 +158,4 @@ def quantize(m: DiscreteMeasure, k: int, seed: int = 0) -> DiscreteMeasure:
     weights = np.zeros(len(centers))
     for atom_idx, c_idx in enumerate(assign):
         weights[c_idx] += m.weights[atom_idx]
-    keep = weights > 0
-    atoms = m.atoms[np.asarray(centers)][keep]
-    if isinstance(m.space, MetricMatrix):
-        atoms = atoms.astype(np.intp)
-    return merge_atoms(DiscreteMeasure(m.space, atoms, weights[keep]))
+    return DiscreteMeasure(m.space, m.atoms[centers], weights)

@@ -116,7 +116,7 @@ def cmd_variance(args) -> int:
 
 def cmd_quantize(args) -> int:
     m = load_measure(args.in_path)
-    q = quantize(m, args.k, seed=args.seed if args.seed is not None else 0)
+    q = quantize(m, args.k)
     _write_json(measure_to_dict(q), args.out)
     _emit({"atoms": q.n_atoms})
     return EXIT_OK
@@ -144,8 +144,6 @@ def cmd_experiment(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=float, default=2.0, help="order of the distance")
-    common.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    common.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     common.add_argument(
         "--max-product-size",
         type=int,
@@ -163,12 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in-a", required=True, dest="in_a")
     sp.add_argument("--in-b", required=True, dest="in_b")
     sp.add_argument("--plan", default=None, help="write optimal plan JSON here")
+    sp.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     sp.set_defaults(fn=cmd_dist)
 
     sp = sub.add_parser("bary", parents=[common], help="ensemble barycenter")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--method", choices=["auto", "mmot", "fixed"], default="auto")
+    sp.add_argument("--method", choices=["mmot", "fixed"], default="mmot")
     sp.add_argument("--support", default=None, help="measure file giving the grid")
     sp.set_defaults(fn=cmd_bary)
 
@@ -192,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--keep-artifacts", default=None, dest="keep_artifacts")
+    sp.add_argument("--seed", type=int, default=None, help="master seed (overrides the config's)")
     sp.add_argument(
         "--timing",
         action="store_true",

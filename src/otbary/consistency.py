@@ -29,7 +29,6 @@ from .measures import (
     MeasureEnsemble,
     ensemble_from_dict,
     measure_from_dict,
-    merge_atoms,
     pushforward,
     sample_empirical,
     save_measure,
@@ -178,9 +177,7 @@ def run_empirical_consistency(
             t0 = time.perf_counter()
             try:
                 sampled = [
-                    merge_atoms(
-                        sample_empirical(mu, n, _child_seed(cfg.seed, n, j, rep))
-                    )
+                    sample_empirical(mu, n, _child_seed(cfg.seed, n, j, rep))
                     for j, mu in enumerate(cfg.ensemble.measures)
                 ]
                 ens_n = MeasureEnsemble(sampled, cfg.ensemble.lam)

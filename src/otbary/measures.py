@@ -3,8 +3,10 @@
 A :class:`DiscreteMeasure` is a weighted atom list over a ground space.
 Weights live on the probability simplex: a sum within 1e-9 of 1 is accepted
 at construction and renormalized to machine precision; anything further off
-is rejected.  Atoms may repeat; :func:`merge_atoms` produces the canonical
-sorted, duplicate-free form used by equality checks and by the exact solvers.
+is rejected.  Every measure is canonical from construction on: zero-weight
+atoms dropped, the rest sorted lexicographically, and atoms within
+``MERGE_TOL`` of a group's first atom merged into it.  The exact solvers
+index their plans by these atoms.
 
 All randomness uses numpy's PCG64 generator, so results are reproducible
 from the integer seed alone.
@@ -28,7 +30,8 @@ WEIGHT_SUM_TOL = 1e-9
 MERGE_TOL = 1e-12
 
 
-def _simplex_weights(weights, count: int, what: str) -> np.ndarray:
+def _checked_weights(weights, count: int, what: str) -> np.ndarray:
+    """Nonnegative weights summing to 1 within WEIGHT_SUM_TOL, as given."""
     w = np.asarray(weights, dtype=float).ravel()
     if w.shape[0] != count:
         raise DimensionMismatch(f"{what}: {w.shape[0]} weights for {count} items")
@@ -42,16 +45,57 @@ def _simplex_weights(weights, count: int, what: str) -> np.ndarray:
         raise WeightSumOutOfTolerance(
             f"{what}: weights sum to {total!r}, off by more than {WEIGHT_SUM_TOL}"
         )
-    # renormalize only when off by more than 1e-12 so validation is a
-    # bit-level fixed point after one pass
-    if abs(total - 1.0) > 1e-12:
-        w = w / total
     return w
+
+
+def _renormalized(w: np.ndarray) -> np.ndarray:
+    # renormalize only when off by more than 1e-12 so construction is a
+    # bit-level fixed point after one pass
+    total = w.sum()
+    return w / total if abs(total - 1.0) > 1e-12 else w
+
+
+def _group_starts(points: np.ndarray) -> np.ndarray:
+    # A sorted point joins the current group when it is within MERGE_TOL of
+    # the group's first point.  By the triangle inequality, with room for
+    # rounding, a gap of 0 or over 3 * MERGE_TOL to the previous point
+    # settles that alone; other gaps need the sequential rule.
+    gap = np.abs(np.diff(points, axis=0)).max(axis=1)
+    if np.all((gap == 0) | (gap > 3 * MERGE_TOL)):
+        return np.flatnonzero(np.concatenate([[True], gap > 0]))
+    starts = [0]
+    for i in range(1, points.shape[0]):
+        if np.max(np.abs(points[i] - points[starts[-1]])) > MERGE_TOL:
+            starts.append(i)
+    return np.asarray(starts)
+
+
+def _canonical(atoms: np.ndarray, weights: np.ndarray):
+    """Drop zero weights, sort, merge duplicates, renormalize.
+
+    Zero-weight atoms go first so that they cannot split a group; merging a
+    canonical measure again changes nothing.  Exact ties are ordered by
+    weight, group weights are summed left to right and the total is taken
+    after sorting, so the result does not depend on the order of the input.
+    """
+    keep = weights > 0
+    atoms, weights = atoms[keep], weights[keep]
+    points = atoms.reshape(atoms.shape[0], -1)  # metric-matrix labels as 1-D points
+    order = np.lexsort((weights, *points.T[::-1]))
+    atoms, weights = atoms[order], weights[order]
+    starts = _group_starts(points[order])
+    sizes = np.diff(np.append(starts, atoms.shape[0]))
+    sums = weights[starts]
+    for k in range(1, int(sizes.max())):
+        more = sizes > k
+        sums[more] += weights[starts[more] + k]
+    return atoms[starts], _renormalized(sums)
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finitely supported probability measure on a ground space."""
+    """Finitely supported probability measure on a ground space, stored in
+    canonical form (see the module docstring)."""
 
     space: Space
     atoms: np.ndarray
@@ -59,7 +103,8 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         atoms = as_atoms(self.space, self.atoms)
-        weights = _simplex_weights(self.weights, atoms.shape[0], "measure weights")
+        weights = _checked_weights(self.weights, atoms.shape[0], "measure weights")
+        atoms, weights = _canonical(atoms, weights)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -75,53 +120,26 @@ def validate_measure(m: DiscreteMeasure, space: Space) -> DiscreteMeasure:
     return DiscreteMeasure(space, m.atoms, m.weights)
 
 
-def merge_atoms(m: DiscreteMeasure, tol: float = MERGE_TOL) -> DiscreteMeasure:
-    """Canonical form: atoms sorted, duplicates within ``tol`` merged,
-    zero-weight atoms dropped."""
-    if isinstance(m.space, MetricMatrix):
-        labels = np.unique(m.atoms)
-        w = np.zeros(labels.shape[0])
-        for k, lab in enumerate(labels):
-            w[k] = m.weights[m.atoms == lab].sum()
-        keep = w > 0
-        return DiscreteMeasure(m.space, labels[keep], w[keep])
-    order = np.lexsort(m.atoms.T[::-1])
-    atoms = m.atoms[order]
-    weights = m.weights[order]
-    out_atoms: list[np.ndarray] = []
-    out_w: list[float] = []
-    for a, w in zip(atoms, weights):
-        if out_atoms and np.max(np.abs(a - out_atoms[-1])) <= tol:
-            out_w[-1] += w
-        else:
-            out_atoms.append(a)
-            out_w.append(w)
-    atoms = np.array(out_atoms)
-    weights = np.array(out_w)
-    keep = weights > 0
-    return DiscreteMeasure(m.space, atoms[keep], weights[keep])
+def merge_atoms(m: DiscreteMeasure) -> DiscreteMeasure:
+    """Canonical form of ``m``, which is ``m`` itself: measures are merged
+    when they are built."""
+    return m
 
 
 def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-9) -> bool:
-    """Equality up to atom order, duplicate atoms and ``tol``."""
-    if a.space != b.space:
-        return False
-    ca, cb = merge_atoms(a), merge_atoms(b)
-    if ca.n_atoms != cb.n_atoms:
+    """Equality of canonical forms up to ``tol``."""
+    if a.space != b.space or a.n_atoms != b.n_atoms:
         return False
     if isinstance(a.space, MetricMatrix):
-        return bool(
-            np.array_equal(ca.atoms, cb.atoms)
-            and np.max(np.abs(ca.weights - cb.weights)) <= tol
-        )
-    return bool(
-        np.max(np.abs(ca.atoms - cb.atoms)) <= tol
-        and np.max(np.abs(ca.weights - cb.weights)) <= tol
-    )
+        same_atoms = np.array_equal(a.atoms, b.atoms)
+    else:
+        same_atoms = np.max(np.abs(a.atoms - b.atoms)) <= tol
+    return bool(same_atoms and np.max(np.abs(a.weights - b.weights)) <= tol)
 
 
 def pushforward(m: DiscreteMeasure, mapping) -> DiscreteMeasure:
-    """Image measure: atoms mapped pointwise, weights untouched.
+    """Image measure: atoms mapped pointwise, each keeping its weight, then
+    put in canonical form (atoms the map sends together merge).
 
     ``mapping`` takes the (n, d) atom array and returns an array of the
     same shape (Euclidean spaces only).
@@ -140,7 +158,7 @@ def sample_empirical(m: DiscreteMeasure, n: int, seed: int) -> DiscreteMeasure:
     """Empirical measure of n i.i.d. draws from m, each atom carrying 1/n.
 
     Draws are multinomial over the atoms; deterministic for a given seed.
-    Duplicates are kept (merge with :func:`merge_atoms` when needed).
+    Repeated draws of an atom merge into one atom carrying their total mass.
     """
     if n < 1:
         raise DimensionMismatch(f"sample size must be >= 1, got {n}")
@@ -169,12 +187,12 @@ class MeasureEnsemble:
     def __post_init__(self):
         if not self.measures:
             raise DimensionMismatch("ensemble needs at least one measure")
-        lam = _simplex_weights(self.lam, len(self.measures), "ensemble lambda")
+        lam = _checked_weights(self.lam, len(self.measures), "ensemble lambda")
         space = self.measures[0].space
         for m in self.measures[1:]:
             if m.space != space:
                 raise DimensionMismatch("ensemble measures live on different spaces")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", _renormalized(lam))
 
     @property
     def space(self) -> Space:

@@ -23,7 +23,7 @@ import scipy.optimize
 
 from .errors import DimensionMismatch, InfeasibleWeights, ProductSizeExceeded
 from .frechet import frechet_mean
-from .measures import DiscreteMeasure, MeasureEnsemble, merge_atoms
+from .measures import DiscreteMeasure, MeasureEnsemble
 from .simplex import solve_lp
 from .spaces import Euclidean, MetricMatrix, Space
 
@@ -59,10 +59,6 @@ def mm_cost(space: Space, p: float, lam, atoms: tuple) -> tuple[float, np.ndarra
         pts = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a in atoms])
     res = frechet_mean(space, p, pts, lam)
     return res.objective, res.point
-
-
-def _merged(ens: MeasureEnsemble) -> list[DiscreteMeasure]:
-    return [merge_atoms(m) for m in ens.measures]
 
 
 def _index_grid(shape: tuple[int, ...]) -> np.ndarray:
@@ -121,7 +117,7 @@ def solve_multimarginal(
     """
     if ens.space != space:
         raise DimensionMismatch("ensemble does not live on the given space")
-    measures = _merged(ens)
+    measures = ens.measures
     shape = tuple(m.n_atoms for m in measures)
     if np.prod([float(n) for n in shape]) > max_product_size:
         raise ProductSizeExceeded(
@@ -148,27 +144,19 @@ def pushforward_barycenter(
 ) -> DiscreteMeasure:
     """Image of the coupling under the barycenter map: one atom per
     positive-mass entry, located at the tuple's Fréchet mean."""
-    measures = _merged(ens)
-    if gamma.shape != tuple(m.n_atoms for m in measures):
+    if gamma.shape != tuple(m.n_atoms for m in ens.measures):
         raise DimensionMismatch("coupling shape does not match the ensemble")
     atoms = []
     masses = []
     for idx, mass in gamma.entries:
         if mass <= 0:
             continue
-        tup = tuple(measures[j].atoms[i] for j, i in enumerate(idx))
-        if isinstance(space, Euclidean) and p == 2:
-            point = ens.lam @ np.asarray(tup, dtype=float).reshape(len(idx), -1)
-        else:
-            _, point = mm_cost(space, p, ens.lam, tup)
+        tup = tuple(ens.measures[j].atoms[i] for j, i in enumerate(idx))
+        _, point = mm_cost(space, p, ens.lam, tup)
         atoms.append(point)
         masses.append(mass)
     masses = np.asarray(masses)
-    if isinstance(space, MetricMatrix):
-        atoms = np.asarray(atoms, dtype=np.intp)
-    else:
-        atoms = np.asarray(atoms, dtype=float)
-    return merge_atoms(DiscreteMeasure(space, atoms, masses / masses.sum()))
+    return DiscreteMeasure(space, atoms, masses / masses.sum())
 
 
 def brute_force_multimarginal(
@@ -181,7 +169,7 @@ def brute_force_multimarginal(
     """Independent oracle: same LP, assembled entry by entry and solved by
     scipy's HiGHS backend.  No solver code shared with
     :func:`solve_multimarginal`."""
-    measures = [merge_atoms(m) for m in ens.measures]
+    measures = ens.measures
     shape = tuple(m.n_atoms for m in measures)
     if np.prod([float(n) for n in shape]) > max_product_size:
         raise ProductSizeExceeded(

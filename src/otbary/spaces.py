@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch, UnsupportedSpace
 
 TRIANGLE_TOL = 1e-9
+TRIANGLE_BLOCK_ENTRIES = 2**22  # (rows, n, n) sums per triangle-check block
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,14 @@ class MetricMatrix:
             raise DimensionMismatch("metric matrix diagonal must be zero")
         if np.any(np.abs(dist - dist.T) > TRIANGLE_TOL):
             raise DimensionMismatch("metric matrix must be symmetric")
-        # d(i,j) <= min_k d(i,k) + d(k,j), checked for every triple
-        through = (dist[:, :, None] + dist[None, :, :]).min(axis=1)
-        if np.any(dist > through + TRIANGLE_TOL):
-            raise DimensionMismatch("metric matrix violates the triangle inequality")
+        # d(i,j) <= min_k d(i,k) + d(k,j) for every triple, a block of rows i
+        # at a time so memory stays at TRIANGLE_BLOCK_ENTRIES floats
+        rows = max(1, TRIANGLE_BLOCK_ENTRIES // max(1, dist.size))
+        for lo in range(0, dist.shape[0], rows):
+            block = dist[lo : lo + rows]
+            through = (block[:, :, None] + dist[None, :, :]).min(axis=1)
+            if np.any(block > through + TRIANGLE_TOL):
+                raise DimensionMismatch("metric matrix violates the triangle inequality")
         self.dist = dist
         self.labels = list(labels) if labels is not None else list(range(dist.shape[0]))
         if len(self.labels) != dist.shape[0]:

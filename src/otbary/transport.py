@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailure,
     UnsupportedSpace,
 )
-from .measures import DiscreteMeasure, merge_atoms
+from .measures import DiscreteMeasure
 from .spaces import Euclidean, Space, pairwise_distances
 
 FEASIBILITY_TOL = 1e-9
@@ -225,15 +225,12 @@ def wasserstein(
 ) -> tuple[float, TransportPlan]:
     """W_p distance and an optimal plan between two measures on ``space``.
 
-    Measures are canonically merged before the solve; the returned plan is
-    indexed by the merged atom lists.
+    The plan is indexed by the measures' own atoms.
     """
     if mu.space != space or nu.space != space:
         raise DimensionMismatch("measures do not live on the given space")
     if p < 1:
         raise DimensionMismatch(f"order p must be >= 1, got {p}")
-    mu = merge_atoms(mu)
-    nu = merge_atoms(nu)
     C = pairwise_distances(space, mu.atoms, nu.atoms) ** p
     result = solve_transport(C, mu.weights, nu.weights, tol=tol)
     return max(result.cost, 0.0) ** (1.0 / p), result
@@ -248,8 +245,6 @@ def wasserstein_1d(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         raise DimensionMismatch("measures live on different spaces")
     if p < 1:
         raise DimensionMismatch(f"order p must be >= 1, got {p}")
-    mu = merge_atoms(mu)
-    nu = merge_atoms(nu)
     xa = mu.atoms[:, 0]
     xb = nu.atoms[:, 0]
     ca = np.cumsum(mu.weights)

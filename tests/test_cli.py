@@ -52,6 +52,35 @@ def test_dist_diracs_p1(dirac_files, capsys):
     assert json.loads(capsys.readouterr().out)["w_p"] == pytest.approx(3.0)
 
 
+def test_dist_tol_flag(dirac_files, capsys):
+    pa, pb = dirac_files
+    assert main(["dist", "--tol", "1e-12", "--in-a", str(pa), "--in-b", str(pb)]) == 0
+    assert json.loads(capsys.readouterr().out)["w_p"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variance", "--in", "e.json", "--tol", "1e-9"],
+        ["quantize", "--in", "m.json", "--k", "1", "--out", "q.json", "--seed", "3"],
+        ["bary", "--in", "e.json", "--out", "b.json", "--method", "auto"],
+    ],
+)
+def test_flags_are_rejected_where_unread(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_experiment_seed_flag(tmp_path, capsys):
+    cfg = experiment_config(tmp_path)
+    outs = [tmp_path / f"r{k}.csv" for k in range(3)]
+    for out, seed in zip(outs, ["4", "4", "5"]):
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_bytes() != outs[2].read_bytes()
+
+
 def test_dist_missing_file(tmp_path, dirac_files, capsys):
     _, pb = dirac_files
     missing = tmp_path / "nope.json"

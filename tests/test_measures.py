@@ -18,8 +18,10 @@ from otbary import (
     pushforward,
     sample_empirical,
     validate_measure,
+    wasserstein,
 )
 from otbary.measures import (
+    MERGE_TOL,
     ensemble_from_dict,
     ensemble_to_dict,
     measure_from_dict,
@@ -164,3 +166,95 @@ def test_ensemble_json_roundtrip(line):
     back = ensemble_from_dict(json.loads(json.dumps(ensemble_to_dict(e))))
     assert np.allclose(back.lam, e.lam)
     assert all(measures_equal(x, y) for x, y in zip(back.measures, e.measures))
+
+
+# ---------------------------------------------------------------------------
+# Canonical form: built from shuffled atoms with exact duplicates, near
+# duplicates (within MERGE_TOL) and zero weights
+# ---------------------------------------------------------------------------
+
+POSITIVE = st.floats(0.01, 10.0)
+
+
+@st.composite
+def euclidean_atoms(draw):
+    dim = draw(st.integers(1, 2))
+    coord = st.floats(-5.0, 5.0, allow_subnormal=False)
+    base = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    atoms, raw = [], []
+    for a in base:
+        atoms.append(a)
+        raw.append(draw(POSITIVE))
+        for _ in range(draw(st.integers(0, 3))):  # exact duplicates
+            atoms.append(list(a))
+            raw.append(draw(POSITIVE | st.just(0.0)))
+        for _ in range(draw(st.integers(0, 2))):  # near duplicates
+            shift = draw(st.floats(-9e-13, 9e-13))
+            atoms.append([x + shift for x in a])
+            raw.append(draw(POSITIVE | st.just(0.0)))
+    for _ in range(draw(st.integers(0, 2))):  # zero-weight atoms of their own
+        atoms.append(draw(st.lists(coord, min_size=dim, max_size=dim)))
+        raw.append(0.0)
+    fixed = DiscreteMeasure(Euclidean(dim), [[0.0] * dim, [1.0] * dim], [0.3, 0.7])
+    return Euclidean(dim), np.asarray(atoms), np.asarray(raw), fixed
+
+
+@st.composite
+def metric_atoms(draw):
+    n = draw(st.integers(2, 6))
+    pts = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    space = MetricMatrix(np.abs(pts[:, None] - pts[None, :]))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    raw = draw(st.lists(POSITIVE | st.just(0.0), min_size=len(labels), max_size=len(labels)))
+    labels.append(labels[0])  # at least one duplicate with a positive weight
+    raw.append(draw(POSITIVE))
+    fixed = DiscreteMeasure(space, [0, n - 1], [0.4, 0.6])
+    return space, np.asarray(labels), np.asarray(raw), fixed
+
+
+def reference_canonical(atoms, weights):
+    """The merge rule as a plain loop over (atom, weight)-sorted atoms."""
+    pts = atoms.reshape(len(atoms), -1)
+    order = sorted(np.flatnonzero(weights > 0), key=lambda i: (tuple(pts[i]), weights[i]))
+    firsts, sums = [], []
+    for i in order:
+        if firsts and np.max(np.abs(pts[i] - pts[firsts[-1]])) <= MERGE_TOL:
+            sums[-1] += weights[i]
+        else:
+            firsts.append(i)
+            sums.append(weights[i])
+    sums = np.asarray(sums)
+    total = sums.sum()
+    return atoms[firsts], sums / total if abs(total - 1.0) > 1e-12 else sums
+
+
+@given(
+    case=st.one_of(euclidean_atoms(), metric_atoms()),
+    p=st.sampled_from([1.0, 2.0]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_canonical_form_properties(case, p, data):
+    space, atoms, raw, fixed = case
+    # a sum off by up to 5e-10 is accepted and renormalized
+    weights = raw / raw.sum() * (1.0 + data.draw(st.floats(-5e-10, 5e-10)))
+    perm = np.asarray(data.draw(st.permutations(range(len(raw)))))
+    m = DiscreteMeasure(space, atoms, weights)
+    shuffled = DiscreteMeasure(space, atoms[perm], weights[perm])
+
+    ref_atoms, ref_weights = reference_canonical(atoms, weights)
+    assert m.atoms.tobytes() == ref_atoms.tobytes()
+    assert m.weights.tobytes() == ref_weights.tobytes()
+
+    keys = m.atoms[:, None] if isinstance(space, MetricMatrix) else m.atoms
+    for a, b in zip(keys, keys[1:]):
+        assert tuple(a) < tuple(b)
+    assert np.all(m.weights > 0)
+
+    again = DiscreteMeasure(m.space, m.atoms, m.weights)
+    assert again.atoms.tobytes() == m.atoms.tobytes()
+    assert again.weights.tobytes() == m.weights.tobytes()
+
+    assert np.array_equal(shuffled.atoms, m.atoms)
+    assert np.array_equal(shuffled.weights, m.weights)
+    assert wasserstein(space, p, shuffled, fixed)[0] == wasserstein(space, p, m, fixed)[0]

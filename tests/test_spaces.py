@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otbary import DimensionMismatch, Euclidean, MetricMatrix, UnsupportedSpace
-from otbary.spaces import distance, midpoint, pairwise_distances
+from otbary.spaces import TRIANGLE_BLOCK_ENTRIES, distance, midpoint, pairwise_distances
 
 
 def test_euclidean_345():
@@ -80,3 +80,21 @@ def test_point_dimension_checked():
     s = Euclidean(2)
     with pytest.raises(DimensionMismatch):
         distance(s, (0, 0, 0), (1, 1))
+
+
+def _path_metric(n):
+    idx = np.arange(n, dtype=float)
+    return np.abs(idx[:, None] - idx[None, :])
+
+
+def test_metric_matrix_triangle_check_covers_every_block():
+    # The check runs a block of rows at a time; the only violation sits in
+    # rows 296 and 298, past the first block.
+    n = 300
+    assert TRIANGLE_BLOCK_ENTRIES // (n * n) < 296
+    d = _path_metric(n)
+    assert MetricMatrix(d).n_points == n
+    d[296, 298] = d[298, 296] = 5.0  # > d(296, 297) + d(297, 298) = 2
+    with pytest.raises(DimensionMismatch):
+        MetricMatrix(d)
+
