@@ -142,9 +142,11 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=float, default=2.0, help="order of the distance")
-    common.add_argument(
+    # Each shared flag goes only on the commands that read it.
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--p", type=float, default=2.0, help="order of the distance")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
         "--max-product-size",
         type=int,
         default=10**6,
@@ -157,37 +159,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("dist", parents=[common], help="pairwise W_p distance")
+    sp = sub.add_parser("dist", parents=[order], help="pairwise W_p distance")
     sp.add_argument("--in-a", required=True, dest="in_a")
     sp.add_argument("--in-b", required=True, dest="in_b")
     sp.add_argument("--plan", default=None, help="write optimal plan JSON here")
     sp.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
     sp.set_defaults(fn=cmd_dist)
 
-    sp = sub.add_parser("bary", parents=[common], help="ensemble barycenter")
+    sp = sub.add_parser("bary", parents=[order, cap], help="ensemble barycenter")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.add_argument("--out", required=True)
     sp.add_argument("--method", choices=["mmot", "fixed"], default="mmot")
     sp.add_argument("--support", default=None, help="measure file giving the grid")
     sp.set_defaults(fn=cmd_bary)
 
-    sp = sub.add_parser("mmot", parents=[common], help="multi-marginal coupling")
+    sp = sub.add_parser("mmot", parents=[order, cap], help="multi-marginal coupling")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.add_argument("--out", required=True)
     sp.add_argument("--bary", default=None, help="also write the pushforward barycenter")
     sp.set_defaults(fn=cmd_mmot)
 
-    sp = sub.add_parser("variance", parents=[common], help="ensemble variance")
+    sp = sub.add_parser("variance", parents=[order, cap], help="ensemble variance")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.set_defaults(fn=cmd_variance)
 
-    sp = sub.add_parser("quantize", parents=[common], help="support reduction")
+    sp = sub.add_parser("quantize", help="support reduction")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_quantize)
 
-    sp = sub.add_parser("experiment", parents=[common], help="consistency experiment")
+    sp = sub.add_parser("experiment", parents=[cap], help="consistency experiment")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--keep-artifacts", default=None, dest="keep_artifacts")

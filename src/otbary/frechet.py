@@ -111,7 +111,14 @@ def _gradient_descent(pts, lam, p, tol, max_iter):
         while step > 1e-18:
             x_new = x - step * g
             f_new = objective(x_new)
-            if f_new <= f - 1e-4 * step * gnorm2:
+            # Armijo with strict decrease: near the minimum a tiny step can
+            # pass Armijo with f_new == f, and accepting it lets x cycle.
+            if f_new < f and f_new <= f - 1e-4 * step * gnorm2:
+                break
+            # Within ~1e-9 of the minimizer f is flat to the last bit.  There
+            # the objective's convexity lets a directional derivative that is
+            # still negative at x_new certify the descent instead.
+            if f_new == f and gradient(x_new) @ g > 0:
                 break
             step *= 0.5
         else:

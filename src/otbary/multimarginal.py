@@ -1,12 +1,16 @@
 """Exact multi-marginal optimal transport and the pushforward barycenter.
 
-The production path (:func:`solve_multimarginal`) flattens the product
-support into one equality-form LP (one marginal row per atom; the redundant
-rows are dropped automatically during phase one) and solves it with the
-in-house simplex.  :func:`brute_force_multimarginal` is the independent
-oracle: it assembles the same LP entry by entry and hands it to
-``scipy.optimize.linprog`` (HiGHS), sharing no solver code with the
-production path.
+The production path (:func:`solve_multimarginal`) has two routes.  On the
+line with p = 2 it returns the comonotone (north-west-corner) coupling of
+the sorted marginals, built from the common refinement of their cumulative
+weights: the cost sum_j lam_j |x_j - mean|^2 is submodular, so that coupling
+is optimal (Carlier, J. Convex Anal. 2003) and needs no LP at all.  Every
+other input flattens the product support into one equality-form LP (one
+marginal row per atom; the redundant rows are dropped automatically during
+phase one) and solves it with the in-house simplex.
+:func:`brute_force_multimarginal` is the independent oracle: it assembles
+the same LP entry by entry and hands it to ``scipy.optimize.linprog``
+(HiGHS), sharing no solver code with the production path.
 
 The cost of an index tuple is the infimum over the ground space of the
 weighted d^p sum, i.e. the Fréchet-mean objective of the tuple's atoms; the
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DimensionMismatch, InfeasibleWeights, ProductSizeExceeded
 from .frechet import frechet_mean
@@ -30,6 +33,7 @@ from .spaces import Euclidean, MetricMatrix, Space
 DEFAULT_PRODUCT_CAP = 10**6
 BRUTE_FORCE_CAP = 10**4
 MARGINAL_TOL = 1e-9
+MASS_CUT = 1e-15
 
 
 @dataclass
@@ -103,6 +107,18 @@ def _marginal_system(measures, idx):
     return A, b
 
 
+def _comonotone_entries(measures) -> tuple[np.ndarray, np.ndarray]:
+    # One entry per interval of the common refinement of the cumulative
+    # weights; member j sits at its quantile index on that interval.  Atoms
+    # are sorted, so increasing intervals give increasing index tuples.
+    inner = [np.cumsum(m.weights)[:-1] for m in measures]
+    t = np.unique(np.concatenate([[0.0, 1.0], *inner]))
+    mass = np.diff(t)
+    keep = mass > MASS_CUT
+    idx = np.stack([np.searchsorted(c, t[:-1][keep], side="right") for c in inner], axis=1)
+    return idx, mass[keep]
+
+
 def solve_multimarginal(
     space: Space,
     p: float,
@@ -111,6 +127,13 @@ def solve_multimarginal(
     max_product_size: int = DEFAULT_PRODUCT_CAP,
 ) -> MultiCoupling:
     """Optimal vertex of the multi-marginal transportation polytope.
+
+    On the line with p = 2 (J >= 2) the answer is the comonotone coupling,
+    with at most sum_j n_j - J + 1 entries and objective sum mass * cost;
+    it is exact because the quadratic Fréchet cost is submodular, so an
+    optimal coupling is supported on a monotone chain of index tuples.
+    Other inputs solve the dense product LP.  Either way the entries come
+    in increasing lexicographic order and masses <= 1e-15 are dropped.
 
     Raises:
         ProductSizeExceeded: product support larger than ``max_product_size``.
@@ -125,18 +148,21 @@ def solve_multimarginal(
         )
     if abs(ens.lam.sum() - 1.0) > MARGINAL_TOL:
         raise InfeasibleWeights("ensemble weights are not a probability vector")
-    idx = _index_grid(shape)
-    costs = _cost_vector(space, p, ens.lam, measures, idx)
-    if len(measures) == 1:
-        entries = [((i,), float(w)) for i, w in enumerate(measures[0].weights)]
-        return MultiCoupling(entries=entries, objective=0.0, shape=shape)
-    A, b = _marginal_system(measures, idx)
-    res = solve_lp(costs, A, b)
+    if isinstance(space, Euclidean) and space.dim == 1 and p == 2 and len(measures) > 1:
+        idx, x = _comonotone_entries(measures)
+        objective = float(_cost_vector(space, p, ens.lam, measures, idx) @ x)
+    else:
+        idx = _index_grid(shape)
+        costs = _cost_vector(space, p, ens.lam, measures, idx)
+        if len(measures) == 1:
+            entries = [((i,), float(w)) for i, w in enumerate(measures[0].weights)]
+            return MultiCoupling(entries=entries, objective=0.0, shape=shape)
+        res = solve_lp(costs, *_marginal_system(measures, idx))
+        x, objective = res.x, res.objective
     entries = [
-        (tuple(int(i) for i in idx[k]), float(res.x[k]))
-        for k in np.flatnonzero(res.x > 1e-15)
+        (tuple(int(i) for i in idx[k]), float(x[k])) for k in np.flatnonzero(x > MASS_CUT)
     ]
-    return MultiCoupling(entries=entries, objective=res.objective, shape=shape)
+    return MultiCoupling(entries=entries, objective=objective, shape=shape)
 
 
 def pushforward_barycenter(
@@ -169,6 +195,8 @@ def brute_force_multimarginal(
     """Independent oracle: same LP, assembled entry by entry and solved by
     scipy's HiGHS backend.  No solver code shared with
     :func:`solve_multimarginal`."""
+    import scipy.optimize  # only the oracle needs it; keeps `import otbary` light
+
     measures = ens.measures
     shape = tuple(m.n_atoms for m in measures)
     if np.prod([float(n) for n in shape]) > max_product_size:
@@ -199,6 +227,6 @@ def brute_force_multimarginal(
         raise InfeasibleWeights(f"oracle LP failed: {res.message}")
     entries = [
         (tuple(int(i) for i in tuples[k]), float(res.x[k]))
-        for k in np.flatnonzero(res.x > 1e-15)
+        for k in np.flatnonzero(res.x > MASS_CUT)
     ]
     return MultiCoupling(entries=entries, objective=float(res.fun), shape=shape)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,10 @@ def test_dist_tol_flag(dirac_files, capsys):
         ["variance", "--in", "e.json", "--tol", "1e-9"],
         ["quantize", "--in", "m.json", "--k", "1", "--out", "q.json", "--seed", "3"],
         ["bary", "--in", "e.json", "--out", "b.json", "--method", "auto"],
+        ["experiment", "--config", "c.json", "--out", "r.csv", "--p", "1"],
+        ["quantize", "--in", "m.json", "--k", "1", "--out", "q.json", "--p", "1"],
+        ["dist", "--in-a", "a.json", "--in-b", "b.json", "--max-product-size", "4"],
+        ["quantize", "--in", "m.json", "--k", "1", "--out", "q.json", "--max-product-size", "4"],
     ],
 )
 def test_flags_are_rejected_where_unread(argv, capsys):
@@ -223,3 +231,18 @@ def test_determinism_all_commands(tmp_path, ensemble_file, dirac_files):
         main(["quantize", "--in", str(pa), "--k", "1", "--out", str(q)])
         pairs.append((plan.read_bytes(), bary.read_bytes(), coup.read_bytes(), q.read_bytes()))
     assert pairs[0] == pairs[1]
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize serves only the brute-force oracle; CLI start-up skips it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, otbary, otbary.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

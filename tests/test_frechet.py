@@ -82,3 +82,15 @@ def test_metric_matrix_argmin_and_tiebreak():
     # symmetric two-point tie breaks toward the smaller label
     t = frechet_mean(s, 1, [0, 2], [0.5, 0.5])
     assert t.point == 0
+
+
+def test_general_p_stops_at_float_resolution(line):
+    # A p = 3 pair on which Armijo steps of ~1e-10 used to pass with an
+    # unchanged objective, so the descent cycled until its iteration cap.
+    a, b = 1.3035283997533655, 0.2839822578345439
+    lam = np.array([0.5963300444688094, 0.40366995553119056])
+    r = frechet_mean(line, 3, [[a], [b]], lam)
+    assert r.converged
+    assert r.iterations < 1000
+    s1, s2 = np.sqrt(lam)
+    assert abs(r.point[0] - (s1 * a + s2 * b) / (s1 + s2)) <= 1e-9

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otbary import (
     DiscreteMeasure,
@@ -14,6 +16,8 @@ from otbary import (
     solve_transport,
     wasserstein,
 )
+from otbary.multimarginal import _cost_vector, _index_grid, _marginal_system
+from otbary.simplex import solve_lp
 from conftest import random_ensemble, random_measure
 
 
@@ -154,3 +158,69 @@ def test_product_size_cap(line):
     ens = MeasureEnsemble(ms, np.full(3, 1 / 3))
     with pytest.raises(ProductSizeExceeded):
         solve_multimarginal(line, 2, ens, max_product_size=4)
+
+
+
+# Quarter-integer atoms: members share atoms, and distinct couplings differ
+# in cost by far more than the LP solvers' optimality tolerances.
+GRID = st.integers(-20, 20).map(lambda k: k / 4)
+FLOATS = st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def line_ensembles(draw, coord):
+    # Uniform weights make members share cumulative breakpoints; n = 1 gives
+    # Diracs.
+    line = Euclidean(1)
+    J = draw(st.integers(2, 4))
+    measures = []
+    for _ in range(J):
+        n = draw(st.integers(1, 6))
+        atoms = np.asarray(draw(st.lists(coord, min_size=n, max_size=n, unique=True)))
+        if draw(st.booleans()):
+            weights = np.full(n, 1.0 / n)
+        else:
+            weights = np.asarray(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+            weights /= weights.sum()
+        measures.append(DiscreteMeasure(line, atoms[:, None], weights))
+    lam = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=J, max_size=J)))
+    return MeasureEnsemble(measures, lam / lam.sum())
+
+
+def _lp_objectives(ens, shape):
+    # HiGHS through the oracle, and the in-house dense simplex on the full
+    # product LP that the line p = 2 route no longer builds.
+    line = Euclidean(1)
+    idx = _index_grid(shape)
+    costs = _cost_vector(line, 2, ens.lam, ens.measures, idx)
+    dense = solve_lp(costs, *_marginal_system(ens.measures, idx)).objective
+    return brute_force_multimarginal(line, 2, ens).objective, dense
+
+
+def _check_comonotone(ens, gamma):
+    for marg, m in zip(gamma.marginals(), ens.measures):
+        assert np.max(np.abs(marg - m.weights)) <= 1e-9
+    assert len(gamma.entries) <= sum(gamma.shape) - len(gamma.shape) + 1
+    tuples = np.array([idx for idx, _ in gamma.entries])
+    assert np.all(np.diff(tuples, axis=0) >= 0)
+
+
+@given(ens=line_ensembles(GRID))
+@settings(max_examples=150, deadline=None)
+def test_line_p2_comonotone_matches_both_lp_solvers(ens):
+    gamma = solve_multimarginal(Euclidean(1), 2, ens)
+    for value in _lp_objectives(ens, gamma.shape):
+        assert abs(gamma.objective - value) <= 1e-12
+    _check_comonotone(ens, gamma)
+
+
+@given(ens=line_ensembles(FLOATS))
+@settings(max_examples=100, deadline=None)
+def test_line_p2_comonotone_never_beaten(ens):
+    # Arbitrary floats include atoms ~1e-11 apart, where both LP solvers may
+    # stop at a vertex a few 1e-12 above the optimum (within their reduced-
+    # cost tolerance); the comonotone coupling must never be the worse one.
+    gamma = solve_multimarginal(Euclidean(1), 2, ens)
+    for value in _lp_objectives(ens, gamma.shape):
+        assert gamma.objective <= value + 1e-12
+    _check_comonotone(ens, gamma)
