@@ -5,6 +5,15 @@ of the optimal multi-coupling under the Fréchet map) and a fixed-support
 fallback that optimizes weights on a given grid as one joint LP.  The LP's
 shared barycenter weights are eliminated by substitution (w = row sums of
 the first plan), so a single exact solve covers all J couplings at once.
+
+Per-measure costs are read off the solution, with no transport solve after
+the LP.  The coupling's projection onto (member j, barycenter atom) is a
+plan between nu and mu_j of cost c_j >= W_p^p(nu, mu_j), and
+sum_j lam_j c_j is the optimal objective, which is at most
+sum_j lam_j W_p^p(nu, mu_j); so c_j = W_p^p(nu, mu_j) wherever lam_j > 0.
+The same holds for the joint LP's plans, c_j = <C_j, pi_j>.  A member of
+weight 0 does not enter either LP, so its cost is the one transport solve
+left.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from .multimarginal import (
     solve_multimarginal,
 )
 from .simplex import solve_lp
-from .spaces import Space, as_atoms, pairwise_distances
+from .spaces import MetricMatrix, Space, as_atoms, pairwise_distances
 from .transport import wasserstein
 
 
@@ -44,8 +53,20 @@ def ensemble_objective(
     return total
 
 
-def _per_measure(space, p, ens, nu) -> list[float]:
-    return [wasserstein(space, p, nu, mu_j)[0] ** p for mu_j in ens.measures]
+def _with_unweighted(space, p, ens, nu, costs) -> list[float]:
+    # A plan to a member of weight 0 is arbitrary, so only its own
+    # transport gives W_p^p.
+    costs = [float(c) for c in costs]
+    for j in np.flatnonzero(ens.lam == 0):
+        costs[j] = wasserstein(space, p, nu, ens.measures[j])[0] ** p
+    return costs
+
+
+def _paired_distances(space, xs, ys) -> np.ndarray:
+    if isinstance(space, MetricMatrix):
+        return space.dist[xs, ys]
+    diff = xs - ys
+    return np.sqrt((diff * diff).sum(axis=1))
 
 
 def barycenter_finite(
@@ -55,10 +76,16 @@ def barycenter_finite(
     *,
     max_product_size: int = DEFAULT_PRODUCT_CAP,
 ) -> BarycenterResult:
-    """Exact barycenter via the multi-marginal coupling pushforward."""
+    """Exact barycenter via the multi-marginal coupling pushforward;
+    c_j = sum_k mass_k d(x_k, a_{j, i_kj})^p over the coupling's entries."""
     gamma = solve_multimarginal(space, p, ens, max_product_size=max_product_size)
     nu = pushforward_barycenter(space, p, ens, gamma)
-    costs = _per_measure(space, p, ens, nu)
+    mass = gamma.mass / gamma.mass.sum()
+    costs = [
+        mass @ _paired_distances(space, gamma.points, m.atoms[gamma.index[:, j]]) ** p
+        for j, m in enumerate(ens.measures)
+    ]
+    costs = _with_unweighted(space, p, ens, nu, costs)
     return BarycenterResult(
         measure=nu,
         objective=float(np.dot(ens.lam, costs)),
@@ -71,7 +98,7 @@ def barycenter_fixed_support(
     space: Space, p: float, ens: MeasureEnsemble, support
 ) -> BarycenterResult:
     """Best measure supported on ``support``: one joint LP over J coupled
-    transport plans sharing their first marginal."""
+    transport plans sharing their first marginal; c_j = <C_j, pi_j>."""
     support = as_atoms(space, support)
     S = support.shape[0]
     if S == 0:
@@ -82,10 +109,8 @@ def barycenter_fixed_support(
     blocks = np.concatenate([[0], np.cumsum([S * n for n in sizes])])
     n_vars = int(blocks[-1])
 
-    c = np.zeros(n_vars)
-    for j, m in enumerate(measures):
-        Cj = pairwise_distances(space, support, m.atoms) ** p
-        c[blocks[j] : blocks[j + 1]] = ens.lam[j] * Cj.ravel()
+    C = [(pairwise_distances(space, support, m.atoms) ** p).ravel() for m in measures]
+    c = np.concatenate([lam_j * Cj for lam_j, Cj in zip(ens.lam, C)])
 
     # Rows: column sums of each plan fixed to the target weights, plus
     # row-sum agreement of every plan with plan 0 (eliminated shared w).
@@ -111,7 +136,8 @@ def barycenter_fixed_support(
     if w.sum() <= 0:
         raise NumericalFailure("fixed-support LP returned zero total mass")
     nu = DiscreteMeasure(space, support, w / w.sum())
-    costs = _per_measure(space, p, ens, nu)
+    costs = [C[j] @ res.x[blocks[j] : blocks[j + 1]] for j in range(J)]
+    costs = _with_unweighted(space, p, ens, nu, costs)
     return BarycenterResult(
         measure=nu,
         objective=float(np.dot(ens.lam, costs)),

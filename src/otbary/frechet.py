@@ -2,14 +2,51 @@
 
 The map implemented here is the deterministic point-level barycenter used by
 the multi-marginal solver: it picks one minimizer of
-x -> sum_j lam_j d(x, x_j)^p with a fixed tie-breaking rule
-(lexicographically smallest candidate among equal objectives), so identical
+f(x) = sum_j lam_j d(x, a_j)^p with a fixed tie-breaking rule, so identical
 inputs always give identical outputs.
 
-Euclidean p=2 uses the closed form; p=1 uses Weiszfeld iteration with the
-standard anchor (data-point) handling; other p use gradient descent with
-Armijo backtracking.  Metric-matrix spaces minimize over the listed points
-only.
+:func:`frechet_means` solves a whole batch of tuples at once and is the only
+solver; :func:`frechet_mean` is the same call on a batch of one.  Every step
+is elementwise across the rows of a batch, so a tuple gets bit-identical
+results alone or inside any batch.
+
+- Metric-matrix spaces minimize over the listed points exhaustively and
+  break objective ties (within 1e-12) toward the smallest label.
+- A Euclidean tuple of one repeated point is its own mean.  The others are
+  solved relative to one of their atoms, so coordinates the atoms share
+  stay exact; a solution on an atom returns that atom exactly.
+- Euclidean p = 2 is the weighted mean.
+- Euclidean p = 1 first tests every atom with the anchor (subgradient)
+  condition |sum_{a_j != a} lam_j u_j| <= sum_{a_j = a} lam_j + 1e-12 sum(lam),
+  u_j the unit vector from a to a_j (Vardi & Zhang, *The multivariate
+  L1-median and associated data depth*, PNAS 2000).  That settles every
+  tuple on a line.  (A median within that slack of an atom lowers f by
+  about slack^2 / curvature, far below f's resolution.)  The other rows
+  start from the weighted mean or, when lower, the best Vardi-Zhang step
+  off an atom, which puts a median that sits next to an atom on the right
+  ray at once; such a row iterates relative to that atom, where rounding
+  leaves the step's direction intact.
+- Every other row iterates Newton steps on f, Hessian
+  sum_j c_j (I + (p - 2) u_j u_j^T) with c_j = p lam_j |x - a_j|^(p - 2),
+  with Armijo backtracking that asks for a quarter of the decrease the
+  slope predicts (a weaker test lets Newton hop across an atom where the
+  Hessian blows up, p < 2).  Where no Newton step descends, or x sits on an
+  atom, the row takes a Weiszfeld step with Vardi-Zhang's rule (p = 1) or
+  an Armijo gradient step.  A trial point descends on strict decrease, or,
+  where f is flat to its last bits, when it moved and its directional
+  derivative is still negative (by convexity).  Near the minimizer f is
+  that flat while the Newton step is still ~1e-9 long, so a Newton step
+  shorter than 1e-3 of the distance to the nearest atom is taken on the
+  quadratic model's word.
+
+A row has converged after a full Newton step of at most ``tol`` times the
+distance to its nearest atom (or below the resolution of x), when such short
+steps stop shrinking (rounding noise), or when nothing descends.  Rows
+freeze once converged; a row still iterating at ``max_iter`` raises
+:class:`NonConvergence`.  The Euclidean rows are processed
+``CHUNK_ENTRIES // (J d)`` at a time, the metric ones
+``CHUNK_ENTRIES // n_points`` at a time, so working memory stays bounded for
+any batch size.
 """
 
 from __future__ import annotations
@@ -18,12 +55,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonConvergence
 from .spaces import MetricMatrix, Space, as_atoms
 
-STEP_TOL = 1e-10
+STEP_TOL = 1e-10  # Newton step, relative to the nearest atom
+RESOLUTION = 4 * np.finfo(float).eps  # steps below this times |x| cannot move x
 TIE_TOL = 1e-12
 MAX_ITER = 100_000
+ANCHOR_TOL = 1e-12  # slack of the anchor test, relative to sum(lam)
+NEWTON_DAMPING = 1e-12  # ridge on the Newton Hessian, relative to its trace
+NEWTON_TRUST = 1e-3  # Newton steps taken untested, relative to the nearest atom
+ARMIJO = 1e-4  # sufficient decrease of a gradient step
+NEWTON_DECREASE = 0.25  # sufficient decrease of a Newton step
+MIN_STEP = 1e-18  # smallest backtracking factor
+CHUNK_ENTRIES = 2**18  # floats in one (rows, J, d) or (n_points, rows) block
 
 
 @dataclass
@@ -57,76 +102,266 @@ def frechet_objective(space: Space, p: float, pts, lam, x) -> float:
     return float(np.dot(lam, d**p))
 
 
-def _weiszfeld(pts, lam, tol, max_iter):
-    # Geometric median (p=1) with Vardi-Zhang anchor handling.
-    x = lam @ pts
+# ---------------------------------------------------------------------------
+# Batched kernel.  Rows are tuples: pts has shape (n, J, d), x has (n, d).
+# ---------------------------------------------------------------------------
+
+def _norm(v):
+    return np.sqrt((v * v).sum(axis=-1))
+
+
+def _dists(x, pts):
+    return _norm(x[:, None, :] - pts)
+
+
+def _power_sum(lam, d, p):
+    return (lam * (d if p == 1 else d**p)).sum(axis=1)
+
+
+def _local(x, pts, lam, p):
+    # Objective and gradient at each row's x, with diff = x - a_j, d = |diff|
+    # and the gradient weights c_j = p lam_j d_j^(p - 2) (0 on an atom).
+    diff = x[:, None, :] - pts
+    d = _norm(diff)
+    on = d == 0
+    c = np.where(on, 0.0, p * lam * np.where(on, 1.0, d) ** (p - 2))
+    g = (c[:, :, None] * diff).sum(axis=1)
+    return _power_sum(lam, d, p), g, diff, d, on, c
+
+
+def _newton(g, diff, d, on, c, p):
+    # Newton displacements -H^-1 g with the Hessian
+    # H = sum_j c_j (I + (p - 2) u_j u_j^T) plus a small ridge; zero where x
+    # is on an atom, which has no Hessian.  Also the rows that got one.
+    s = np.zeros_like(g)
+    rows = np.flatnonzero(~on.any(axis=1))
+    if rows.size:
+        c = c[rows]
+        u = diff[rows] / d[rows][:, :, None]
+        eye = np.eye(g.shape[1])
+        H = (c.sum(axis=1) * (1.0 + NEWTON_DAMPING))[:, None, None] * eye + (p - 2) * (
+            (c[:, :, None, None] * u[:, :, :, None]) * u[:, :, None, :]
+        ).sum(axis=1)
+        s[rows] = -np.linalg.solve(H, g[rows][:, :, None])[:, :, 0]
+    return s, rows
+
+
+def _weiszfeld_steps(g, on, c, lam):
+    # Weiszfeld displacements, with Vardi-Zhang's rule where x is on an atom
+    # (none of which is a minimizer here).
+    r = -g
+    rn = _norm(r)
+    shrink = np.clip(1.0 - (lam * on).sum(axis=1) / np.where(rn > 0, rn, 1.0), 0.0, None)
+    return (shrink / c.sum(axis=1))[:, None] * r
+
+
+def _atom_tests(pts, lam):
+    # For every row: the index of the best atom meeting the anchor condition
+    # (-1 where none does), and the best Vardi-Zhang step off an atom: its
+    # atom, the displacement and f there.
+    n, J, dim = pts.shape
+    slack = ANCHOR_TOL * lam.sum()
+    anchor = np.full(n, -1)
+    anchor_f = np.full(n, np.inf)
+    escape = np.zeros(n, dtype=np.intp)
+    offset = np.zeros((n, dim))
+    escape_f = np.full(n, np.inf)
+    for k in range(J):
+        f, g, _, _, on, c = _local(pts[:, k], pts, lam, 1)
+        pull = _norm(g)
+        weight = (lam * on).sum(axis=1)
+        ok = (pull <= weight + slack) & (f < anchor_f)
+        anchor[ok] = k
+        anchor_f[ok] = f[ok]
+        out = np.flatnonzero(pull > weight + slack)
+        step = _weiszfeld_steps(g[out], on[out], c[out], lam)
+        f_e = _power_sum(lam, _dists(pts[out, k] + step, pts[out]), 1)
+        better = f_e < escape_f[out]
+        escape[out[better]] = k
+        offset[out[better]] = step[better]
+        escape_f[out[better]] = f_e[better]
+    return anchor, escape, offset, escape_f
+
+
+def _flat_descent(x, x_new, f, f_new, g_new, on_new):
+    # Where f is flat to its last bits (within RESOLUTION), whether a trial
+    # point that moved still has a negative directional derivative, which
+    # by convexity (f(x) >= f(x_new) - g(x_new) . (x_new - x)) puts it below f.
+    slope = (g_new * (x_new - x)).sum(axis=1)
+    flat = (f_new <= f + RESOLUTION * f) & (x_new != x).any(axis=1) & ~on_new.any(axis=1)
+    return flat & (slope < 0)
+
+
+def _backtrack(x, f, g, s, rows, pts, lam, p, armijo):
+    # Armijo backtracking along s on `rows`, all at once, with sufficient
+    # decrease `armijo`: the points reached, their objectives and the step
+    # factor taken (0 where none was).
+    x_new, f_new = x.copy(), f.copy()
+    taken = np.zeros(x.shape[0])
+    slope = (g * s).sum(axis=1)
+    seek = rows[slope[rows] < 0]
+    t = 1.0
+    while seek.size and t > MIN_STEP:
+        trial = x[seek] + t * s[seek]
+        f_t, g_t, _, _, on_t, _ = _local(trial, pts[seek], lam, p)
+        # Armijo's sufficient decrease, strictly (a tiny step can pass it
+        # with f unchanged, and accepting it lets x cycle), or the flat-f
+        # certificate.
+        ok = (f_t < f[seek]) & (f_t <= f[seek] + armijo * t * slope[seek])
+        ok |= _flat_descent(x[seek], trial, f[seek], f_t, g_t, on_t)
+        hit = seek[ok]
+        x_new[hit], f_new[hit], taken[hit] = trial[ok], f_t[ok], t
+        seek = seek[~ok]
+        t *= 0.5
+    return x_new, f_new, taken
+
+
+def _iterate_rows(pts, x, lam, p, tol, max_iter):
+    n = pts.shape[0]
+    iters = np.zeros(n, dtype=np.int64)
+    f = _power_sum(lam, _dists(x, pts), p)
+    live = np.arange(n)
+    last = np.full(n, np.inf)  # each row's last trusted Newton step
     for it in range(1, max_iter + 1):
-        d = np.linalg.norm(pts - x[None, :], axis=1)
-        on = d <= 1e-14
-        if on.any():
-            k = int(np.argmax(on))
-            off = ~on
-            if not off.any():
-                return x, it, True
-            r_vec = ((lam[off] / d[off])[:, None] * (pts[off] - x[None, :])).sum(axis=0)
-            r = np.linalg.norm(r_vec)
-            anchor_weight = lam[on].sum()
-            if r <= anchor_weight + 1e-15:
-                return x, it, True  # subgradient condition: anchor is optimal
-            denom = (lam[off] / d[off]).sum()
-            step = (r - anchor_weight) / denom
-            x_new = x + step * (r_vec / r)
+        if not live.size:
+            break
+        P, xl, fl = pts[live], x[live], f[live]
+        _, g, diff, d, on, c = _local(xl, P, lam, p)
+        s, newton = _newton(g, diff, d, on, c, p)
+        step = _norm(s)
+        trusted = newton[step[newton] <= NEWTON_TRUST * d[newton].min(axis=1)]
+        # Trusted steps shrink quadratically; one that stops shrinking is
+        # rounding noise hopping between neighbouring floats.
+        stalled = np.zeros(live.size, dtype=bool)
+        stalled[trusted] = step[trusted] >= 0.5 * last[live[trusted]]
+        last[live] = np.inf
+        last[live[trusted]] = step[trusted]
+        x_n, f_n, taken = _backtrack(
+            xl, fl, g, s, np.setdiff1d(newton, trusted), P, lam, p, NEWTON_DECREASE
+        )
+        x_n[trusted] = xl[trusted] + s[trusted]
+        f_n[trusted] = _power_sum(lam, _dists(x_n[trusted], P[trusted]), p)
+        taken[trusted] = 1.0
+        # Rows on an atom, or where no Newton step descends: a Weiszfeld step
+        # (p = 1) or a gradient step.
+        b = np.flatnonzero(taken == 0)
+        if p == 1:
+            w = _weiszfeld_steps(g[b], on[b], c[b], lam)
+            x_w = xl[b] + w
+            f_w, g_w, _, _, on_w, _ = _local(x_w, P[b], lam, p)
+            took = (f_w < fl[b]) | _flat_descent(xl[b], x_w, fl[b], f_w, g_w, on_w)
+            x_n[b[took]], f_n[b[took]] = x_w[took], f_w[took]
         else:
-            w = lam / d
-            x_new = (w @ pts) / w.sum()
-        if np.linalg.norm(x_new - x) <= tol:
-            return x_new, it, True
-        x = x_new
-    return x, max_iter, False
+            x_g, f_g, t_g = _backtrack(
+                xl[b], fl[b], g[b], -g[b], np.arange(b.size), P[b], lam, p, ARMIJO
+            )
+            took = t_g > 0
+            x_n[b], f_n[b] = x_g, f_g
+        x[live], f[live] = x_n, f_n
+        iters[live] = it
+        # Converged: a full Newton step within tol of the distance to the
+        # nearest atom (the scale on which the model holds) or below the
+        # resolution of x, or no descent left at all.
+        limit = tol * d.min(axis=1) + RESOLUTION * np.abs(xl).max(axis=1)
+        stop = ((taken == 1.0) & (step <= limit)) | stalled
+        stop[b[~took]] = True
+        live = live[~stop]
+    if live.size:
+        raise NonConvergence(
+            f"{live.size} p = {p:g} Fréchet means still moving after {max_iter} iterations"
+        )
+    return x, iters
 
 
-def _gradient_descent(pts, lam, p, tol, max_iter):
-    # Smooth for p > 1; gradient terms vanish at coincident points for p >= 2
-    # and are skipped (subgradient 0) for 1 < p < 2.
-    x = lam @ pts
+def _metric_chunk(space, pts, lam, p):
+    objs = np.zeros((space.n_points, pts.shape[0]))
+    for j in range(pts.shape[1]):
+        objs += lam[j] * space.dist[:, pts[:, j]] ** p
+    label = (objs <= objs.min(axis=0) + TIE_TOL).argmax(axis=0)
+    return label, objs[label, np.arange(pts.shape[0])], np.zeros(pts.shape[0], dtype=np.int64)
 
-    def objective(y):
-        return float(np.dot(lam, np.linalg.norm(pts - y[None, :], axis=1) ** p))
 
-    def gradient(y):
-        d = np.linalg.norm(pts - y[None, :], axis=1)
-        off = d > 1e-14
-        g = np.zeros_like(y)
-        if off.any():
-            g = (p * lam[off] * d[off] ** (p - 2)) @ (y[None, :] - pts[off])
-        return g
+def _euclidean_chunk(pts, lam, p, tol, max_iter):
+    x = np.empty((pts.shape[0], pts.shape[2]))
+    iters = np.zeros(pts.shape[0], dtype=np.int64)
+    # A tuple of one repeated point is its own mean, exactly.
+    same = (pts == pts[:, :1]).all(axis=(1, 2))
+    x[same] = pts[same, 0]
+    rest = np.flatnonzero(~same)
+    origin = np.zeros(rest.size, dtype=np.intp)
+    if p == 1:
+        # Anchored rows are solved.  The others start from the weighted mean
+        # or, when lower, the best escape point off an atom, and iterate
+        # relative to that atom: next to it, a displacement measured from
+        # elsewhere would lose its direction to rounding.
+        anchor, escape, offset, escape_f = _atom_tests(pts[rest], lam)
+        hit = anchor >= 0
+        x[rest[hit]] = pts[rest[hit], anchor[hit]]
+        mean = (lam[:, None] * pts[rest]).sum(axis=1) / lam.sum()
+        lower = ~hit & (escape_f < _power_sum(lam, _dists(mean, pts[rest]), 1))
+        origin[lower] = escape[lower]
+        rest, origin, offset, lower = rest[~hit], origin[~hit], offset[~hit], lower[~hit]
+    # Iterate relative to an atom: coordinates the atoms share stay exact,
+    # and the resolution of x is that of the tuple's own extent.
+    base = pts[rest, origin]
+    local = pts[rest] - base[:, None, :]
+    start = (lam[:, None] * local).sum(axis=1) / lam.sum()
+    if p == 2:
+        x[rest] = base + start
+    else:
+        if p == 1:
+            start[lower] = offset[lower]
+        x_local, iters[rest] = _iterate_rows(local, start, lam, p, tol, max_iter)
+        x[rest] = base + x_local
+        # A solution on an atom is that atom, exactly.
+        on = (x_local[:, None, :] == local).all(axis=2)
+        at = np.flatnonzero(on.any(axis=1))
+        x[rest[at]] = pts[rest[at], on[at].argmax(axis=1)]
+    return x, _power_sum(lam, _dists(x, pts), p), iters
 
-    f = objective(x)
-    for it in range(1, max_iter + 1):
-        g = gradient(x)
-        gnorm2 = float(g @ g)
-        if np.sqrt(gnorm2) <= tol:
-            return x, it, True
-        step = 1.0
-        while step > 1e-18:
-            x_new = x - step * g
-            f_new = objective(x_new)
-            # Armijo with strict decrease: near the minimum a tiny step can
-            # pass Armijo with f_new == f, and accepting it lets x cycle.
-            if f_new < f and f_new <= f - 1e-4 * step * gnorm2:
-                break
-            # Within ~1e-9 of the minimizer f is flat to the last bit.  There
-            # the objective's convexity lets a directional derivative that is
-            # still negative at x_new certify the descent instead.
-            if f_new == f and gradient(x_new) @ g > 0:
-                break
-            step *= 0.5
-        else:
-            return x, it, True  # no descent possible at machine precision
-        if np.linalg.norm(x_new - x) <= tol:
-            return x_new, it, True
-        x, f = x_new, f_new
-    return x, max_iter, False
+
+def frechet_means(
+    space: Space,
+    p: float,
+    tuples,
+    lam,
+    *,
+    tol: float = STEP_TOL,
+    max_iter: int = MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fréchet mean of every row of ``tuples``: one minimizer of
+    x -> sum_j lam_j d(x, tuples[k, j])^p per row k.
+
+    ``tuples`` holds (N, J, d) coordinates in a Euclidean space and (N, J)
+    labels on a metric matrix.  Returns the points ((N, d) or (N,) labels),
+    their objectives and the iterations per row.
+
+    Raises:
+        NonConvergence: a row is still iterating after ``max_iter`` steps.
+    """
+    lam = np.asarray(lam, dtype=float).ravel()
+    if p < 1:
+        raise DimensionMismatch(f"order p must be >= 1, got {p}")
+    tuples = np.asarray(tuples)
+    N, J = tuples.shape[:2]
+    if J != lam.shape[0] or J == 0:
+        raise DimensionMismatch(f"{J} points per tuple with {lam.shape[0]} weights")
+    if isinstance(space, MetricMatrix):
+        tuples = tuples.astype(np.intp)
+        points = np.empty(N, dtype=np.intp)
+        rows = max(1, CHUNK_ENTRIES // space.n_points)
+        solve = lambda chunk: _metric_chunk(space, chunk, lam, p)
+    else:
+        tuples = tuples.astype(float)
+        points = np.empty((N, tuples.shape[2]))
+        rows = max(1, CHUNK_ENTRIES // (J * tuples.shape[2]))
+        solve = lambda chunk: _euclidean_chunk(chunk, lam, p, tol, max_iter)
+    objs = np.empty(N)
+    iters = np.zeros(N, dtype=np.int64)
+    for lo in range(0, N, rows):
+        part = slice(lo, lo + rows)
+        points[part], objs[part], iters[part] = solve(tuples[part])
+    return points, objs, iters
 
 
 def frechet_mean(
@@ -138,31 +373,14 @@ def frechet_mean(
     tol: float = STEP_TOL,
     max_iter: int = MAX_ITER,
 ) -> FrechetResult:
-    """One minimizer of x -> sum_j lam_j d(x, pts_j)^p, deterministically.
+    """One minimizer of x -> sum_j lam_j d(x, pts_j)^p, deterministically:
+    :func:`frechet_means` on a batch of one.  ``converged`` is always True;
+    the iteration cap raises instead.
 
-    Metric-matrix spaces search the listed points exhaustively and break
-    objective ties (within 1e-12) toward the smallest label.  A hit of the
-    iteration cap returns the best iterate with ``converged=False``.
+    Raises:
+        NonConvergence: the iteration cap was reached before convergence.
     """
     pts, lam = _check(space, pts, lam)
-    if p < 1:
-        raise DimensionMismatch(f"order p must be >= 1, got {p}")
-    if isinstance(space, MetricMatrix):
-        objs = (lam[None, :] * space.dist[:, pts] ** p).sum(axis=1)
-        best = float(objs.min())
-        idx = int(np.flatnonzero(objs <= best + TIE_TOL)[0])
-        return FrechetResult(point=idx, objective=float(objs[idx]), iterations=0, converged=True)
-
-    if pts.shape[0] == 1:
-        x = pts[0].copy()
-        return FrechetResult(x, 0.0, 0, True)
-    if p == 2:
-        x = lam @ pts
-        return FrechetResult(
-            x, frechet_objective(space, p, pts, lam, x), 0, True
-        )
-    if p == 1:
-        x, iters, ok = _weiszfeld(pts, lam, tol, max_iter)
-    else:
-        x, iters, ok = _gradient_descent(pts, lam, p, tol, max_iter)
-    return FrechetResult(x, frechet_objective(space, p, pts, lam, x), iters, ok)
+    points, objs, iters = frechet_means(space, p, pts[None], lam, tol=tol, max_iter=max_iter)
+    point = int(points[0]) if isinstance(space, MetricMatrix) else points[0]
+    return FrechetResult(point, float(objs[0]), int(iters[0]), True)

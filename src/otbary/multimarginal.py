@@ -1,5 +1,13 @@
 """Exact multi-marginal optimal transport and the pushforward barycenter.
 
+The cost of an index tuple is the infimum over the ground space of the
+weighted d^p sum, i.e. the Fréchet-mean objective of the tuple's atoms; the
+minimizer itself is the barycenter-map image used by
+:func:`pushforward_barycenter`.  Both come from one batched pass,
+:func:`otbary.frechet.frechet_means` over every tuple the solve needs, with
+no per-tuple Python call.  The coupling keeps the Fréchet means of its
+positive-mass tuples, so the pushforward solves no tuple a second time.
+
 The production path (:func:`solve_multimarginal`) has two routes.  On the
 line with p = 2 it returns the comonotone (north-west-corner) coupling of
 the sorted marginals, built from the common refinement of their cumulative
@@ -10,12 +18,7 @@ marginal row per atom; the redundant rows are dropped automatically during
 phase one) and solves it with the in-house simplex.
 :func:`brute_force_multimarginal` is the independent oracle: it assembles
 the same LP entry by entry and hands it to ``scipy.optimize.linprog``
-(HiGHS), sharing no solver code with the production path.
-
-The cost of an index tuple is the infimum over the ground space of the
-weighted d^p sum, i.e. the Fréchet-mean objective of the tuple's atoms; the
-minimizer itself is the barycenter-map image used by
-:func:`pushforward_barycenter`.
+(HiGHS), sharing no LP code with the production path.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleWeights, ProductSizeExceeded
-from .frechet import frechet_mean
+from .frechet import frechet_mean, frechet_means
 from .measures import DiscreteMeasure, MeasureEnsemble
 from .simplex import solve_lp
 from .spaces import Euclidean, MetricMatrix, Space
@@ -38,18 +41,28 @@ MASS_CUT = 1e-15
 
 @dataclass
 class MultiCoupling:
-    """Sparse J-way coupling: (index tuple, mass) entries plus objective."""
+    """Sparse J-way coupling: its positive-mass index tuples (rows of
+    ``index``, in increasing lexicographic order), their masses, the Fréchet
+    mean of each tuple's atoms (``points``: (K, d) coordinates, or (K,)
+    labels on a metric matrix) and the objective."""
 
-    entries: list[tuple[tuple[int, ...], float]]
+    index: np.ndarray
+    mass: np.ndarray
+    points: np.ndarray
     objective: float
     shape: tuple[int, ...]
 
+    @property
+    def entries(self) -> list[tuple[tuple[int, ...], float]]:
+        return [
+            (tuple(int(i) for i in row), float(m)) for row, m in zip(self.index, self.mass)
+        ]
+
     def marginals(self) -> list[np.ndarray]:
-        out = [np.zeros(n) for n in self.shape]
-        for idx, mass in self.entries:
-            for j, i in enumerate(idx):
-                out[j][i] += mass
-        return out
+        return [
+            np.bincount(self.index[:, j], weights=self.mass, minlength=n)
+            for j, n in enumerate(self.shape)
+        ]
 
 
 def mm_cost(space: Space, p: float, lam, atoms: tuple) -> tuple[float, np.ndarray | int]:
@@ -70,27 +83,15 @@ def _index_grid(shape: tuple[int, ...]) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T
 
 
+def _frechet_pass(space, p, lam, measures, idx):
+    # Fréchet mean and cost of every index tuple (rows of idx), in one batch.
+    tuples = np.stack([m.atoms[idx[:, j]] for j, m in enumerate(measures)], axis=1)
+    points, costs, _ = frechet_means(space, p, tuples, lam)
+    return points, costs
+
+
 def _cost_vector(space, p, lam, measures, idx) -> np.ndarray:
-    if isinstance(space, Euclidean) and p == 2:
-        # sum_j lam_j |x_j - mean|^2 = sum_j lam_j |x_j|^2 - |mean|^2
-        mean = np.zeros((idx.shape[0], space.dim))
-        sq = np.zeros(idx.shape[0])
-        for j, m in enumerate(measures):
-            xj = m.atoms[idx[:, j]]
-            mean += lam[j] * xj
-            sq += lam[j] * np.einsum("ik,ik->i", xj, xj)
-        return np.clip(sq - np.einsum("ik,ik->i", mean, mean), 0.0, None)
-    if isinstance(space, MetricMatrix):
-        # Exhaustive candidate minimization, vectorized over the grid.
-        objs = np.zeros((space.n_points, idx.shape[0]))
-        for j, m in enumerate(measures):
-            objs += lam[j] * space.dist[:, m.atoms[idx[:, j]]] ** p
-        return objs.min(axis=0)
-    costs = np.empty(idx.shape[0])
-    for k, row in enumerate(idx):
-        atoms = tuple(measures[j].atoms[i] for j, i in enumerate(row))
-        costs[k], _ = mm_cost(space, p, lam, atoms)
-    return costs
+    return _frechet_pass(space, p, lam, measures, idx)[1]
 
 
 def _marginal_system(measures, idx):
@@ -148,41 +149,38 @@ def solve_multimarginal(
         )
     if abs(ens.lam.sum() - 1.0) > MARGINAL_TOL:
         raise InfeasibleWeights("ensemble weights are not a probability vector")
-    if isinstance(space, Euclidean) and space.dim == 1 and p == 2 and len(measures) > 1:
+    if len(measures) == 1:
+        m = measures[0]
+        return MultiCoupling(
+            index=np.arange(m.n_atoms)[:, None], mass=m.weights.copy(),
+            points=m.atoms.copy(), objective=0.0, shape=shape,
+        )
+    if isinstance(space, Euclidean) and space.dim == 1 and p == 2:
         idx, x = _comonotone_entries(measures)
-        objective = float(_cost_vector(space, p, ens.lam, measures, idx) @ x)
+        points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
+        objective = float(costs @ x)
     else:
         idx = _index_grid(shape)
-        costs = _cost_vector(space, p, ens.lam, measures, idx)
-        if len(measures) == 1:
-            entries = [((i,), float(w)) for i, w in enumerate(measures[0].weights)]
-            return MultiCoupling(entries=entries, objective=0.0, shape=shape)
+        points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
         res = solve_lp(costs, *_marginal_system(measures, idx))
         x, objective = res.x, res.objective
-    entries = [
-        (tuple(int(i) for i in idx[k]), float(x[k])) for k in np.flatnonzero(x > MASS_CUT)
-    ]
-    return MultiCoupling(entries=entries, objective=objective, shape=shape)
+    keep = x > MASS_CUT
+    return MultiCoupling(
+        index=idx[keep], mass=x[keep], points=points[keep], objective=objective, shape=shape
+    )
 
 
 def pushforward_barycenter(
     space: Space, p: float, ens: MeasureEnsemble, gamma: MultiCoupling
 ) -> DiscreteMeasure:
     """Image of the coupling under the barycenter map: one atom per
-    positive-mass entry, located at the tuple's Fréchet mean."""
+    positive-mass entry, located at the tuple's Fréchet mean (computed once,
+    by the solve that produced ``gamma``)."""
     if gamma.shape != tuple(m.n_atoms for m in ens.measures):
         raise DimensionMismatch("coupling shape does not match the ensemble")
-    atoms = []
-    masses = []
-    for idx, mass in gamma.entries:
-        if mass <= 0:
-            continue
-        tup = tuple(ens.measures[j].atoms[i] for j, i in enumerate(idx))
-        _, point = mm_cost(space, p, ens.lam, tup)
-        atoms.append(point)
-        masses.append(mass)
-    masses = np.asarray(masses)
-    return DiscreteMeasure(space, atoms, masses / masses.sum())
+    keep = gamma.mass > 0
+    masses = gamma.mass[keep]
+    return DiscreteMeasure(space, gamma.points[keep], masses / masses.sum())
 
 
 def brute_force_multimarginal(
@@ -204,11 +202,12 @@ def brute_force_multimarginal(
             f"product support {shape} exceeds brute-force cap {max_product_size}"
         )
     tuples = list(np.ndindex(*shape))
-    costs = []
+    costs, points = [], []
     for tup in tuples:
         atoms = tuple(measures[j].atoms[i] for j, i in enumerate(tup))
-        value, _ = mm_cost(space, p, ens.lam, atoms)
+        value, point = mm_cost(space, p, ens.lam, atoms)
         costs.append(value)
+        points.append(point)
     rows = sum(shape)
     A_eq = np.zeros((rows, len(tuples)))
     b_eq = []
@@ -225,8 +224,8 @@ def brute_force_multimarginal(
     )
     if not res.success:
         raise InfeasibleWeights(f"oracle LP failed: {res.message}")
-    entries = [
-        (tuple(int(i) for i in tuples[k]), float(res.x[k]))
-        for k in np.flatnonzero(res.x > MASS_CUT)
-    ]
-    return MultiCoupling(entries=entries, objective=float(res.fun), shape=shape)
+    keep = np.flatnonzero(res.x > MASS_CUT)
+    return MultiCoupling(
+        index=np.array(tuples, dtype=np.intp)[keep], mass=res.x[keep],
+        points=np.array(points)[keep], objective=float(res.fun), shape=shape,
+    )

@@ -4,6 +4,7 @@ import pytest
 from otbary import (
     DiscreteMeasure,
     MeasureEnsemble,
+    MetricMatrix,
     barycenter_finite,
     barycenter_fixed_support,
     ensemble_objective,
@@ -189,3 +190,70 @@ def test_quantize_error_nonincreasing(rng, line):
         if prev is not None:
             assert w <= prev + 1e-12
         prev = w
+
+
+# ---------------------------------------------------------------------------
+# Per-measure costs are read off the solution; an independent transport solve
+# must agree with each, and their weighted sum is the objective.
+# ---------------------------------------------------------------------------
+
+def _grid_graph(side):
+    n = side * side
+    d = np.full((n, n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for i in range(n):
+        if i % side + 1 < side:
+            d[i, i + 1] = d[i + 1, i] = 1.0
+        if i + side < n:
+            d[i, i + side] = d[i + side, i] = 1.0
+    for k in range(n):
+        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+    return MetricMatrix(d)
+
+
+def _check_costs(space, p, ens, r):
+    assert len(r.per_measure_costs) == ens.size
+    for cost, mu in zip(r.per_measure_costs, ens.measures):
+        w, _ = wasserstein(space, p, r.measure, mu)
+        assert abs(cost - w**p) <= 1e-9
+    assert r.objective == float(np.dot(ens.lam, r.per_measure_costs))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_per_measure_costs_plane(rng, plane, p):
+    for _ in range(4):
+        ens = random_ensemble(rng, plane, 3, max_atoms=4)
+        _check_costs(plane, p, ens, barycenter_finite(plane, p, ens))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_per_measure_costs_graph(rng, p):
+    graph = _grid_graph(4)
+    for _ in range(4):
+        measures = [
+            DiscreteMeasure(graph, rng.choice(16, size=n, replace=False), rng.dirichlet(np.ones(n)))
+            for n in rng.integers(2, 5, size=3)
+        ]
+        ens = MeasureEnsemble(measures, rng.dirichlet(np.ones(3)))
+        _check_costs(graph, p, ens, barycenter_finite(graph, p, ens))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_per_measure_costs_fixed_support(rng, plane, p):
+    axis = np.linspace(-3.0, 3.0, 5)
+    support = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    for _ in range(3):
+        ens = random_ensemble(rng, plane, 3, max_atoms=4)
+        _check_costs(plane, p, ens, barycenter_fixed_support(plane, p, ens, support))
+
+
+def test_per_measure_cost_of_an_unweighted_member(plane):
+    # A member of weight 0 does not enter the LP, so the plan the solution
+    # holds for it is arbitrary (here 0.85 and 1.22 above W_2^2); its cost
+    # is still W_p^p.
+    ens = random_ensemble(np.random.default_rng(0), plane, 3, max_atoms=5)
+    ens = MeasureEnsemble(ens.measures, [0.6, 0.4, 0.0])
+    _check_costs(plane, 2, ens, barycenter_finite(plane, 2, ens))
+    axis = np.linspace(-3.0, 3.0, 4)
+    support = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    _check_costs(plane, 2, ens, barycenter_fixed_support(plane, 2, ens, support))

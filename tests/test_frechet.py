@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from otbary import MetricMatrix, frechet_mean, frechet_objective
+from otbary import Euclidean, MetricMatrix, NonConvergence, frechet_mean, frechet_objective
+from otbary.frechet import frechet_means
 from otbary.spaces import midpoint
 
 
@@ -94,3 +97,134 @@ def test_general_p_stops_at_float_resolution(line):
     assert r.iterations < 1000
     s1, s2 = np.sqrt(lam)
     assert abs(r.point[0] - (s1 * a + s2 * b) / (s1 + s2)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel, checked from outside: a first-order certificate and a
+# derivative-free minimizer recomputed here, and batch independence.
+# ---------------------------------------------------------------------------
+
+# Coordinates of magnitude 0 or above 1e-100, so differences of distinct
+# atoms stay far above 1e-154, where squared distances underflow.
+COORDS = st.floats(-10.0, 10.0).filter(lambda v: v == 0 or abs(v) > 1e-100)
+WEIGHTS = st.floats(0.01, 1.0)
+
+
+@st.composite
+def frechet_tuples(draw):
+    """(p, J x d atoms, weights) over general, coincident, collinear,
+    near-atom and close-pair tuples."""
+    d = draw(st.integers(1, 3))
+    J = draw(st.integers(2, 5))
+    p = draw(st.sampled_from([1.0, 1.5, 3.0]))
+    kind = draw(st.sampled_from(["general", "coincident", "collinear", "near-atom", "close-pair"]))
+    base = np.array(draw(st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=J, max_size=J)))
+    lam = np.array(draw(st.lists(WEIGHTS, min_size=J, max_size=J)))
+    if kind == "coincident":
+        pts = base[draw(st.lists(st.integers(0, J - 1), min_size=J, max_size=J))]
+    elif kind == "collinear":
+        t = np.array(draw(st.lists(COORDS, min_size=J, max_size=J)))
+        pts = base[0] + t[:, None] * base[1]
+    elif kind == "near-atom":
+        # Weight atom 0 just under (or at) the pull of the others, so the
+        # median sits next to it.
+        pts = base
+        diff = pts[1:] - pts[0]
+        dist = np.linalg.norm(diff, axis=1)
+        if np.all(dist > 0):
+            pull = np.linalg.norm((lam[1:, None] * diff / dist[:, None]).sum(axis=0))
+            gap = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+            lam[0] = max(pull * (1.0 - gap), 1e-3)
+    elif kind == "close-pair":
+        # Atom 1 within 1e-6 .. 1e-12 of atom 0, the canonical merge scale.
+        pts = base.copy()
+        v = np.array(draw(st.lists(COORDS, min_size=d, max_size=d)))
+        if np.linalg.norm(v) > 0:
+            pts[1] = pts[0] + draw(st.sampled_from([1e-6, 1e-9, 1e-12])) * v / np.linalg.norm(v)
+    else:
+        pts = base
+    return p, pts, lam / lam.sum()
+
+
+def _f(pts, lam, p, x):
+    return float(lam @ np.linalg.norm(pts - x, axis=1) ** p)
+
+
+def _gradient(pts, lam, p, x):
+    diff = x - pts
+    d = np.linalg.norm(diff, axis=1)
+    on = d == 0
+    coef = np.zeros_like(d)
+    coef[~on] = p * lam[~on] * d[~on] ** (p - 2)
+    return (coef[:, None] * diff).sum(axis=0)
+
+
+def _certificate(pts, lam, p, x):
+    """(value, bound): the subgradient slack at an atom (p = 1), else the
+    gradient norm.
+
+    Off the atoms the bound is 1e-8 plus how far the gradient moves when x
+    moves 4 ulps along an axis: next to an atom the gradient changes faster
+    than that over one ulp, so no float point comes closer to zero.
+    """
+    diff = pts - x
+    d = np.linalg.norm(diff, axis=1)
+    on = d == 0
+    if p == 1 and on.any():
+        pull = np.linalg.norm((lam[~on, None] * diff[~on] / d[~on, None]).sum(axis=0))
+        return pull - lam[on].sum(), 1e-12
+    g = _gradient(pts, lam, p, x)
+    step = 4 * np.spacing(np.abs(x).max())
+    moved = [
+        np.linalg.norm(_gradient(pts, lam, p, x + sign * step * e) - g)
+        for e in np.eye(x.size)
+        for sign in (-1, 1)
+    ]
+    return np.linalg.norm(g), 1e-8 + max(moved)
+
+
+@given(case=frechet_tuples(), others=st.lists(frechet_tuples(), max_size=6), where=st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_kernel_is_certified_and_batch_independent(case, others, where):
+    import scipy.optimize
+
+    p, pts, lam = case
+    space = Euclidean(pts.shape[1])
+    x, f, _ = frechet_means(space, p, pts[None], lam)
+    value, bound = _certificate(pts, lam, p, x[0])
+    assert value <= bound
+    nm = scipy.optimize.minimize(
+        lambda y: _f(pts, lam, p, y), lam @ pts, method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 20000, "maxfev": 40000},
+    )
+    ref = min([float(nm.fun)] + [_f(pts, lam, p, a) for a in pts])
+    assert f[0] <= ref + 1e-12 * abs(ref)
+
+    # The same tuple inside a batch of others, refilled to its shape, that
+    # converge after different numbers of iterations.
+    batch = [np.resize(o[1], pts.shape) for o in others]
+    where = min(where, len(batch))
+    batch.insert(where, pts)
+    bx, bf, bit = frechet_means(space, p, np.array(batch), lam)
+    _, _, it = frechet_means(space, p, pts[None], lam)
+    assert np.array_equal(bx[where], x[0]) and bf[where] == f[0] and bit[where] == it[0]
+
+
+def test_anchor_returns_the_atom_exactly(plane):
+    # Atom 0 carries 0.55 against a pull of |0.25 u_1 + 0.2 u_2| < 0.45.
+    pts = np.array([[0.3, -1.7], [2.9, 0.4], [-1.1, 2.6]])
+    lam = np.array([0.55, 0.25, 0.2])
+    r = frechet_mean(plane, 1, pts, lam)
+    assert np.array_equal(r.point, pts[0])
+    assert r.iterations < 10
+    assert r.objective == frechet_objective(plane, 1, pts, lam, pts[0])
+
+
+def test_iteration_cap_raises(plane):
+    # No atom is the median: at (1, 3) the others pull with 0.51 > 0.4.
+    pts = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+    lam = np.array([0.3, 0.3, 0.4])
+    for p in (1, 3):
+        assert frechet_mean(plane, p, pts, lam).iterations > 2
+        with pytest.raises(NonConvergence):
+            frechet_mean(plane, p, pts, lam, max_iter=2)
