@@ -13,11 +13,20 @@ line with p = 2 it returns the comonotone (north-west-corner) coupling of
 the sorted marginals, built from the common refinement of their cumulative
 weights: the cost sum_j lam_j |x_j - mean|^2 is submodular, so that coupling
 is optimal (Carlier, J. Convex Anal. 2003) and needs no LP at all.  Every
-other input flattens the product support into one equality-form LP (one
-marginal row per atom; the redundant rows are dropped automatically during
-phase one) and solves it with the in-house simplex.
+other input runs a primal simplex on the cost tensor C of shape
+(n_1, ..., n_J) (:func:`_tensor_simplex`).  It keeps every marginal row of
+member 1 and all but the last row of every other member, which leaves
+m = sum_j n_j - J + 1 independent rows, starts at the staircase basis (a
+monotone lattice path from (0, ..., 0) to (n_1 - 1, ..., n_J - 1) through
+the north-west-corner coupling, feasible on every space, so there is no
+phase one), and prices every tuple at once as
+C - u_1[:, None, ...] - ... - u_J[..., :] in one preallocated buffer.  No
+constraint matrix over the product is ever built; an entering column is
+read off its tuple's J indices.  Before returning, the coupling's marginals
+are checked against the weights.
+
 :func:`brute_force_multimarginal` is the independent oracle: it assembles
-the same LP entry by entry and hands it to ``scipy.optimize.linprog``
+the full LP entry by entry and hands it to ``scipy.optimize.linprog``
 (HiGHS), sharing no LP code with the production path.
 """
 
@@ -26,17 +35,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
-from .errors import DimensionMismatch, InfeasibleWeights, ProductSizeExceeded
+from .errors import (
+    DimensionMismatch,
+    InfeasibleWeights,
+    NumericalFailure,
+    ProductSizeExceeded,
+)
 from .frechet import frechet_mean, frechet_means
 from .measures import DiscreteMeasure, MeasureEnsemble
-from .simplex import solve_lp
 from .spaces import Euclidean, MetricMatrix, Space
 
 DEFAULT_PRODUCT_CAP = 10**6
 BRUTE_FORCE_CAP = 10**4
 MARGINAL_TOL = 1e-9
 MASS_CUT = 1e-15
+# Pivoting rules of the tensor simplex, as in the dense otbary.simplex except
+# that the pivot tolerance scales with the entering column's largest entry.
+PIVOT_TOL = 1e-11
+REDUCED_COST_TOL = 1e-9
+MAX_PIVOTS = 200_000
 
 
 @dataclass
@@ -44,13 +63,21 @@ class MultiCoupling:
     """Sparse J-way coupling: its positive-mass index tuples (rows of
     ``index``, in increasing lexicographic order), their masses, the Fréchet
     mean of each tuple's atoms (``points``: (K, d) coordinates, or (K,)
-    labels on a metric matrix) and the objective."""
+    labels on a metric matrix) and the objective.
+
+    ``pivots`` and ``min_reduced_cost`` come from the tensor simplex: its
+    pivot count and the least reduced cost of its final pricing pass over
+    the whole product (basic tuples count as 0), the optimality certificate.
+    Routes that price nothing (J = 1, the line at p = 2, the HiGHS oracle)
+    leave 0 and None."""
 
     index: np.ndarray
     mass: np.ndarray
     points: np.ndarray
     objective: float
     shape: tuple[int, ...]
+    pivots: int = 0
+    min_reduced_cost: float | None = None
 
     @property
     def entries(self) -> list[tuple[tuple[int, ...], float]]:
@@ -94,20 +121,6 @@ def _cost_vector(space, p, lam, measures, idx) -> np.ndarray:
     return _frechet_pass(space, p, lam, measures, idx)[1]
 
 
-def _marginal_system(measures, idx):
-    shape = tuple(m.n_atoms for m in measures)
-    total_rows = sum(shape)
-    N = idx.shape[0]
-    A = np.zeros((total_rows, N))
-    b = np.concatenate([m.weights for m in measures])
-    offset = 0
-    cols = np.arange(N)
-    for j, n_j in enumerate(shape):
-        A[offset + idx[:, j], cols] = 1.0
-        offset += n_j
-    return A, b
-
-
 def _comonotone_entries(measures) -> tuple[np.ndarray, np.ndarray]:
     # One entry per interval of the common refinement of the cumulative
     # weights; member j sits at its quantile index on that interval.  Atoms
@@ -118,6 +131,123 @@ def _comonotone_entries(measures) -> tuple[np.ndarray, np.ndarray]:
     keep = mass > MASS_CUT
     idx = np.stack([np.searchsorted(c, t[:-1][keep], side="right") for c in inner], axis=1)
     return idx, mass[keep]
+
+
+def _staircase(measures) -> np.ndarray:
+    # The north-west-corner coupling's tuples, joined into a lattice path
+    # from (0, ..., 0) to (n_1 - 1, ..., n_J - 1) that advances one
+    # coordinate per step: where the coupling advances several coordinates
+    # at once, or skips an interval cut at MASS_CUT, the gap is filled with
+    # zero-mass steps.  Its sum_j n_j - J + 1 cells are a feasible basis.
+    idx, _ = _comonotone_entries(measures)
+    last = np.array([m.n_atoms - 1 for m in measures])
+    cell = np.zeros(len(measures), dtype=np.intp)
+    path = [cell.copy()]
+    for target in (*idx, last):
+        for j in range(len(cell)):
+            while cell[j] < target[j]:
+                cell[j] += 1
+                path.append(cell.copy())
+    return np.array(path)
+
+
+def _tensor_simplex(C, measures):
+    """Primal simplex for min <C, x> over the couplings of ``measures``.
+
+    Row (j, i) says that the tuples with i_j = i carry member j's weight i;
+    the last row of every member j >= 2 is dropped (it is implied by the
+    others), leaving m = sum_j n_j - J + 1 independent rows.  The basis
+    starts at the staircase, keeps its m x m matrix and refactors it every
+    pivot with LAPACK's getrf, the routine behind ``scipy.linalg.lu_factor``,
+    called directly because the wrapper's checks cost more than the solves
+    at these sizes.  Dantzig pricing switches to Bland's rule after
+    3(m + 1) degenerate pivots in a row; ratio ties go to the smallest flat
+    tuple index.
+
+    Returns the basis as flat tuple indices, its masses (clipped at 0), the
+    pivot count and the least reduced cost of the last pricing pass.
+
+    Raises:
+        NumericalFailure: singular basis, no pivot row, or pivot cap hit.
+    """
+    shape = C.shape
+    J = len(shape)
+    starts = np.cumsum((0,) + shape[:-1])
+    kept = np.ones(sum(shape), dtype=bool)
+    kept[starts[1:] + np.asarray(shape[1:]) - 1] = False
+    row_of = np.cumsum(kept) - 1  # reduced row of each kept full row
+    b = np.concatenate([m.weights for m in measures])[kept]
+    m = b.shape[0]
+
+    def column(tup):
+        full = starts + tup
+        a = np.zeros(m)
+        a[row_of[full[kept[full]]]] = 1.0
+        return a
+
+    path = _staircase(measures)
+    basis = np.ravel_multi_index(path.T, shape)
+    B = np.stack([column(tup) for tup in path], axis=1)
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (B,))
+
+    c = C.ravel()
+    # Duals of the full system (0 on the dropped rows); u[j] is member j's
+    # block, shaped to broadcast along axis j of the tensor.
+    y = np.zeros(sum(shape))
+    u = [
+        y[s : s + n].reshape([n if i == j else 1 for i in range(J)])
+        for j, (s, n) in enumerate(zip(starts, shape))
+    ]
+    reduced = np.empty(shape)
+    flat = reduced.reshape(-1)
+    degenerate_streak = 0
+    bland = False
+    for it in range(MAX_PIVOTS + 1):
+        lu, piv, info = getrf(B)
+        if info > 0:
+            # An exactly zero pivot (where lu_factor would warn): a basis is
+            # never singular, so this is lost accuracy, not a verdict.
+            raise NumericalFailure("singular basis")
+        xB = getrs(lu, piv, b)[0]
+        y[kept] = getrs(lu, piv, c[basis], trans=1)[0]
+        np.subtract(C, u[0], out=reduced)
+        for u_j in u[1:]:
+            reduced -= u_j
+        flat[basis] = 0.0
+        if bland:
+            below = flat < -REDUCED_COST_TOL
+            k = int(below.argmax())
+            if not below[k]:
+                break
+        else:
+            k = int(flat.argmin())
+            if flat[k] >= -REDUCED_COST_TOL:
+                break
+        if it == MAX_PIVOTS:
+            raise NumericalFailure("simplex pivot cap exceeded")
+        a = column(np.array(np.unravel_index(k, shape)))
+        d = getrs(lu, piv, a)[0]
+        # Relative to the column's largest entry: entries of B^-1 a reach
+        # 1e5 on J = 3 bases, and a pivot on a round-off entry near 1e-11
+        # made the next basis exactly singular.
+        pos = d > PIVOT_TOL * max(1.0, float(np.abs(d).max()))
+        if not pos.any():
+            # The polytope is bounded, so this is lost accuracy, not a ray.
+            raise NumericalFailure("entering column has no pivot row")
+        ratios = np.clip(xB[pos], 0.0, None) / d[pos]
+        theta = ratios.min()
+        tied = np.flatnonzero(pos)[ratios <= theta + 1e-15]
+        leave = int(tied[np.argmin(basis[tied])])
+        basis[leave] = k
+        B[:, leave] = a
+        if theta <= 1e-13:
+            degenerate_streak += 1
+            if degenerate_streak > 3 * (m + 1):
+                bland = True
+        else:
+            degenerate_streak = 0
+            bland = False
+    return basis, np.clip(xB, 0.0, None), it, float(flat.min())
 
 
 def solve_multimarginal(
@@ -133,11 +263,14 @@ def solve_multimarginal(
     with at most sum_j n_j - J + 1 entries and objective sum mass * cost;
     it is exact because the quadratic Fréchet cost is submodular, so an
     optimal coupling is supported on a monotone chain of index tuples.
-    Other inputs solve the dense product LP.  Either way the entries come
-    in increasing lexicographic order and masses <= 1e-15 are dropped.
+    Other inputs run the tensor simplex over the whole product.  Either
+    way the entries come in increasing lexicographic order, masses <= 1e-15
+    are dropped, and the marginals are checked within ``MARGINAL_TOL``.
 
     Raises:
         ProductSizeExceeded: product support larger than ``max_product_size``.
+        NumericalFailure: the simplex failed, or the marginals miss the
+            weights.
     """
     if ens.space != space:
         raise DimensionMismatch("ensemble does not live on the given space")
@@ -155,19 +288,26 @@ def solve_multimarginal(
             index=np.arange(m.n_atoms)[:, None], mass=m.weights.copy(),
             points=m.atoms.copy(), objective=0.0, shape=shape,
         )
+    pivots, min_reduced_cost = 0, None
     if isinstance(space, Euclidean) and space.dim == 1 and p == 2:
         idx, x = _comonotone_entries(measures)
         points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
-        objective = float(costs @ x)
     else:
         idx = _index_grid(shape)
         points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
-        res = solve_lp(costs, *_marginal_system(measures, idx))
-        x, objective = res.x, res.objective
+        basis, x, pivots, min_reduced_cost = _tensor_simplex(costs.reshape(shape), measures)
+        order = np.argsort(basis)
+        basis, x = basis[order], x[order]
+        idx, points, costs = idx[basis], points[basis], costs[basis]
     keep = x > MASS_CUT
-    return MultiCoupling(
-        index=idx[keep], mass=x[keep], points=points[keep], objective=objective, shape=shape
+    gamma = MultiCoupling(
+        index=idx[keep], mass=x[keep], points=points[keep], objective=float(costs @ x),
+        shape=shape, pivots=pivots, min_reduced_cost=min_reduced_cost,
     )
+    for marg, m in zip(gamma.marginals(), measures):
+        if np.max(np.abs(marg - m.weights)) > MARGINAL_TOL:
+            raise NumericalFailure("coupling marginals miss the weights")
+    return gamma
 
 
 def pushforward_barycenter(

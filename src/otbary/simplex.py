@@ -6,6 +6,12 @@ cycling cannot occur; ratio-test ties always break toward the smallest basic
 variable index.  Redundant equality rows are detected in phase one (an
 artificial that cannot be pivoted out at zero level) and dropped, so callers
 may pass rank-deficient transportation-style constraint systems as-is.
+
+It takes a dense constraint matrix.  The library uses it for the joint LP
+of :func:`otbary.barycenter.barycenter_fixed_support`, and the tests use it
+as a dense oracle for multi-marginal transport, whose production solver is
+the tensor simplex in :mod:`otbary.multimarginal` (no matrix over the
+product, no phase one).
 """
 
 from __future__ import annotations

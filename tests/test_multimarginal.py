@@ -7,6 +7,8 @@ from otbary import (
     DiscreteMeasure,
     Euclidean,
     MeasureEnsemble,
+    MetricMatrix,
+    NumericalFailure,
     ProductSizeExceeded,
     brute_force_multimarginal,
     measures_equal,
@@ -16,9 +18,26 @@ from otbary import (
     solve_transport,
     wasserstein,
 )
-from otbary.multimarginal import _cost_vector, _index_grid, _marginal_system
+from otbary import multimarginal
+from otbary.multimarginal import _comonotone_entries, _cost_vector, _index_grid, _staircase
 from otbary.simplex import solve_lp
 from conftest import random_ensemble, random_measure
+
+
+def _marginal_system(measures, idx):
+    # Dense (sum_j n_j x N) marginal constraints of the product LP, for the
+    # dense-simplex oracle: row (j, i) sums the tuples whose j-th index is i.
+    shape = tuple(m.n_atoms for m in measures)
+    total_rows = sum(shape)
+    N = idx.shape[0]
+    A = np.zeros((total_rows, N))
+    b = np.concatenate([m.weights for m in measures])
+    offset = 0
+    cols = np.arange(N)
+    for j, n_j in enumerate(shape):
+        A[offset + idx[:, j], cols] = 1.0
+        offset += n_j
+    return A, b
 
 
 def test_mm_cost_coincident(plane):
@@ -224,3 +243,113 @@ def test_line_p2_comonotone_never_beaten(ens):
     for value in _lp_objectives(ens, gamma.shape):
         assert gamma.objective <= value + 1e-12
     _check_comonotone(ens, gamma)
+
+
+# ---------------------------------------------------------------------------
+# The tensor simplex: every input off the line p = 2 route.
+# ---------------------------------------------------------------------------
+
+GRID_GRAPH_SIDE = 7
+
+
+def _grid_graph():
+    # Shortest paths on the 7 x 7 grid graph with unit edges: Manhattan
+    # distance between the nodes' (row, column) positions.
+    rc = np.indices((GRID_GRAPH_SIDE, GRID_GRAPH_SIDE)).reshape(2, -1).T
+    return MetricMatrix(np.abs(rc[:, None, :] - rc[None, :, :]).sum(axis=2).astype(float))
+
+
+GRID_GRAPH = _grid_graph()
+
+
+@st.composite
+def tensor_ensembles(draw):
+    # 2D quarter-integer atoms or grid-graph nodes.  Equal-size uniform
+    # members make every staircase cell but n of them degenerate; n = 1
+    # gives Diracs.
+    space = draw(st.sampled_from([Euclidean(2), GRID_GRAPH]))
+    J = draw(st.integers(2, 4))
+    equal = draw(st.booleans())
+    n_equal = draw(st.integers(1, 6))
+    measures = []
+    for _ in range(J):
+        n = n_equal if equal else draw(st.integers(1, 6))
+        if isinstance(space, MetricMatrix):
+            atoms = draw(st.lists(st.integers(0, space.n_points - 1), min_size=n,
+                                  max_size=n, unique=True))
+        else:
+            atoms = draw(st.lists(st.tuples(GRID, GRID), min_size=n, max_size=n, unique=True))
+        if equal or draw(st.booleans()):
+            weights = np.full(n, 1.0 / n)
+        else:
+            weights = np.asarray(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+            weights /= weights.sum()
+        measures.append(DiscreteMeasure(space, atoms, weights))
+    lam = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=J, max_size=J)))
+    return MeasureEnsemble(measures, lam / lam.sum())
+
+
+@given(ens=tensor_ensembles(), p=st.sampled_from([1, 2, 3]))
+@settings(max_examples=120, deadline=None)
+def test_tensor_simplex_matches_both_lp_solvers(ens, p):
+    space = ens.space
+    gamma = solve_multimarginal(space, p, ens)
+    highs = brute_force_multimarginal(space, p, ens).objective
+    assert abs(gamma.objective - highs) <= 1e-12 * abs(highs)
+    idx = _index_grid(gamma.shape)
+    costs = _cost_vector(space, p, ens.lam, ens.measures, idx)
+    dense = solve_lp(costs, *_marginal_system(ens.measures, idx)).objective
+    assert gamma.objective <= dense + 1e-12
+    for marg, m in zip(gamma.marginals(), ens.measures):
+        assert np.max(np.abs(marg - m.weights)) <= 1e-9
+    assert len(gamma.entries) <= sum(gamma.shape) - len(gamma.shape) + 1
+    assert gamma.min_reduced_cost >= -1e-9
+
+
+def test_tensor_simplex_two_clouds_of_100(plane):
+    # J = 2 at p = 2: the tuple cost is lam_1 lam_2 |x - y|^2, so the optimum
+    # is lam_1 lam_2 W_2^2, which the transportation simplex computes
+    # without any LP over the product.
+    rng = np.random.default_rng(20150612)
+    mu, nu = (DiscreteMeasure(plane, rng.normal(size=(100, 2)), np.full(100, 0.01))
+              for _ in range(2))
+    lam = np.array([0.3, 0.7])
+    gamma = solve_multimarginal(plane, 2, MeasureEnsemble([mu, nu], lam))
+    w2 = wasserstein(plane, 2, mu, nu)[0]
+    expected = lam[0] * lam[1] * w2**2
+    assert abs(gamma.objective - expected) <= 1e-12 * expected
+
+
+@given(ens=line_ensembles(GRID))
+@settings(max_examples=100, deadline=None)
+def test_staircase_is_a_lattice_path_through_the_comonotone_coupling(ens):
+    path = _staircase(ens.measures)
+    shape = np.array([m.n_atoms for m in ens.measures])
+    assert len(path) == shape.sum() - len(shape) + 1
+    assert np.all(path[0] == 0) and np.all(path[-1] == shape - 1)
+    steps = np.diff(path, axis=0)
+    assert np.all(steps.sum(axis=1) == 1) and np.all(steps >= 0)
+    on_path = {tuple(cell) for cell in path}
+    assert all(tuple(t) in on_path for t in _comonotone_entries(ens.measures)[0])
+
+
+def test_singular_basis_is_a_numerical_failure(plane, monkeypatch):
+    # A repeated staircase cell gives two equal basis columns.
+    ms = [DiscreteMeasure(plane, [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]) for _ in range(2)]
+    path = np.array([[0, 0], [0, 0], [1, 1]])
+    monkeypatch.setattr(multimarginal, "_staircase", lambda measures: path)
+    with pytest.raises(NumericalFailure, match="singular basis"):
+        solve_multimarginal(plane, 2, MeasureEnsemble(ms, [0.5, 0.5]))
+
+
+def test_marginals_are_checked_before_returning(line, monkeypatch):
+    ms = [DiscreteMeasure(line, [[0.0], [1.0]], [0.5, 0.5]) for _ in range(2)]
+    entries = multimarginal._comonotone_entries
+
+    def short_of_mass(measures):
+        idx, mass = entries(measures)
+        return idx, mass * (1 - 1e-8)
+
+    monkeypatch.setattr(multimarginal, "_comonotone_entries", short_of_mass)
+    with pytest.raises(NumericalFailure, match="marginals"):
+        solve_multimarginal(line, 2, MeasureEnsemble(ms, [0.5, 0.5]))
