@@ -1,8 +1,9 @@
 """Exact Wasserstein distances between finitely supported measures.
 
-Builds two small measures on the line, solves the transportation problem
-exactly, and cross-checks the result against the closed-form quantile
-integral that is available in one dimension.
+Builds two small measures on the line, takes the exact optimal plan (on the
+line, the north-west-corner coupling of the sorted atoms), and cross-checks
+the result against the closed-form quantile integral that is available in
+one dimension.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ for p in (1, 2, 3):
     for i, j, mass in plan.support:
         print(f"       move {mass:.3f} from {mu.atoms[i, 0]:+.2f} to {nu.atoms[j, 0]:+.2f}")
 
-# the same solver works in any dimension; here a 2D example
+# in higher dimension the transportation simplex solves it; here a 2D example
 plane = Euclidean(2)
 rng = np.random.default_rng(0)
 a = DiscreteMeasure(plane, rng.normal(size=(6, 2)), np.full(6, 1 / 6))

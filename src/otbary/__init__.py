@@ -1,8 +1,9 @@
 """Exact Wasserstein distances and barycenters of finitely supported measures.
 
 The library works with discrete probability measures over a Euclidean space
-or an explicit finite metric matrix.  Pairwise distances come from a
-transportation simplex; barycenters of measure ensembles come from the exact
+or an explicit finite metric matrix.  Pairwise distances come from the
+north-west-corner coupling on the line and a transportation simplex
+elsewhere; barycenters of measure ensembles come from the exact
 multi-marginal transport LP whose optimal coupling is pushed forward through
 the point-level Fréchet mean, with a fixed-support joint LP as the scalable
 fallback.  A small harness reproduces barycenter consistency numerically
@@ -46,7 +47,6 @@ from .measures import (
     load_ensemble,
     load_measure,
     measures_equal,
-    merge_atoms,
     pth_moment,
     pushforward,
     sample_empirical,

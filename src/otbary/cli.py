@@ -163,7 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in-a", required=True, dest="in_a")
     sp.add_argument("--in-b", required=True, dest="in_b")
     sp.add_argument("--plan", default=None, help="write optimal plan JSON here")
-    sp.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
+    sp.add_argument(
+        "--tol", type=float, default=1e-9,
+        help="simplex reduced-cost tolerance (not read on the line, where the plan is exact)",
+    )
     sp.set_defaults(fn=cmd_dist)
 
     sp = sub.add_parser("bary", parents=[order, cap], help="ensemble barycenter")

@@ -5,7 +5,12 @@ Two frameworks: replace each member measure by an n-sample empirical version
 reference ensemble (growing_ensemble / deformation).  Every row of the
 report records the distance from the recomputed barycenter to the reference
 barycenter; the ensemble-level distance is the exact nested transport
-problem (outer LP over member measures, inner costs W_p^p).
+problem (outer LP over member measures, inner costs W_p^p).  On the line
+both need no inner solver: the distance to the reference is the
+north-west-corner plan of :func:`otbary.transport.wasserstein`, and all
+inner costs of the ensemble distance come from one pass over the common
+refinement of every member's cumulative weights, leaving one transport
+solve (the outer one) per row.
 
 All randomness is derived from the single master seed through
 ``numpy.random.SeedSequence`` keyed by (seed, size, member, replication), so
@@ -23,7 +28,7 @@ import numpy as np
 
 from .barycenter import barycenter_finite
 from .deformations import DeformationSpec, draw_deformations
-from .errors import InvalidConfig, OTBaryError
+from .errors import DimensionMismatch, InvalidConfig, OTBaryError
 from .measures import (
     DiscreteMeasure,
     MeasureEnsemble,
@@ -34,6 +39,7 @@ from .measures import (
     save_measure,
 )
 from .spaces import Euclidean, Space
+from .staircase import _comonotone_entries
 from .transport import solve_transport, wasserstein
 
 FRAMEWORKS = ("growing_ensemble", "empirical_sampling", "deformation")
@@ -133,14 +139,39 @@ def ensemble_distance(
     space: Space, p: float, ens_a: MeasureEnsemble, ens_b: MeasureEnsemble
 ) -> float:
     """Exact W_p between two finite ensembles: outer transportation LP over
-    member measures with inner costs W_p^p."""
-    cost = np.zeros((ens_a.size, ens_b.size))
-    for j, mu in enumerate(ens_a.measures):
-        for k, nu in enumerate(ens_b.measures):
-            w, _ = wasserstein(space, p, mu, nu)
-            cost[j, k] = w**p
+    member measures with inner costs W_p^p.
+
+    On the line every inner cost comes from one pass over the common
+    refinement of all members' cumulative weights; elsewhere each pair is
+    its own transport solve.
+    """
+    if ens_a.space != space or ens_b.space != space:
+        raise DimensionMismatch("ensembles do not live on the given space")
+    if p < 1:
+        raise DimensionMismatch(f"order p must be >= 1, got {p}")
+    if isinstance(space, Euclidean) and space.dim == 1:
+        cost = _line_member_costs(p, ens_a.measures, ens_b.measures)
+    else:
+        cost = np.zeros((ens_a.size, ens_b.size))
+        for j, mu in enumerate(ens_a.measures):
+            for k, nu in enumerate(ens_b.measures):
+                w, _ = wasserstein(space, p, mu, nu)
+                cost[j, k] = w**p
     res = solve_transport(cost, ens_a.lam, ens_b.lam)
     return max(res.cost, 0.0) ** (1.0 / p)
+
+
+def _line_member_costs(p: float, measures_a, measures_b) -> np.ndarray:
+    # W_p^p of every pair (a, b) on the line is the integral of
+    # |Q_a - Q_b|^p over quantile levels.  On each interval of the common
+    # refinement of every member's cumulative weights each quantile
+    # function Q is constant, so row a of the matrix is
+    # |Q_a - Q_b|^p @ width; one row at a time keeps memory at J_b x K.
+    members = [*measures_a, *measures_b]
+    idx, width = _comonotone_entries(members)
+    Q = np.stack([m.atoms[idx[:, k], 0] for k, m in enumerate(members)])
+    Qa, Qb = Q[: len(measures_a)], Q[len(measures_a) :]
+    return np.stack([(np.abs(q - Qb) ** p) @ width for q in Qa])
 
 
 def generate_deformation_ensemble(

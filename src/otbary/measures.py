@@ -120,12 +120,6 @@ def validate_measure(m: DiscreteMeasure, space: Space) -> DiscreteMeasure:
     return DiscreteMeasure(space, m.atoms, m.weights)
 
 
-def merge_atoms(m: DiscreteMeasure) -> DiscreteMeasure:
-    """Canonical form of ``m``, which is ``m`` itself: measures are merged
-    when they are built."""
-    return m
-
-
 def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-9) -> bool:
     """Equality of canonical forms up to ``tol``."""
     if a.space != b.space or a.n_atoms != b.n_atoms:

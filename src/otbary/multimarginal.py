@@ -11,8 +11,10 @@ positive-mass tuples, so the pushforward solves no tuple a second time.
 The production path (:func:`solve_multimarginal`) has two routes.  On the
 line with p = 2 it returns the comonotone (north-west-corner) coupling of
 the sorted marginals, built from the common refinement of their cumulative
-weights: the cost sum_j lam_j |x_j - mean|^2 is submodular, so that coupling
-is optimal (Carlier, J. Convex Anal. 2003) and needs no LP at all.  Every
+weights (:mod:`otbary.staircase`, shared with the two-marginal line route
+of :func:`otbary.transport.wasserstein`): the cost
+sum_j lam_j |x_j - mean|^2 is submodular, so that coupling is optimal
+(Carlier, J. Convex Anal. 2003) and needs no LP at all.  Every
 other input runs a primal simplex on the cost tensor C of shape
 (n_1, ..., n_J) (:func:`_tensor_simplex`).  It keeps every marginal row of
 member 1 and all but the last row of every other member, which leaves
@@ -46,11 +48,11 @@ from .errors import (
 from .frechet import frechet_mean, frechet_means
 from .measures import DiscreteMeasure, MeasureEnsemble
 from .spaces import Euclidean, MetricMatrix, Space
+from .staircase import MASS_CUT, _comonotone_entries, _staircase
 
 DEFAULT_PRODUCT_CAP = 10**6
 BRUTE_FORCE_CAP = 10**4
 MARGINAL_TOL = 1e-9
-MASS_CUT = 1e-15
 # Pivoting rules of the tensor simplex, as in the dense otbary.simplex except
 # that the pivot tolerance scales with the entering column's largest entry.
 PIVOT_TOL = 1e-11
@@ -119,36 +121,6 @@ def _frechet_pass(space, p, lam, measures, idx):
 
 def _cost_vector(space, p, lam, measures, idx) -> np.ndarray:
     return _frechet_pass(space, p, lam, measures, idx)[1]
-
-
-def _comonotone_entries(measures) -> tuple[np.ndarray, np.ndarray]:
-    # One entry per interval of the common refinement of the cumulative
-    # weights; member j sits at its quantile index on that interval.  Atoms
-    # are sorted, so increasing intervals give increasing index tuples.
-    inner = [np.cumsum(m.weights)[:-1] for m in measures]
-    t = np.unique(np.concatenate([[0.0, 1.0], *inner]))
-    mass = np.diff(t)
-    keep = mass > MASS_CUT
-    idx = np.stack([np.searchsorted(c, t[:-1][keep], side="right") for c in inner], axis=1)
-    return idx, mass[keep]
-
-
-def _staircase(measures) -> np.ndarray:
-    # The north-west-corner coupling's tuples, joined into a lattice path
-    # from (0, ..., 0) to (n_1 - 1, ..., n_J - 1) that advances one
-    # coordinate per step: where the coupling advances several coordinates
-    # at once, or skips an interval cut at MASS_CUT, the gap is filled with
-    # zero-mass steps.  Its sum_j n_j - J + 1 cells are a feasible basis.
-    idx, _ = _comonotone_entries(measures)
-    last = np.array([m.n_atoms - 1 for m in measures])
-    cell = np.zeros(len(measures), dtype=np.intp)
-    path = [cell.copy()]
-    for target in (*idx, last):
-        for j in range(len(cell)):
-            while cell[j] < target[j]:
-                cell[j] += 1
-                path.append(cell.copy())
-    return np.array(path)
 
 
 def _tensor_simplex(C, measures):

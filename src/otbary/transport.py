@@ -1,5 +1,14 @@
 """Exact optimal transport between two discrete measures.
 
+:func:`wasserstein` has two routes.  On the line (``Euclidean(1)``, any
+p >= 1) the cost |x - y|^p of sorted atoms is a Monge matrix, so the
+north-west-corner coupling is optimal with no pivot (Hoffman 1963).  It is
+read off the common refinement of the two cumulative weights
+(:mod:`otbary.staircase`, shared with the multi-marginal line route); the
+cost is summed over its at most n + m - 1 cells and the duals follow along
+the staircase basis in O(n + m), so no n x m cost matrix is built.  Every
+other space builds the cost matrix and runs :func:`solve_transport`.
+
 :func:`solve_transport` is a transportation simplex: north-west-corner start,
 spanning-tree duals, Dantzig pivoting with a Bland fallback after a run of
 degenerate pivots, deterministic tie-breaking throughout.  It returns a basic
@@ -24,6 +33,7 @@ from .errors import (
 )
 from .measures import DiscreteMeasure
 from .spaces import Euclidean, Space, pairwise_distances
+from .staircase import _comonotone_entries, _lattice_path
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
@@ -32,12 +42,15 @@ MAX_COST_ENTRIES = 10**8
 
 @dataclass
 class TransportPlan:
-    """Basic optimal coupling between two weight vectors."""
+    """Basic optimal coupling between two weight vectors, with duals ``u``,
+    ``v`` (u_i + v_j = cost_ij on the basis) and the simplex's pivot count
+    (0 on the line, where the start is optimal)."""
 
     plan: np.ndarray
     cost: float
     u: np.ndarray
     v: np.ndarray
+    pivots: int = 0
 
     @property
     def support(self) -> list[tuple[int, int, float]]:
@@ -171,7 +184,7 @@ def solve_transport(
     basis = list(mass.keys())
     degenerate_streak = 0
     bland = False
-    for _ in range(max_iter):
+    for pivots in range(max_iter):
         u, v, row_adj, col_adj = _tree_duals(C, basis, n, m)
         reduced = C - u[:, None] - v[None, :]
         for (i, j) in basis:
@@ -212,7 +225,26 @@ def solve_transport(
     plan = np.zeros((n, m))
     for (i, j), t in mass.items():
         plan[i, j] = max(t, 0.0)
-    return TransportPlan(plan=plan, cost=float((plan * C).sum()), u=u, v=v)
+    return TransportPlan(plan=plan, cost=float((plan * C).sum()), u=u, v=v, pivots=pivots)
+
+
+def _line_transport(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
+    # North-west-corner coupling of the sorted atoms and the duals of its
+    # staircase basis.  Along the path a row step i -> i + 1 at column j
+    # gives u_{i+1} - u_i = c_k - c_{k-1} (c_k the cost of the k-th cell),
+    # a column step the same for v; u_0 = 0, as in _tree_duals.
+    x, y = mu.atoms[:, 0], nu.atoms[:, 0]
+    idx, mass = _comonotone_entries([mu, nu])
+    path = _lattice_path(idx, (mu.n_atoms, nu.n_atoms))
+    c = np.abs(x[path[:, 0]] - y[path[:, 1]]) ** p
+    gain = np.diff(c)
+    row_step = np.diff(path[:, 0]) == 1
+    u = np.concatenate([[0.0], np.cumsum(gain[row_step])])
+    v = c[0] + np.concatenate([[0.0], np.cumsum(gain[~row_step])])
+    plan = np.zeros((mu.n_atoms, nu.n_atoms))
+    plan[idx[:, 0], idx[:, 1]] = mass
+    cost = float(mass @ (np.abs(x[idx[:, 0]] - y[idx[:, 1]]) ** p))
+    return TransportPlan(plan=plan, cost=cost, u=u, v=v)
 
 
 def wasserstein(
@@ -225,14 +257,19 @@ def wasserstein(
 ) -> tuple[float, TransportPlan]:
     """W_p distance and an optimal plan between two measures on ``space``.
 
-    The plan is indexed by the measures' own atoms.
+    The plan is indexed by the measures' own atoms.  On the line the plan is
+    the north-west-corner coupling, exact with no solver, so ``tol`` is not
+    read there; elsewhere it is the simplex's reduced-cost tolerance.
     """
     if mu.space != space or nu.space != space:
         raise DimensionMismatch("measures do not live on the given space")
     if p < 1:
         raise DimensionMismatch(f"order p must be >= 1, got {p}")
-    C = pairwise_distances(space, mu.atoms, nu.atoms) ** p
-    result = solve_transport(C, mu.weights, nu.weights, tol=tol)
+    if isinstance(space, Euclidean) and space.dim == 1:
+        result = _line_transport(p, mu, nu)
+    else:
+        C = pairwise_distances(space, mu.atoms, nu.atoms) ** p
+        result = solve_transport(C, mu.weights, nu.weights, tol=tol)
     return max(result.cost, 0.0) ** (1.0 / p), result
 
 

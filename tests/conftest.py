@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from otbary import DiscreteMeasure, Euclidean, MeasureEnsemble
 
@@ -23,6 +24,39 @@ def random_ensemble(rng, space, n_measures, max_atoms=4, uniform_lam=False, **kw
         lam = rng.random(n_measures) + 0.1
         lam /= lam.sum()
     return MeasureEnsemble(measures, lam)
+
+
+QUARTERS = st.integers(-20, 20).map(lambda k: k / 4)
+DYADIC_CUTS = 64
+
+
+@st.composite
+def line_measures(draw, max_atoms=30):
+    """Measures on the line whose atoms come from a shared quarter-integer
+    grid.  Weights are uniform, arbitrary floats, or differences of dyadic
+    cuts k / 64 (exact arithmetic, so two measures' cumulative weights tie
+    exactly), optionally with every cut moved by 2^-40 or 2^-52 (near ties
+    above and below the 1e-15 mass cut); n = 1 gives a Dirac."""
+    n = draw(st.integers(1, max_atoms))
+    atoms = np.sort(draw(st.lists(QUARTERS, min_size=n, max_size=n, unique=True)))
+    kind = draw(st.sampled_from(["uniform", "floats", "dyadic"]))
+    if kind == "uniform":
+        weights = np.full(n, 1.0 / n)
+    elif kind == "floats":
+        weights = np.asarray(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+        weights /= weights.sum()
+    else:
+        cuts = np.sort(draw(st.lists(st.integers(1, DYADIC_CUTS - 1), min_size=n - 1,
+                                     max_size=n - 1, unique=True))) / DYADIC_CUTS
+        cuts = cuts + draw(st.sampled_from([0.0, 2.0**-40, -(2.0**-40), 2.0**-52]))
+        weights = np.diff(np.concatenate([[0.0], cuts, [1.0]]))
+    return DiscreteMeasure(Euclidean(1), atoms[:, None], weights)
+
+
+def embedded(m):
+    """The measure m on the line as the same atoms (x, 0) in the plane."""
+    return DiscreteMeasure(Euclidean(2), np.hstack([m.atoms, np.zeros_like(m.atoms)]),
+                           m.weights)
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from otbary import (
     wasserstein_1d,
 )
 from otbary.cli import main
-from otbary.measures import merge_atoms, save_ensemble, save_measure
+from otbary.measures import save_ensemble, save_measure
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -107,7 +107,7 @@ def test_criterion_3_multimarginal_oracle_equivalence():
         oracle = brute_force_multimarginal(s, p, ens).objective
         worst = max(worst, abs(prod - oracle))
         if J == 2:
-            mu, nu = (merge_atoms(m) for m in ens.measures)
+            mu, nu = ens.measures
             C = np.zeros((mu.n_atoms, nu.n_atoms))
             for i in range(mu.n_atoms):
                 for k in range(nu.n_atoms):
@@ -222,8 +222,7 @@ def test_criterion_7_equivariance_suite():
         )
         b0 = barycenter_finite(s, 2, ens).measure
         b1 = barycenter_finite(s, 2, shifted).measure
-        moved = merge_atoms(pushforward(b0, lambda a: a + v))
-        b1 = merge_atoms(b1)
+        moved = pushforward(b0, lambda a: a + v)
         if moved.n_atoms == b1.n_atoms:
             worst_shift = max(
                 worst_shift,

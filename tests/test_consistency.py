@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otbary import (
     DeformationSpec,
     DiscreteMeasure,
+    Euclidean,
     ExperimentConfig,
     InvalidConfig,
     MeasureEnsemble,
@@ -14,8 +17,9 @@ from otbary import (
     run_empirical_consistency,
     run_growing_ensemble,
 )
+from otbary import consistency
 from otbary.consistency import config_from_dict
-from conftest import random_ensemble
+from conftest import embedded, line_measures, random_ensemble
 
 
 def uniform_template(line, n=8):
@@ -79,6 +83,47 @@ def test_ensemble_distance_symmetry(rng, line):
     d2 = ensemble_distance(line, 2, b, a)
     assert abs(d1 - d2) <= 1e-8
     assert ensemble_distance(line, 2, a, a) == pytest.approx(0.0, abs=1e-9)
+
+
+@st.composite
+def line_ensemble_pairs(draw):
+    def ensemble():
+        J = draw(st.integers(1, 4))
+        measures = [draw(line_measures(max_atoms=10)) for _ in range(J)]
+        lam = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=J, max_size=J)))
+        return MeasureEnsemble(measures, lam / lam.sum())
+
+    return ensemble(), ensemble()
+
+
+@given(pair=line_ensemble_pairs(), p=st.sampled_from([1, 1.5, 2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_batched_line_ensemble_distance_matches_per_pair_solves(pair, p):
+    # The plane route solves every member pair with the transport simplex.
+    a, b = pair
+    batched = ensemble_distance(Euclidean(1), p, a, b)
+    plane = [MeasureEnsemble([embedded(m) for m in e.measures], e.lam) for e in pair]
+    per_pair = ensemble_distance(Euclidean(2), p, *plane)
+    assert abs(batched - per_pair) <= 1e-12 * per_pair
+
+
+def test_line_ensemble_distance_solves_one_transport(rng, line, monkeypatch):
+    calls = []
+    outer = consistency.solve_transport
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return outer(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a member pair went through wasserstein")
+
+    monkeypatch.setattr(consistency, "solve_transport", counted)
+    monkeypatch.setattr(consistency, "wasserstein", forbidden)
+    a = random_ensemble(rng, line, 3, max_atoms=20)
+    b = random_ensemble(rng, line, 4, max_atoms=20)
+    ensemble_distance(line, 2, a, b)
+    assert calls == [(3, 4)]
 
 
 def test_config_validation(line):

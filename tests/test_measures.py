@@ -13,7 +13,6 @@ from otbary import (
     NegativeWeight,
     WeightSumOutOfTolerance,
     measures_equal,
-    merge_atoms,
     pth_moment,
     pushforward,
     sample_empirical,
@@ -63,18 +62,16 @@ def test_validate_idempotent(raw):
 
 def test_merge_atoms_combines_duplicates(line):
     m = DiscreteMeasure(line, [[1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
-    c = merge_atoms(m)
-    assert c.n_atoms == 2
-    assert np.allclose(c.atoms.ravel(), [0.0, 1.0])
-    assert np.allclose(c.weights, [0.5, 0.5])
+    assert m.n_atoms == 2
+    assert np.allclose(m.atoms.ravel(), [0.0, 1.0])
+    assert np.allclose(m.weights, [0.5, 0.5])
 
 
 def test_merge_atoms_metric_matrix():
     s = MetricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     m = DiscreteMeasure(s, [1, 0, 1], [0.25, 0.5, 0.25])
-    c = merge_atoms(m)
-    assert np.array_equal(c.atoms, [0, 1])
-    assert np.allclose(c.weights, [0.5, 0.5])
+    assert np.array_equal(m.atoms, [0, 1])
+    assert np.allclose(m.weights, [0.5, 0.5])
 
 
 def test_pushforward_translation(line):
@@ -98,7 +95,7 @@ def test_pushforward_composition_on_dirac(line):
 def test_sample_dirac(line):
     m = DiscreteMeasure(line, [[4.0]], [1.0])
     s = sample_empirical(m, 5, seed=1)
-    assert measures_equal(merge_atoms(s), m)
+    assert measures_equal(s, m)
 
 
 def test_sample_deterministic(line):

@@ -87,9 +87,6 @@ def test_j2_reduces_to_pairwise(rng):
         p = (1, 2, 3)[t % 3]
         ens = random_ensemble(rng, s, 2, max_atoms=4)
         mu, nu = [m for m in ens.measures]
-        from otbary.measures import merge_atoms
-
-        mu, nu = merge_atoms(mu), merge_atoms(nu)
         C = np.zeros((mu.n_atoms, nu.n_atoms))
         for i in range(mu.n_atoms):
             for k in range(nu.n_atoms):
@@ -123,10 +120,8 @@ def test_marginal_feasibility(rng, plane):
     for _ in range(10):
         ens = random_ensemble(rng, plane, 3, max_atoms=3)
         gamma = solve_multimarginal(plane, 2, ens)
-        from otbary.measures import merge_atoms
-
         for marg, m in zip(gamma.marginals(), ens.measures):
-            assert np.max(np.abs(marg - merge_atoms(m).weights)) <= 1e-9
+            assert np.max(np.abs(marg - m.weights)) <= 1e-9
         # vertex sparsity bound
         n_pos = sum(1 for _, mass in gamma.entries if mass > 1e-12)
         assert n_pos <= sum(gamma.shape) - len(gamma.shape) + 1
@@ -331,6 +326,27 @@ def test_staircase_is_a_lattice_path_through_the_comonotone_coupling(ens):
     assert np.all(steps.sum(axis=1) == 1) and np.all(steps >= 0)
     on_path = {tuple(cell) for cell in path}
     assert all(tuple(t) in on_path for t in _comonotone_entries(ens.measures)[0])
+
+
+def _stepwise_staircase(measures):
+    # Reference walk, one cell at a time: toward each comonotone entry and
+    # then the far corner, advance coordinate 0 first, then 1, and so on.
+    idx, _ = _comonotone_entries(measures)
+    last = np.array([m.n_atoms - 1 for m in measures])
+    cell = np.zeros(len(measures), dtype=np.intp)
+    path = [cell.copy()]
+    for target in (*idx, last):
+        for j in range(len(cell)):
+            while cell[j] < target[j]:
+                cell[j] += 1
+                path.append(cell.copy())
+    return np.array(path)
+
+
+@given(ens=line_ensembles(GRID))
+@settings(max_examples=100, deadline=None)
+def test_staircase_matches_the_stepwise_walk(ens):
+    assert np.array_equal(_staircase(ens.measures), _stepwise_staircase(ens.measures))
 
 
 def test_singular_basis_is_a_numerical_failure(plane, monkeypatch):

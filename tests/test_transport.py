@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otbary import (
     DiscreteMeasure,
@@ -12,7 +14,8 @@ from otbary import (
     wasserstein,
     wasserstein_1d,
 )
-from conftest import random_measure
+from otbary import transport
+from conftest import embedded, line_measures, random_measure
 
 
 def test_single_cell_plan():
@@ -31,6 +34,13 @@ def test_forced_single_target():
     # sources at 0 and 2, one target at 1, squared distance cost
     r = solve_transport([[1.0], [1.0]], [0.5, 0.5], [1.0])
     assert r.cost == pytest.approx(1.0)
+
+
+def test_pivots_are_counted():
+    # The north-west-corner start is the diagonal, the optimum the other one.
+    r = solve_transport([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], [0.5, 0.5])
+    assert r.cost == 0.0
+    assert r.pivots >= 1
 
 
 def test_unbalanced_rejected():
@@ -151,3 +161,34 @@ def test_translation_invariance(rng, plane):
             plane, 2, pushforward(mu, lambda a: a + v), pushforward(nu, lambda a: a + v)
         )[0]
         assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
+
+
+@given(mu=line_measures(), nu=line_measures(), p=st.sampled_from([1, 1.5, 2, 3]))
+@settings(max_examples=300, deadline=None)
+def test_line_route_is_certified(mu, nu, p):
+    line = Euclidean(1)
+    w, r = wasserstein(line, p, mu, nu)
+    C = np.abs(mu.atoms[:, 0][:, None] - nu.atoms[:, 0][None, :]) ** p
+    # Dual certificate on the full matrix: feasible duals, tight on the plan.
+    slack = C - r.u[:, None] - r.v[None, :]
+    assert slack.min() >= -1e-9
+    assert np.all(np.abs(slack[r.plan > 0]) <= 1e-9)
+    assert np.max(np.abs(r.plan.sum(axis=1) - mu.weights)) <= 1e-9
+    assert np.max(np.abs(r.plan.sum(axis=0) - nu.weights)) <= 1e-9
+    assert r.plan.min() >= 0.0 and r.pivots == 0
+    # The same atoms at (x, 0) in the plane go through the transport simplex.
+    simplex = wasserstein(Euclidean(2), p, embedded(mu), embedded(nu))[1].cost
+    assert abs(r.cost - simplex) <= 1e-12 * simplex
+    back = wasserstein(line, p, nu, mu)[0]
+    assert abs(back - w) <= 1e-12 * w
+
+
+def test_line_route_builds_no_cost_matrix(line, rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the line route called the general kernel")
+
+    monkeypatch.setattr(transport, "pairwise_distances", forbidden)
+    monkeypatch.setattr(transport, "solve_transport", forbidden)
+    mu = random_measure(rng, line, max_atoms=40)
+    nu = random_measure(rng, line, max_atoms=40)
+    assert wasserstein(line, 2, mu, nu)[0] == pytest.approx(wasserstein_1d(2, mu, nu))
