@@ -56,7 +56,6 @@ from .measures import (
 )
 from .multimarginal import (
     MultiCoupling,
-    brute_force_multimarginal,
     mm_cost,
     pushforward_barycenter,
     solve_multimarginal,

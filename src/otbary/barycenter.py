@@ -2,9 +2,25 @@
 
 Two routes: the exact multi-marginal construction (barycenter = pushforward
 of the optimal multi-coupling under the Fréchet map) and a fixed-support
-fallback that optimizes weights on a given grid as one joint LP.  The LP's
-shared barycenter weights are eliminated by substitution (w = row sums of
-the first plan), so a single exact solve covers all J couplings at once.
+fallback that optimizes weights on a given grid of S points as one joint LP.
+The LP's shared barycenter weights are eliminated by substitution (w = row
+sums of the first plan), so a single exact solve covers all J couplings at
+once: plans pi_j of shape S x n_j with the member weights as column sums
+and row sums that agree with those of pi_0.
+
+That LP is a primal simplex over the J cost blocks lam_j C_j, with no
+constraint matrix (:func:`_fixed_support_lp`).  It prices every plan entry
+with one broadcast per block and reads an entering column off the entry's
+(j, s, i) triple: pi_0[s, i] has 1 + (J - 1) nonzeros, pi_j[s, i] for
+j >= 1 has 2.  It starts with all mass on the best Dirac s* of the support
+(:func:`_dirac_start`), drops the agreement row of s* (the one redundant row
+per member) and completes the basis with the zero-level cells pi_j[s, 0],
+s != s*; that basis is feasible and nonsingular on every space, so there is
+no phase one.  The pivots are the loop of :mod:`otbary.pivoting`, shared
+with the multi-marginal tensor simplex: it keeps an explicit basis inverse,
+updates it by one rank-one step per pivot and refactors every 64 pivots and
+before it stops.  The plans' column sums and agreement are checked before
+returning.
 
 Per-measure costs are read off the solution, with no transport solve after
 the LP.  The coupling's projection onto (member j, barycenter atom) is a
@@ -26,10 +42,11 @@ from .errors import DimensionMismatch, NumericalFailure
 from .measures import DiscreteMeasure, MeasureEnsemble
 from .multimarginal import (
     DEFAULT_PRODUCT_CAP,
+    MARGINAL_TOL,
     pushforward_barycenter,
     solve_multimarginal,
 )
-from .simplex import solve_lp
+from .pivoting import primal_simplex
 from .spaces import MetricMatrix, Space, as_atoms, pairwise_distances
 from .transport import wasserstein
 
@@ -40,6 +57,8 @@ class BarycenterResult:
     objective: float
     method: str
     per_measure_costs: list[float] = field(default_factory=list)
+    pivots: int = 0
+    min_reduced_cost: float | None = None
 
 
 def ensemble_objective(
@@ -91,58 +110,128 @@ def barycenter_finite(
         objective=float(np.dot(ens.lam, costs)),
         method="multimarginal",
         per_measure_costs=costs,
+        pivots=gamma.pivots,
+        min_reduced_cost=gamma.min_reduced_cost,
     )
+
+
+def _dirac_start(costs, weights):
+    """Start basis of the fixed-support LP: all mass on the best Dirac.
+
+    s* minimizes sum_j <costs_j[s, :], weights_j> (the first on ties).  The
+    basis holds every cell pi_j[s*, i], at level weights_j[i], and for each
+    member j >= 1 the zero-level cells pi_j[s, 0], s != s*.  With the
+    agreement rows first it is block-triangular with +-1 diagonal blocks,
+    so it is nonsingular and feasible on every space.  Returns s* and the
+    basis as flat variable ids (block j, row s, column i at
+    offset_j + s n_j + i).
+    """
+    S = costs[0].shape[0]
+    s_star = int(np.argmin(sum(C_j @ w_j for C_j, w_j in zip(costs, weights))))
+    sizes = [C_j.shape[1] for C_j in costs]
+    offsets = np.cumsum([0] + [S * n for n in sizes])
+    others = np.delete(np.arange(S), s_star)
+    basis = [offsets[j] + s_star * n + np.arange(n) for j, n in enumerate(sizes)]
+    basis += [offsets[j] + others * sizes[j] for j in range(1, len(sizes))]
+    return s_star, np.concatenate(basis)
+
+
+def _fixed_support_lp(costs, weights):
+    """min sum_j <costs_j, pi_j> over plans pi_j (S x n_j) whose column sums
+    are ``weights[j]`` and whose row sums all equal those of pi_0.
+
+    Rows: the column sums of every plan, then the agreement of plan j >= 1
+    with plan 0 at each support point but s* (the one implied row per
+    member).  With duals v_j on the column sums and w_j (w_j[s*] = 0) on
+    the agreement rows, plan 0 is priced as costs_0 - v_0[None, :] -
+    sum_j w_j[:, None] and plan j >= 1 as costs_j - v_j[None, :] +
+    w_j[:, None].
+
+    Returns the plans, the pivot count and the least reduced cost of the
+    final pricing pass.
+    """
+    S = costs[0].shape[0]
+    J = len(costs)
+    sizes = [C_j.shape[1] for C_j in costs]
+    offsets = np.cumsum([0] + [S * n for n in sizes])
+    col_rows = np.cumsum([0] + sizes)  # first column-sum row of each plan
+    s_star, basis = _dirac_start(costs, weights)
+    others = np.delete(np.arange(S), s_star)
+    agree = np.full(S, -1)
+    agree[others] = col_rows[-1] + np.arange(S - 1)  # agreement row of plan 1
+    b = np.concatenate(list(weights) + [np.zeros((J - 1) * (S - 1))])
+    m = b.shape[0]
+
+    def column(k):
+        j = int(np.searchsorted(offsets, k, side="right")) - 1
+        s, i = divmod(int(k - offsets[j]), sizes[j])
+        a = np.zeros(m)
+        a[col_rows[j] + i] = 1.0
+        if s != s_star:
+            if j == 0:
+                a[agree[s] + (S - 1) * np.arange(J - 1)] = 1.0
+            else:
+                a[agree[s] + (S - 1) * (j - 1)] = -1.0
+        return a
+
+    reduced = np.empty(offsets[-1])
+    blocks = [reduced[offsets[j] : offsets[j + 1]].reshape(S, n) for j, n in enumerate(sizes)]
+    w = np.zeros((J - 1, S))
+
+    def price(y):
+        w[:, others] = y[col_rows[-1] :].reshape(J - 1, S - 1)
+        np.subtract(costs[0], y[: sizes[0]], out=blocks[0])
+        blocks[0] -= w.sum(axis=0)[:, None]
+        for j in range(1, J):
+            np.subtract(costs[j], y[col_rows[j] : col_rows[j + 1]], out=blocks[j])
+            blocks[j] += w[j - 1][:, None]
+        return reduced
+
+    c = np.concatenate([C_j.ravel() for C_j in costs])
+    basis, xB, pivots, min_reduced_cost = primal_simplex(c, b, basis, column, price)
+    x = np.zeros(offsets[-1])
+    x[basis] = xB
+    plans = [x[offsets[j] : offsets[j + 1]].reshape(S, n) for j, n in enumerate(sizes)]
+    return plans, pivots, min_reduced_cost
 
 
 def barycenter_fixed_support(
     space: Space, p: float, ens: MeasureEnsemble, support
 ) -> BarycenterResult:
     """Best measure supported on ``support``: one joint LP over J coupled
-    transport plans sharing their first marginal; c_j = <C_j, pi_j>."""
+    transport plans sharing their first marginal; c_j = <C_j, pi_j>.
+
+    Raises:
+        NumericalFailure: the simplex failed, or the plans miss the weights
+            or disagree on the support by more than ``MARGINAL_TOL``.
+    """
     support = as_atoms(space, support)
-    S = support.shape[0]
-    if S == 0:
+    if support.shape[0] == 0:
         raise DimensionMismatch("support must be nonempty")
     measures = ens.measures
-    J = len(measures)
-    sizes = [m.n_atoms for m in measures]
-    blocks = np.concatenate([[0], np.cumsum([S * n for n in sizes])])
-    n_vars = int(blocks[-1])
-
-    C = [(pairwise_distances(space, support, m.atoms) ** p).ravel() for m in measures]
-    c = np.concatenate([lam_j * Cj for lam_j, Cj in zip(ens.lam, C)])
-
-    # Rows: column sums of each plan fixed to the target weights, plus
-    # row-sum agreement of every plan with plan 0 (eliminated shared w).
-    rows = sum(sizes) + S * (J - 1)
-    A = np.zeros((rows, n_vars))
-    b = np.zeros(rows)
-    r = 0
-    for j, m in enumerate(measures):
-        for i in range(m.n_atoms):
-            cols = blocks[j] + np.arange(S) * m.n_atoms + i
-            A[r, cols] = 1.0
-            b[r] = m.weights[i]
-            r += 1
-    for j in range(1, J):
-        for s in range(S):
-            A[r, blocks[0] + s * sizes[0] : blocks[0] + (s + 1) * sizes[0]] = 1.0
-            A[r, blocks[j] + s * sizes[j] : blocks[j] + (s + 1) * sizes[j]] -= 1.0
-            b[r] = 0.0
-            r += 1
-    res = solve_lp(c, A, b)
-    pi0 = res.x[blocks[0] : blocks[1]].reshape(S, sizes[0])
-    w = np.clip(pi0.sum(axis=1), 0.0, None)
+    C = [pairwise_distances(space, support, m.atoms) ** p for m in measures]
+    plans, pivots, min_reduced_cost = _fixed_support_lp(
+        [lam_j * C_j for lam_j, C_j in zip(ens.lam, C)], [m.weights for m in measures]
+    )
+    w = plans[0].sum(axis=1)
+    for pi, m in zip(plans, measures):
+        if np.max(np.abs(pi.sum(axis=0) - m.weights)) > MARGINAL_TOL:
+            raise NumericalFailure("fixed-support plans miss the weights")
+        if np.max(np.abs(pi.sum(axis=1) - w)) > MARGINAL_TOL:
+            raise NumericalFailure("fixed-support plans disagree on the support")
+    w = np.clip(w, 0.0, None)
     if w.sum() <= 0:
         raise NumericalFailure("fixed-support LP returned zero total mass")
     nu = DiscreteMeasure(space, support, w / w.sum())
-    costs = [C[j] @ res.x[blocks[j] : blocks[j + 1]] for j in range(J)]
+    costs = [float(C_j.ravel() @ pi.ravel()) for C_j, pi in zip(C, plans)]
     costs = _with_unweighted(space, p, ens, nu, costs)
     return BarycenterResult(
         measure=nu,
         objective=float(np.dot(ens.lam, costs)),
         method="fixed-support",
         per_measure_costs=costs,
+        pivots=pivots,
+        min_reduced_cost=min_reduced_cost,
     )
 
 

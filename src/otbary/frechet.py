@@ -11,7 +11,9 @@ is elementwise across the rows of a batch, so a tuple gets bit-identical
 results alone or inside any batch.
 
 - Metric-matrix spaces minimize over the listed points exhaustively and
-  break objective ties (within 1e-12) toward the smallest label.
+  break objective ties (within 1e-12) toward the smallest label.  Each
+  member j gets one table of lam_j d(a, x)^p, a row per label a it uses,
+  and a tuple's objectives are the sum of one gathered row per member.
 - A Euclidean tuple of one repeated point is its own mean.  The others are
   solved relative to one of their atoms, so coordinates the atoms share
   stay exact; a solution on an atom returns that atom exactly.
@@ -273,12 +275,24 @@ def _iterate_rows(pts, x, lam, p, tol, max_iter):
     return x, iters
 
 
-def _metric_chunk(space, pts, lam, p):
-    objs = np.zeros((space.n_points, pts.shape[0]))
-    for j in range(pts.shape[1]):
-        objs += lam[j] * space.dist[:, pts[:, j]] ** p
-    label = (objs <= objs.min(axis=0) + TIE_TOL).argmax(axis=0)
-    return label, objs[label, np.arange(pts.shape[0])], np.zeros(pts.shape[0], dtype=np.int64)
+def _metric_tables(space, tuples, lam, p):
+    # Per member j, lam_j d(a, x)^p from every label a the member uses (one
+    # row each) to every point x, and each tuple's row in that table.
+    tables, rows = [], np.empty(tuples.shape, dtype=np.intp)
+    for j in range(tuples.shape[1]):
+        used = np.zeros(space.n_points, dtype=bool)
+        used[tuples[:, j]] = True
+        tables.append(lam[j] * space.dist.T[used] ** p)
+        rows[:, j] = (np.cumsum(used) - 1)[tuples[:, j]]
+    return tables, rows
+
+
+def _metric_chunk(tables, rows):
+    objs = np.zeros((rows.shape[0], tables[0].shape[1]))
+    for j, table in enumerate(tables):
+        objs += table[rows[:, j]]
+    label = (objs <= objs.min(axis=1)[:, None] + TIE_TOL).argmax(axis=1)
+    return label, objs[np.arange(rows.shape[0]), label], np.zeros(rows.shape[0], dtype=np.int64)
 
 
 def _euclidean_chunk(pts, lam, p, tol, max_iter):
@@ -347,10 +361,10 @@ def frechet_means(
     if J != lam.shape[0] or J == 0:
         raise DimensionMismatch(f"{J} points per tuple with {lam.shape[0]} weights")
     if isinstance(space, MetricMatrix):
-        tuples = tuples.astype(np.intp)
+        tables, tuples = _metric_tables(space, tuples.astype(np.intp), lam, p)
         points = np.empty(N, dtype=np.intp)
         rows = max(1, CHUNK_ENTRIES // space.n_points)
-        solve = lambda chunk: _metric_chunk(space, chunk, lam, p)
+        solve = lambda chunk: _metric_chunk(tables, chunk)
     else:
         tuples = tuples.astype(float)
         points = np.empty((N, tuples.shape[2]))

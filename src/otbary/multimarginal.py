@@ -24,12 +24,13 @@ the north-west-corner coupling, feasible on every space, so there is no
 phase one), and prices every tuple at once as
 C - u_1[:, None, ...] - ... - u_J[..., :] in one preallocated buffer.  No
 constraint matrix over the product is ever built; an entering column is
-read off its tuple's J indices.  Before returning, the coupling's marginals
-are checked against the weights.
+read off its tuple's J indices.  The pivots themselves are the loop of
+:mod:`otbary.pivoting`, shared with the fixed-support barycenter LP (an
+explicit basis inverse updated by one rank-one step per pivot).  Before
+returning, the coupling's marginals are checked against the weights.
 
-:func:`brute_force_multimarginal` is the independent oracle: it assembles
-the full LP entry by entry and hands it to ``scipy.optimize.linprog``
-(HiGHS), sharing no LP code with the production path.
+The independent oracles live with the tests: a HiGHS LP assembled entry by
+entry, and a dense two-phase simplex.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     DimensionMismatch,
@@ -47,17 +47,12 @@ from .errors import (
 )
 from .frechet import frechet_mean, frechet_means
 from .measures import DiscreteMeasure, MeasureEnsemble
+from .pivoting import primal_simplex
 from .spaces import Euclidean, MetricMatrix, Space
 from .staircase import MASS_CUT, _comonotone_entries, _staircase
 
 DEFAULT_PRODUCT_CAP = 10**6
-BRUTE_FORCE_CAP = 10**4
 MARGINAL_TOL = 1e-9
-# Pivoting rules of the tensor simplex, as in the dense otbary.simplex except
-# that the pivot tolerance scales with the entering column's largest entry.
-PIVOT_TOL = 1e-11
-REDUCED_COST_TOL = 1e-9
-MAX_PIVOTS = 200_000
 
 
 @dataclass
@@ -129,12 +124,10 @@ def _tensor_simplex(C, measures):
     Row (j, i) says that the tuples with i_j = i carry member j's weight i;
     the last row of every member j >= 2 is dropped (it is implied by the
     others), leaving m = sum_j n_j - J + 1 independent rows.  The basis
-    starts at the staircase, keeps its m x m matrix and refactors it every
-    pivot with LAPACK's getrf, the routine behind ``scipy.linalg.lu_factor``,
-    called directly because the wrapper's checks cost more than the solves
-    at these sizes.  Dantzig pricing switches to Bland's rule after
-    3(m + 1) degenerate pivots in a row; ratio ties go to the smallest flat
-    tuple index.
+    starts at the staircase and pivots in
+    :func:`otbary.pivoting.primal_simplex`; every tuple is priced as
+    C - u_1[:, None, ...] - ... - u_J[..., :] in one preallocated buffer,
+    and an entering column is read off its tuple's J indices.
 
     Returns the basis as flat tuple indices, its masses (clipped at 0), the
     pivot count and the least reduced cost of the last pricing pass.
@@ -151,18 +144,12 @@ def _tensor_simplex(C, measures):
     b = np.concatenate([m.weights for m in measures])[kept]
     m = b.shape[0]
 
-    def column(tup):
-        full = starts + tup
+    def column(k):
+        full = starts + np.unravel_index(k, shape)
         a = np.zeros(m)
         a[row_of[full[kept[full]]]] = 1.0
         return a
 
-    path = _staircase(measures)
-    basis = np.ravel_multi_index(path.T, shape)
-    B = np.stack([column(tup) for tup in path], axis=1)
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (B,))
-
-    c = C.ravel()
     # Duals of the full system (0 on the dropped rows); u[j] is member j's
     # block, shaped to broadcast along axis j of the tensor.
     y = np.zeros(sum(shape))
@@ -172,54 +159,16 @@ def _tensor_simplex(C, measures):
     ]
     reduced = np.empty(shape)
     flat = reduced.reshape(-1)
-    degenerate_streak = 0
-    bland = False
-    for it in range(MAX_PIVOTS + 1):
-        lu, piv, info = getrf(B)
-        if info > 0:
-            # An exactly zero pivot (where lu_factor would warn): a basis is
-            # never singular, so this is lost accuracy, not a verdict.
-            raise NumericalFailure("singular basis")
-        xB = getrs(lu, piv, b)[0]
-        y[kept] = getrs(lu, piv, c[basis], trans=1)[0]
+
+    def price(duals):
+        y[kept] = duals
         np.subtract(C, u[0], out=reduced)
         for u_j in u[1:]:
-            reduced -= u_j
-        flat[basis] = 0.0
-        if bland:
-            below = flat < -REDUCED_COST_TOL
-            k = int(below.argmax())
-            if not below[k]:
-                break
-        else:
-            k = int(flat.argmin())
-            if flat[k] >= -REDUCED_COST_TOL:
-                break
-        if it == MAX_PIVOTS:
-            raise NumericalFailure("simplex pivot cap exceeded")
-        a = column(np.array(np.unravel_index(k, shape)))
-        d = getrs(lu, piv, a)[0]
-        # Relative to the column's largest entry: entries of B^-1 a reach
-        # 1e5 on J = 3 bases, and a pivot on a round-off entry near 1e-11
-        # made the next basis exactly singular.
-        pos = d > PIVOT_TOL * max(1.0, float(np.abs(d).max()))
-        if not pos.any():
-            # The polytope is bounded, so this is lost accuracy, not a ray.
-            raise NumericalFailure("entering column has no pivot row")
-        ratios = np.clip(xB[pos], 0.0, None) / d[pos]
-        theta = ratios.min()
-        tied = np.flatnonzero(pos)[ratios <= theta + 1e-15]
-        leave = int(tied[np.argmin(basis[tied])])
-        basis[leave] = k
-        B[:, leave] = a
-        if theta <= 1e-13:
-            degenerate_streak += 1
-            if degenerate_streak > 3 * (m + 1):
-                bland = True
-        else:
-            degenerate_streak = 0
-            bland = False
-    return basis, np.clip(xB, 0.0, None), it, float(flat.min())
+            np.subtract(reduced, u_j, out=reduced)
+        return flat
+
+    basis = np.ravel_multi_index(_staircase(measures).T, shape)
+    return primal_simplex(C.ravel(), b, basis, column, price)
 
 
 def solve_multimarginal(
@@ -293,51 +242,3 @@ def pushforward_barycenter(
     keep = gamma.mass > 0
     masses = gamma.mass[keep]
     return DiscreteMeasure(space, gamma.points[keep], masses / masses.sum())
-
-
-def brute_force_multimarginal(
-    space: Space,
-    p: float,
-    ens: MeasureEnsemble,
-    *,
-    max_product_size: int = BRUTE_FORCE_CAP,
-) -> MultiCoupling:
-    """Independent oracle: same LP, assembled entry by entry and solved by
-    scipy's HiGHS backend.  No solver code shared with
-    :func:`solve_multimarginal`."""
-    import scipy.optimize  # only the oracle needs it; keeps `import otbary` light
-
-    measures = ens.measures
-    shape = tuple(m.n_atoms for m in measures)
-    if np.prod([float(n) for n in shape]) > max_product_size:
-        raise ProductSizeExceeded(
-            f"product support {shape} exceeds brute-force cap {max_product_size}"
-        )
-    tuples = list(np.ndindex(*shape))
-    costs, points = [], []
-    for tup in tuples:
-        atoms = tuple(measures[j].atoms[i] for j, i in enumerate(tup))
-        value, point = mm_cost(space, p, ens.lam, atoms)
-        costs.append(value)
-        points.append(point)
-    rows = sum(shape)
-    A_eq = np.zeros((rows, len(tuples)))
-    b_eq = []
-    r = 0
-    for j, m in enumerate(measures):
-        for i in range(m.n_atoms):
-            for k, tup in enumerate(tuples):
-                if tup[j] == i:
-                    A_eq[r, k] = 1.0
-            b_eq.append(m.weights[i])
-            r += 1
-    res = scipy.optimize.linprog(
-        np.asarray(costs), A_eq=A_eq, b_eq=np.asarray(b_eq), method="highs"
-    )
-    if not res.success:
-        raise InfeasibleWeights(f"oracle LP failed: {res.message}")
-    keep = np.flatnonzero(res.x > MASS_CUT)
-    return MultiCoupling(
-        index=np.array(tuples, dtype=np.intp)[keep], mass=res.x[keep],
-        points=np.array(points)[keep], objective=float(res.fun), shape=shape,
-    )

@@ -1,0 +1,143 @@
+"""The primal simplex pivot loop shared by the library's two exact LPs.
+
+The multi-marginal tensor simplex (:mod:`otbary.multimarginal`) and the
+fixed-support joint LP (:mod:`otbary.barycenter`) are both structured LPs
+min c.x, A x = b, x >= 0 whose constraint matrix is never built.  Each
+hands :func:`primal_simplex` the costs of its variables, a feasible,
+nonsingular start basis and two callbacks: ``price(y)``, the reduced costs
+c - A^T y of every variable for the duals y, and ``column(k)``, the
+constraint column of variable k.  Everything else lives here:
+
+- Dantzig pricing, switched to Bland's rule after 3(m + 1) degenerate pivots
+  in a row (and back after the first nondegenerate one); a variable enters
+  when its reduced cost is below ``-REDUCED_COST_TOL``.
+- The ratio test pivots only on entries above ``PIVOT_TOL`` times the
+  entering column's largest entry (at least 1): entries of B^-1 a reach 1e5
+  on J = 3 tensor bases, and a pivot on a round-off entry near 1e-11 once
+  made the next basis exactly singular.  Ratio ties leave the basic variable
+  of smallest index.
+- The loop keeps the m x m basis matrix B and an explicit inverse.  A pivot
+  updates the inverse by one rank-one BLAS ``ger``, O(m^2), where a new
+  factorization would cost O(m^3).  Every ``REFACTOR_EVERY`` pivots B is
+  factored afresh by LAPACK's getrf; that pass takes its duals and basic
+  values from triangular solves with the factors (getrs), and the next
+  pivot inverts them (getri).  The loop stops only on a pricing pass with
+  no entering variable that used fresh factors, refactoring first if it
+  must, so what it returns carries no update drift, and a zero-level basic
+  variable comes out as 0 rather than as the round-off of a product with
+  the inverse.
+
+LAPACK and BLAS are called directly: at these sizes the checks of the
+``scipy.linalg`` wrappers cost more than the work.  A zero pivot in getrf
+(where ``lu_factor`` would warn) raises ``NumericalFailure("singular basis")``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
+
+from .errors import NumericalFailure
+
+PIVOT_TOL = 1e-11
+REDUCED_COST_TOL = 1e-9
+DEGENERATE_STEP = 1e-13
+MAX_PIVOTS = 200_000
+REFACTOR_EVERY = 64
+
+
+def primal_simplex(c, b, basis, column, price):
+    """Solve min c.x, A x = b, x >= 0 from a feasible start basis.
+
+    ``c`` holds the cost of every variable (flat ids), ``b`` the m
+    right-hand sides and ``basis`` the m start variables; ``column(k)`` is
+    the column of variable k as a length-m array and ``price(y)`` the flat
+    reduced costs of every variable for duals y (a buffer the loop may
+    overwrite).
+
+    Returns the optimal basis, its values (clipped at 0), the pivot count
+    and the least reduced cost of the final pricing pass, with basic
+    variables counted as 0.
+
+    Raises:
+        NumericalFailure: singular basis, no pivot row, or pivot cap hit.
+    """
+    basis = np.array(basis, dtype=np.intp)
+    m = b.shape[0]
+    B = np.empty((m, m), order="F")
+    for r, k in enumerate(basis):
+        B[:, r] = column(k)
+    getrf, getrs, getri = get_lapack_funcs(("getrf", "getrs", "getri"), (B,))
+    (ger,) = get_blas_funcs(("ger",), (B,))
+
+    def factor():
+        lu, piv, info = getrf(B)
+        if info > 0:
+            # A basis is never singular, so this is lost accuracy.
+            raise NumericalFailure("singular basis")
+        return lu, piv
+
+    lu, piv = factor()
+    B_inv = None  # built by getri at the first pivot after a factorization
+    since_refactor = 0
+    pivots = 0
+    degenerate_streak = 0
+    bland = False
+    while True:
+        if since_refactor == 0:
+            # Fresh values, from triangular solves with the factors.
+            xB = getrs(lu, piv, b)[0]
+            y = getrs(lu, piv, c[basis], trans=1)[0]
+        else:
+            xB = B_inv @ b
+            y = c[basis] @ B_inv
+        flat = price(y)
+        flat[basis] = 0.0
+        if bland:
+            below = flat < -REDUCED_COST_TOL
+            k = int(below.argmax())
+            optimal = not below[k]
+        else:
+            k = int(flat.argmin())
+            optimal = flat[k] >= -REDUCED_COST_TOL
+        if optimal:
+            if since_refactor == 0:
+                break
+            (lu, piv), since_refactor = factor(), 0
+            continue
+        if pivots == MAX_PIVOTS:
+            raise NumericalFailure("simplex pivot cap exceeded")
+        if since_refactor == 0:
+            B_inv, info = getri(lu, piv)
+            if info != 0:
+                raise NumericalFailure("singular basis")
+        a = column(k)
+        d = B_inv @ a
+        pos = d > PIVOT_TOL * max(1.0, float(np.abs(d).max()))
+        if not pos.any():
+            # The LPs here are bounded, so this is lost accuracy, not a ray.
+            raise NumericalFailure("entering column has no pivot row")
+        ratios = np.clip(xB[pos], 0.0, None) / d[pos]
+        theta = ratios.min()
+        tied = np.flatnonzero(pos)[ratios <= theta + 1e-15]
+        leave = int(tied[np.argmin(basis[tied])])
+        basis[leave] = k
+        B[:, leave] = a
+        pivots += 1
+        since_refactor += 1
+        if since_refactor == REFACTOR_EVERY:
+            (lu, piv), since_refactor = factor(), 0
+        else:
+            # Eta update: row `leave` becomes row / d[leave], and every
+            # other row i loses d[i] times that new row.
+            row = B_inv[leave] / d[leave]
+            B_inv = ger(-1.0, d, row, a=B_inv, overwrite_a=1)
+            B_inv[leave] = row
+        if theta <= DEGENERATE_STEP:
+            degenerate_streak += 1
+            if degenerate_streak > 3 * (m + 1):
+                bland = True
+        else:
+            degenerate_streak = 0
+            bland = False
+    return basis, np.clip(xB, 0.0, None), pivots, float(flat.min())

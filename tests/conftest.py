@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from otbary import DiscreteMeasure, Euclidean, MeasureEnsemble
+from otbary import DiscreteMeasure, Euclidean, MeasureEnsemble, MetricMatrix
 
 
 def random_measure(rng, space, max_atoms=10, scale=2.0, uniform=False):
@@ -26,8 +26,51 @@ def random_ensemble(rng, space, n_measures, max_atoms=4, uniform_lam=False, **kw
     return MeasureEnsemble(measures, lam)
 
 
+# Quarter-integer atoms: members share atoms, and distinct couplings differ
+# in cost by far more than the LP solvers' optimality tolerances.
 QUARTERS = st.integers(-20, 20).map(lambda k: k / 4)
 DYADIC_CUTS = 64
+GRID_GRAPH_SIDE = 7
+
+
+def _grid_graph():
+    # Shortest paths on the 7 x 7 grid graph with unit edges: Manhattan
+    # distance between the nodes' (row, column) positions.
+    rc = np.indices((GRID_GRAPH_SIDE, GRID_GRAPH_SIDE)).reshape(2, -1).T
+    return MetricMatrix(np.abs(rc[:, None, :] - rc[None, :, :]).sum(axis=2).astype(float))
+
+
+GRID_GRAPH = _grid_graph()
+
+
+@st.composite
+def tensor_ensembles(draw, min_members=2):
+    """2D quarter-integer atoms or grid-graph nodes, 1-6 atoms per member.
+    Equal-size uniform members make every staircase cell but n of them
+    degenerate; n = 1 gives Diracs."""
+    space = draw(st.sampled_from([Euclidean(2), GRID_GRAPH]))
+    J = draw(st.integers(min_members, 4))
+    equal = draw(st.booleans())
+    n_equal = draw(st.integers(1, 6))
+    measures = []
+    for _ in range(J):
+        n = n_equal if equal else draw(st.integers(1, 6))
+        atoms = draw(space_points(space, n))
+        if equal or draw(st.booleans()):
+            weights = np.full(n, 1.0 / n)
+        else:
+            weights = np.asarray(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+            weights /= weights.sum()
+        measures.append(DiscreteMeasure(space, atoms, weights))
+    lam = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=J, max_size=J)))
+    return MeasureEnsemble(measures, lam / lam.sum())
+
+
+def space_points(space, n):
+    """n distinct grid-graph nodes, or n distinct quarter-integer points."""
+    if isinstance(space, MetricMatrix):
+        return st.lists(st.integers(0, space.n_points - 1), min_size=n, max_size=n, unique=True)
+    return st.lists(st.tuples(QUARTERS, QUARTERS), min_size=n, max_size=n, unique=True)
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Generic equality-form LP solver: min c.x subject to A x = b, x >= 0.
+"""Dense-matrix oracle for the library's LPs: min c.x, A x = b, x >= 0.
 
 Two-phase revised simplex with deterministic pivoting: Dantzig entering rule
 by default, switching to Bland's rule after a run of degenerate pivots so
@@ -7,11 +7,12 @@ variable index.  Redundant equality rows are detected in phase one (an
 artificial that cannot be pivoted out at zero level) and dropped, so callers
 may pass rank-deficient transportation-style constraint systems as-is.
 
-It takes a dense constraint matrix.  The library uses it for the joint LP
-of :func:`otbary.barycenter.barycenter_fixed_support`, and the tests use it
-as a dense oracle for multi-marginal transport, whose production solver is
-the tensor simplex in :mod:`otbary.multimarginal` (no matrix over the
-product, no phase one).
+It takes the dense constraint matrix that the library never builds: the
+tests check the tensor simplex of :mod:`otbary.multimarginal` and the
+fixed-support LP of :mod:`otbary.barycenter` against it.  It shares no code
+with their pivot loop, :mod:`otbary.pivoting` (no phase one there, no
+matrix, an updated basis inverse); only the pivot tolerance is the same,
+relative to the entering column's largest entry.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import NumericalFailure
+from otbary.errors import NumericalFailure
 
 PIVOT_TOL = 1e-11
 REDUCED_COST_TOL = 1e-9
@@ -57,7 +58,9 @@ def _simplex_phase(A, b, c, basis, *, tol, max_iter):
             if reduced[j] >= -tol:
                 return basis, xB, it
         d = lu_solve(lu, A[:, j])
-        pos = d > PIVOT_TOL
+        # Relative to the column's largest entry: an absolute test pivoted
+        # on round-off entries near 1e-11 of columns reaching 1e5.
+        pos = d > PIVOT_TOL * max(1.0, float(np.abs(d).max()))
         if not pos.any():
             raise NumericalFailure("LP is unbounded below")
         ratios = np.clip(xB[pos], 0.0, None) / d[pos]

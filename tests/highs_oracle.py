@@ -1,0 +1,64 @@
+"""HiGHS oracle for multi-marginal transport, for the tests.
+
+It assembles the full (sum_j n_j x prod_j n_j) LP entry by entry, pricing
+every tuple with :func:`otbary.multimarginal.mm_cost` one at a time, and
+hands it to ``scipy.optimize.linprog``: no LP code, batched Fréchet pass or
+constraint structure is shared with :func:`otbary.solve_multimarginal`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.optimize
+
+from otbary.errors import InfeasibleWeights, ProductSizeExceeded
+from otbary.measures import MeasureEnsemble
+from otbary.multimarginal import MultiCoupling, mm_cost
+from otbary.spaces import Space
+from otbary.staircase import MASS_CUT
+
+BRUTE_FORCE_CAP = 10**4
+
+
+def brute_force_multimarginal(
+    space: Space,
+    p: float,
+    ens: MeasureEnsemble,
+    *,
+    max_product_size: int = BRUTE_FORCE_CAP,
+) -> MultiCoupling:
+    """Optimal coupling of the multi-marginal LP, solved by HiGHS."""
+    measures = ens.measures
+    shape = tuple(m.n_atoms for m in measures)
+    if np.prod([float(n) for n in shape]) > max_product_size:
+        raise ProductSizeExceeded(
+            f"product support {shape} exceeds brute-force cap {max_product_size}"
+        )
+    tuples = list(np.ndindex(*shape))
+    costs, points = [], []
+    for tup in tuples:
+        atoms = tuple(measures[j].atoms[i] for j, i in enumerate(tup))
+        value, point = mm_cost(space, p, ens.lam, atoms)
+        costs.append(value)
+        points.append(point)
+    rows = sum(shape)
+    A_eq = np.zeros((rows, len(tuples)))
+    b_eq = []
+    r = 0
+    for j, m in enumerate(measures):
+        for i in range(m.n_atoms):
+            for k, tup in enumerate(tuples):
+                if tup[j] == i:
+                    A_eq[r, k] = 1.0
+            b_eq.append(m.weights[i])
+            r += 1
+    res = scipy.optimize.linprog(
+        np.asarray(costs), A_eq=A_eq, b_eq=np.asarray(b_eq), method="highs"
+    )
+    if not res.success:
+        raise InfeasibleWeights(f"oracle LP failed: {res.message}")
+    keep = np.flatnonzero(res.x > MASS_CUT)
+    return MultiCoupling(
+        index=np.array(tuples, dtype=np.intp)[keep], mass=res.x[keep],
+        points=np.array(points)[keep], objective=float(res.fun), shape=shape,
+    )

@@ -15,7 +15,6 @@ from otbary import (
     ExperimentConfig,
     MeasureEnsemble,
     barycenter_finite,
-    brute_force_multimarginal,
     ensemble_objective,
     generate_deformation_ensemble,
     mm_cost,
@@ -29,6 +28,7 @@ from otbary import (
 )
 from otbary.cli import main
 from otbary.measures import save_ensemble, save_measure
+from highs_oracle import brute_force_multimarginal
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

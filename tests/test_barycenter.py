@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otbary import (
     DiscreteMeasure,
     MeasureEnsemble,
     MetricMatrix,
+    NumericalFailure,
     barycenter_finite,
     barycenter_fixed_support,
     ensemble_objective,
@@ -14,7 +20,11 @@ from otbary import (
     variance,
     wasserstein,
 )
-from conftest import random_ensemble, random_measure
+from otbary import barycenter as bary_module
+from otbary.barycenter import _dirac_start, _fixed_support_lp
+from otbary.spaces import as_atoms, pairwise_distances
+from conftest import random_ensemble, random_measure, space_points, tensor_ensembles
+from dense_simplex import solve_lp
 
 
 def quantile_average_1d(space, measures, lam, n):
@@ -257,3 +267,152 @@ def test_per_measure_cost_of_an_unweighted_member(plane):
     axis = np.linspace(-3.0, 3.0, 4)
     support = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     _check_costs(plane, 2, ens, barycenter_fixed_support(plane, 2, ens, support))
+
+
+# ---------------------------------------------------------------------------
+# The fixed-support LP: a primal simplex over the J cost blocks, started at
+# the best Dirac, checked against two solvers that take the dense matrix.
+# ---------------------------------------------------------------------------
+
+def _fixed_support_system(costs, weights):
+    # Dense LP of the fixed-support barycenter: the column sums of every plan,
+    # then the agreement of every plan j >= 1 with plan 0 at every support
+    # point (one redundant row per member, which both oracles handle).
+    S = costs[0].shape[0]
+    sizes = [C_j.shape[1] for C_j in costs]
+    blocks = np.concatenate([[0], np.cumsum([S * n for n in sizes])])
+    A = np.zeros((sum(sizes) + S * (len(costs) - 1), blocks[-1]))
+    r = 0
+    for j, n in enumerate(sizes):
+        for i in range(n):
+            A[r, blocks[j] + np.arange(S) * n + i] = 1.0
+            r += 1
+    for j in range(1, len(costs)):
+        for s in range(S):
+            A[r, blocks[0] + s * sizes[0] : blocks[0] + (s + 1) * sizes[0]] = 1.0
+            A[r, blocks[j] + s * sizes[j] : blocks[j] + (s + 1) * sizes[j]] -= 1.0
+            r += 1
+    b = np.concatenate(list(weights) + [np.zeros(r - sum(sizes))])
+    return np.concatenate([C_j.ravel() for C_j in costs]), A, b
+
+
+def _lp_blocks(space, p, ens, support):
+    support = as_atoms(space, support)
+    costs = [lam_j * pairwise_distances(space, support, m.atoms) ** p
+             for lam_j, m in zip(ens.lam, ens.measures)]
+    return costs, [m.weights for m in ens.measures]
+
+
+@given(ens=tensor_ensembles(min_members=1), p=st.sampled_from([1, 2, 3]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_fixed_support_lp_matches_both_lp_solvers(ens, p, data):
+    space = ens.space
+    support = data.draw(space_points(space, data.draw(st.integers(1, 10))))
+    r = barycenter_fixed_support(space, p, ens, support)
+    costs, weights = _lp_blocks(space, p, ens, support)
+    c, A, b = _fixed_support_system(costs, weights)
+    highs = scipy.optimize.linprog(c, A_eq=A, b_eq=b, method="highs").fun
+    dense = solve_lp(c, A, b).objective
+    for reference in (highs, dense):
+        assert abs(r.objective - reference) <= 1e-12 * abs(reference)
+    plans, pivots, min_reduced_cost = _fixed_support_lp(costs, weights)
+    for pi, w in zip(plans, weights):
+        assert np.max(np.abs(pi.sum(axis=0) - w)) <= 1e-9
+        assert np.max(np.abs(pi.sum(axis=1) - plans[0].sum(axis=1))) <= 1e-9
+    assert min_reduced_cost >= -1e-9
+    assert (r.pivots, r.min_reduced_cost) == (pivots, min_reduced_cost)
+
+
+def test_dirac_start_is_feasible_and_nonsingular(plane):
+    rng = np.random.default_rng(7)
+    ens = random_ensemble(rng, plane, 3, max_atoms=5)
+    support = rng.normal(size=(6, 2))
+    costs, weights = _lp_blocks(plane, 2, ens, support)
+    s_star, basis = _dirac_start(costs, weights)
+    dirac = [C_j @ w_j for C_j, w_j in zip(costs, weights)]
+    assert s_star == int(np.argmin(sum(dirac)))
+    _, A, b = _fixed_support_system(costs, weights)
+    sizes = [m.n_atoms for m in ens.measures]
+    # Drop the agreement row of s* for each member j >= 1.
+    dropped = sum(sizes) + 6 * np.arange(2) + s_star
+    A, b = np.delete(A, dropped, axis=0), np.delete(b, dropped)
+    assert len(basis) == len(set(basis)) == A.shape[0]
+    A_B = A[:, basis]
+    assert np.linalg.matrix_rank(A_B) == A.shape[0]
+    x_B = np.linalg.solve(A_B, b)
+    assert np.all(x_B >= -1e-15)
+    x = np.zeros(A.shape[1])
+    x[basis] = x_B
+    # All mass sits on row s* of every plan.
+    offsets = np.cumsum([0] + [6 * n for n in sizes])
+    for j, w_j in enumerate(weights):
+        pi = x[offsets[j] : offsets[j + 1]].reshape(6, -1)
+        assert np.allclose(pi[s_star], w_j, rtol=0, atol=1e-15)
+        assert np.allclose(np.delete(pi, s_star, axis=0), 0.0, rtol=0, atol=1e-15)
+
+
+def test_fixed_support_singular_basis_is_a_numerical_failure(plane, monkeypatch):
+    ens = random_ensemble(np.random.default_rng(3), plane, 2, max_atoms=3)
+    start = bary_module._dirac_start
+
+    def repeated(costs, weights):
+        s_star, basis = start(costs, weights)
+        basis[-1] = basis[0]
+        return s_star, basis
+
+    monkeypatch.setattr(bary_module, "_dirac_start", repeated)
+    with pytest.raises(NumericalFailure, match="singular basis"):
+        barycenter_fixed_support(plane, 2, ens, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def test_fixed_support_memory_on_a_10_by_10_grid(plane):
+    # 3 members of 20 atoms on 100 support points: 258 rows and 6 000
+    # columns; the dense 260 x 6 000 constraint matrix alone takes 12.5 MB.
+    rng = np.random.default_rng(20150612)
+    ens = MeasureEnsemble(
+        [DiscreteMeasure(plane, rng.normal(size=(20, 2)), rng.dirichlet(np.full(20, 2.0)))
+         for _ in range(3)],
+        np.full(3, 1 / 3),
+    )
+    axis = np.linspace(-2.0, 2.0, 10)
+    support = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    tracemalloc.start()
+    try:
+        r = barycenter_fixed_support(plane, 2, ens, support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert r.min_reduced_cost >= -1e-9
+
+
+def test_stats_of_both_routes(plane):
+    ens = random_ensemble(np.random.default_rng(11), plane, 3, max_atoms=4)
+    r = barycenter_finite(plane, 2, ens)
+    assert r.pivots >= 0 and r.min_reduced_cost >= -1e-9
+    single = barycenter_finite(plane, 2, MeasureEnsemble(ens.measures[:1], [1.0]))
+    assert (single.pivots, single.min_reduced_cost) == (0, None)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda plans: [pi * (1 - 1e-8) for pi in plans], "miss the weights"),
+        # Swapping two rows of plan 1 keeps its column sums.
+        (lambda plans: [plans[0], plans[1][::-1]], "disagree"),
+    ],
+)
+def test_fixed_support_plans_are_checked_before_returning(plane, monkeypatch, corrupt, message):
+    ens = MeasureEnsemble(
+        [DiscreteMeasure(plane, [[0.0, 0.0]], [1.0]), DiscreteMeasure(plane, [[2.0, 0.0]], [1.0])],
+        [0.7, 0.3],
+    )
+    solve = bary_module._fixed_support_lp
+
+    def corrupted(costs, weights):
+        plans, pivots, min_reduced_cost = solve(costs, weights)
+        return corrupt(plans), pivots, min_reduced_cost
+
+    monkeypatch.setattr(bary_module, "_fixed_support_lp", corrupted)
+    with pytest.raises(NumericalFailure, match=message):
+        barycenter_fixed_support(plane, 2, ens, [[0.0, 0.0], [1.0, 0.0]])

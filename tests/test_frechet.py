@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otbary import Euclidean, MetricMatrix, NonConvergence, frechet_mean, frechet_objective
-from otbary.frechet import frechet_means
+from otbary.frechet import TIE_TOL, frechet_means
 from otbary.spaces import midpoint
 
 
@@ -85,6 +85,36 @@ def test_metric_matrix_argmin_and_tiebreak():
     # symmetric two-point tie breaks toward the smaller label
     t = frechet_mean(s, 1, [0, 2], [0.5, 0.5])
     assert t.point == 0
+
+
+def _column_gather_kernel(space, pts, lam, p):
+    # The metric kernel as it was before the per-member tables: one
+    # (n_points x rows) column gather and power per member.
+    objs = np.zeros((space.n_points, pts.shape[0]))
+    for j in range(pts.shape[1]):
+        objs += lam[j] * space.dist[:, pts[:, j]] ** p
+    label = (objs <= objs.min(axis=0) + TIE_TOL).argmax(axis=0)
+    return label, objs[label, np.arange(pts.shape[0])]
+
+
+def test_metric_tables_match_the_column_gather():
+    # Integer distances on a 7 x 7 grid graph tie often; labels, costs and
+    # the tie rule must all be bit-identical.
+    rc = np.indices((7, 7)).reshape(2, -1).T
+    graph = MetricMatrix(np.abs(rc[:, None, :] - rc[None, :, :]).sum(axis=2).astype(float))
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        J = int(rng.integers(1, 5))
+        p = (1, 2, 3, 1.5)[trial % 4]
+        lam = np.full(J, 1.0 / J) if trial % 3 == 0 else rng.dirichlet(np.ones(J))
+        # A few labels per member, as in a multi-marginal product.
+        labels = [rng.choice(49, size=int(rng.integers(1, 8)), replace=False) for _ in range(J)]
+        tuples = np.stack([rng.choice(a, size=300) for a in labels], axis=1)
+        points, objs, iters = frechet_means(graph, p, tuples, lam)
+        label, cost = _column_gather_kernel(graph, tuples, lam, p)
+        assert np.array_equal(points, label)
+        assert np.array_equal(objs, cost)
+        assert not iters.any()
 
 
 def test_general_p_stops_at_float_resolution(line):

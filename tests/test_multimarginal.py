@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,10 +8,8 @@ from otbary import (
     DiscreteMeasure,
     Euclidean,
     MeasureEnsemble,
-    MetricMatrix,
     NumericalFailure,
     ProductSizeExceeded,
-    brute_force_multimarginal,
     measures_equal,
     mm_cost,
     pushforward_barycenter,
@@ -20,8 +19,9 @@ from otbary import (
 )
 from otbary import multimarginal
 from otbary.multimarginal import _comonotone_entries, _cost_vector, _index_grid, _staircase
-from otbary.simplex import solve_lp
-from conftest import random_ensemble, random_measure
+from dense_simplex import solve_lp
+from highs_oracle import brute_force_multimarginal
+from conftest import QUARTERS, random_ensemble, random_measure, tensor_ensembles
 
 
 def _marginal_system(measures, idx):
@@ -175,9 +175,6 @@ def test_product_size_cap(line):
 
 
 
-# Quarter-integer atoms: members share atoms, and distinct couplings differ
-# in cost by far more than the LP solvers' optimality tolerances.
-GRID = st.integers(-20, 20).map(lambda k: k / 4)
 FLOATS = st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False)
 
 
@@ -219,7 +216,7 @@ def _check_comonotone(ens, gamma):
     assert np.all(np.diff(tuples, axis=0) >= 0)
 
 
-@given(ens=line_ensembles(GRID))
+@given(ens=line_ensembles(QUARTERS))
 @settings(max_examples=150, deadline=None)
 def test_line_p2_comonotone_matches_both_lp_solvers(ens):
     gamma = solve_multimarginal(Euclidean(1), 2, ens)
@@ -243,46 +240,6 @@ def test_line_p2_comonotone_never_beaten(ens):
 # ---------------------------------------------------------------------------
 # The tensor simplex: every input off the line p = 2 route.
 # ---------------------------------------------------------------------------
-
-GRID_GRAPH_SIDE = 7
-
-
-def _grid_graph():
-    # Shortest paths on the 7 x 7 grid graph with unit edges: Manhattan
-    # distance between the nodes' (row, column) positions.
-    rc = np.indices((GRID_GRAPH_SIDE, GRID_GRAPH_SIDE)).reshape(2, -1).T
-    return MetricMatrix(np.abs(rc[:, None, :] - rc[None, :, :]).sum(axis=2).astype(float))
-
-
-GRID_GRAPH = _grid_graph()
-
-
-@st.composite
-def tensor_ensembles(draw):
-    # 2D quarter-integer atoms or grid-graph nodes.  Equal-size uniform
-    # members make every staircase cell but n of them degenerate; n = 1
-    # gives Diracs.
-    space = draw(st.sampled_from([Euclidean(2), GRID_GRAPH]))
-    J = draw(st.integers(2, 4))
-    equal = draw(st.booleans())
-    n_equal = draw(st.integers(1, 6))
-    measures = []
-    for _ in range(J):
-        n = n_equal if equal else draw(st.integers(1, 6))
-        if isinstance(space, MetricMatrix):
-            atoms = draw(st.lists(st.integers(0, space.n_points - 1), min_size=n,
-                                  max_size=n, unique=True))
-        else:
-            atoms = draw(st.lists(st.tuples(GRID, GRID), min_size=n, max_size=n, unique=True))
-        if equal or draw(st.booleans()):
-            weights = np.full(n, 1.0 / n)
-        else:
-            weights = np.asarray(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
-            weights /= weights.sum()
-        measures.append(DiscreteMeasure(space, atoms, weights))
-    lam = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=J, max_size=J)))
-    return MeasureEnsemble(measures, lam / lam.sum())
-
 
 @given(ens=tensor_ensembles(), p=st.sampled_from([1, 2, 3]))
 @settings(max_examples=120, deadline=None)
@@ -315,7 +272,7 @@ def test_tensor_simplex_two_clouds_of_100(plane):
     assert abs(gamma.objective - expected) <= 1e-12 * expected
 
 
-@given(ens=line_ensembles(GRID))
+@given(ens=line_ensembles(QUARTERS))
 @settings(max_examples=100, deadline=None)
 def test_staircase_is_a_lattice_path_through_the_comonotone_coupling(ens):
     path = _staircase(ens.measures)
@@ -343,10 +300,29 @@ def _stepwise_staircase(measures):
     return np.array(path)
 
 
-@given(ens=line_ensembles(GRID))
+@given(ens=line_ensembles(QUARTERS))
 @settings(max_examples=100, deadline=None)
 def test_staircase_matches_the_stepwise_walk(ens):
     assert np.array_equal(_staircase(ens.measures), _stepwise_staircase(ens.measures))
+
+
+def test_tensor_simplex_returns_values_of_a_fresh_factorization(plane):
+    # The basis inverse is updated between refactorizations; the loop stops
+    # only on a pricing pass with fresh factors, so the masses it returns
+    # are exactly the LU solve on the final basis.
+    rng = np.random.default_rng(4)
+    ens = random_ensemble(rng, plane, 3, max_atoms=7)
+    shape = tuple(m.n_atoms for m in ens.measures)
+    idx = _index_grid(shape)
+    C = _cost_vector(plane, 2, ens.lam, ens.measures, idx).reshape(shape)
+    basis, x, pivots, _ = multimarginal._tensor_simplex(C, ens.measures)
+    assert pivots > 0
+    A, b = _marginal_system(ens.measures, idx)
+    starts = np.cumsum((0,) + shape[:-1])
+    implied = starts[1:] + np.asarray(shape[1:]) - 1
+    A, b = np.delete(A, implied, axis=0), np.delete(b, implied)
+    fresh = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A[:, basis]), b)
+    assert np.array_equal(x, np.clip(fresh, 0.0, None))
 
 
 def test_singular_basis_is_a_numerical_failure(plane, monkeypatch):
