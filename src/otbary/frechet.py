@@ -8,7 +8,10 @@ inputs always give identical outputs.
 :func:`frechet_means` solves a whole batch of tuples at once and is the only
 solver; :func:`frechet_mean` is the same call on a batch of one.  Every step
 is elementwise across the rows of a batch, so a tuple gets bit-identical
-results alone or inside any batch.
+results alone or inside any batch.  :func:`product_costs` gives the
+objectives alone of a whole product of tuples (the multi-marginal cost
+tensor) where they have a closed form, Euclidean p = 2 and metric matrices,
+without a per-tuple array or point.
 
 - Metric-matrix spaces minimize over the listed points exhaustively and
   break objective ties (within 1e-12) toward the smallest label.  Each
@@ -48,7 +51,8 @@ freeze once converged; a row still iterating at ``max_iter`` raises
 :class:`NonConvergence`.  The Euclidean rows are processed
 ``CHUNK_ENTRIES // (J d)`` at a time, the metric ones
 ``CHUNK_ENTRIES // n_points`` at a time, so working memory stays bounded for
-any batch size.
+any batch size; :func:`product_costs` on a metric matrix works in blocks of
+at most ``CHUNK_ENTRIES`` floats too.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence
+from .errors import DimensionMismatch, NonConvergence, UnsupportedSpace
 from .spaces import MetricMatrix, Space, as_atoms
 
 STEP_TOL = 1e-10  # Newton step, relative to the nearest atom
@@ -376,6 +380,95 @@ def frechet_means(
         part = slice(lo, lo + rows)
         points[part], objs[part], iters[part] = solve(tuples[part])
     return points, objs, iters
+
+
+def _squared_distance_sum(lam, atoms, shape):
+    # (1 / Lambda) sum_{j < k} lam_j lam_k D_jk[i_j, i_k], summed into the
+    # tensor in place, one n_j x n_k table per pair broadcast along axes j, k.
+    C = np.zeros(shape)
+    J = len(shape)
+    for j in range(J):
+        for k in range(j + 1, J):
+            diff = atoms[j][:, None, :] - atoms[k][None, :, :]
+            D = (diff * diff).sum(axis=2) * (lam[j] * lam[k] / lam.sum())
+            C += D.reshape((shape[j],) + (1,) * (k - j - 1) + (shape[k],) + (1,) * (J - 1 - k))
+    return C
+
+
+def _metric_product(space, p, lam, atoms, shape):
+    # The tensor in blocks of at most CHUNK_ENTRIES floats: the trailing axes
+    # s, ..., J - 1 are broadcast whole, with the points as a last axis, and
+    # the flattened leading axes are walked `rows` tuples at a time.
+    P = space.n_points
+    tables = [lam[j] * space.dist.T[a] ** p for j, a in enumerate(atoms)]
+    J = len(shape)
+    s, tail = J, 1
+    while s > 1 and tail * shape[s - 1] * P <= CHUNK_ENTRIES:
+        s -= 1
+        tail *= shape[s]
+    lead_size = int(np.prod(shape[:s]))
+    rows = min(lead_size, max(1, CHUNK_ENTRIES // (tail * P)))
+    # Member j >= s along axis j of a block (rows, n_s, ..., n_{J-1}, P).
+    broadcast = [tables[j].reshape((shape[j],) + (1,) * (J - 1 - j) + (P,)) for j in range(s, J)]
+    trail = list(np.indices(shape[s:]).reshape(J - s, 1, tail))
+    C = np.empty(shape)
+    flat = C.reshape(lead_size, tail)
+    buf = np.empty((rows,) + shape[s:] + (P,))
+    for lo in range(0, lead_size, rows):
+        hi = min(lo + rows, lead_size)
+        lead = np.unravel_index(np.arange(lo, hi), shape[:s])
+        out = buf[: hi - lo]
+        # Members are summed in order, as in _metric_chunk, so the values
+        # agree bit for bit.
+        acc = tables[0][lead[0]]
+        for j in range(1, s):
+            acc += tables[j][lead[j]]
+        out[...] = acc.reshape((hi - lo,) + (1,) * (J - s) + (P,))
+        for table in broadcast:
+            out += table
+        # The smallest label within TIE_TOL of the minimum, found in place
+        # (out becomes 1.0 where a label qualifies), so a block needs no
+        # second buffer; its objective is summed again from the tables.
+        objs = out.reshape(hi - lo, tail, P)
+        np.less_equal(objs, (objs.min(axis=2) + TIE_TOL)[:, :, None], out=objs)
+        label = objs.argmax(axis=2)
+        index = [i[:, None] for i in lead] + trail
+        value = tables[0][index[0], label]
+        for j in range(1, J):
+            value += tables[j][index[j], label]
+        flat[lo:hi] = value
+    return C
+
+
+def product_costs(space: Space, p: float, lam, atoms) -> np.ndarray:
+    """Cost tensor of the multi-marginal LP, shape (n_1, ..., n_J): entry
+    (i_1, ..., i_J) is min_x sum_j lam_j d(x, atoms[j][i_j])^p, the objective
+    :func:`frechet_means` returns for that tuple, without its points.
+
+    ``atoms`` holds each member's (n_j, d) coordinates or (n_j,) labels.
+    Two spaces have a form that needs no per-tuple array:
+
+    - Euclidean, p = 2: the variance identity
+      sum_j lam_j |mean - a_j|^2 = (1 / Lambda) sum_{j<k} lam_j lam_k |a_j - a_k|^2,
+      Lambda = sum(lam), broadcast from the n_j x n_k squared-distance
+      tables.  Every term is nonnegative, so nothing cancels; the values
+      agree with the Fréchet pass to rounding.
+    - A metric matrix, any p: the member tables lam_j d(a, x)^p summed over
+      the product in member order, in blocks of at most ``CHUNK_ENTRIES``
+      floats, then the objective at the smallest label within ``TIE_TOL``
+      of the minimum over the points: bit for bit the pass's values.
+
+    Raises:
+        UnsupportedSpace: a Euclidean space with p != 2, which has no such
+            form (its costs come from :func:`frechet_means`).
+    """
+    lam = np.asarray(lam, dtype=float).ravel()
+    shape = tuple(len(a) for a in atoms)
+    if isinstance(space, MetricMatrix):
+        return _metric_product(space, p, lam, [np.asarray(a, dtype=np.intp) for a in atoms], shape)
+    if p != 2:
+        raise UnsupportedSpace(f"no product-cost form for Euclidean p = {p:g}")
+    return _squared_distance_sum(lam, [np.asarray(a, dtype=float) for a in atoms], shape)
 
 
 def frechet_mean(

@@ -3,10 +3,16 @@
 The cost of an index tuple is the infimum over the ground space of the
 weighted d^p sum, i.e. the Fréchet-mean objective of the tuple's atoms; the
 minimizer itself is the barycenter-map image used by
-:func:`pushforward_barycenter`.  Both come from one batched pass,
-:func:`otbary.frechet.frechet_means` over every tuple the solve needs, with
-no per-tuple Python call.  The coupling keeps the Fréchet means of its
-positive-mass tuples, so the pushforward solves no tuple a second time.
+:func:`pushforward_barycenter`.  The LP needs every tuple's cost, but only
+the tuples of the optimal basis (at most sum_j n_j - J + 1) need a point.
+At Euclidean p = 2 and on a metric matrix the cost tensor comes from
+:func:`otbary.frechet.product_costs`, which builds no per-tuple array, and
+the batched pass :func:`otbary.frechet.frechet_means` then runs on the
+basic tuples alone.  Euclidean p != 2 has no closed form: one batched pass
+over the whole product gives the costs, and the basic tuples keep its
+points.  Either way the points and the objective come from the batched
+pass, and the coupling keeps the Fréchet means of its positive-mass
+tuples, so the pushforward solves no tuple a second time.
 
 The production path (:func:`solve_multimarginal`) has two routes.  On the
 line with p = 2 it returns the comonotone (north-west-corner) coupling of
@@ -25,8 +31,9 @@ phase one), and prices every tuple at once as
 C - u_1[:, None, ...] - ... - u_J[..., :] in one preallocated buffer.  No
 constraint matrix over the product is ever built; an entering column is
 read off its tuple's J indices.  The pivots themselves are the loop of
-:mod:`otbary.pivoting`, shared with the fixed-support barycenter LP (an
-explicit basis inverse updated by one rank-one step per pivot).  Before
+:mod:`otbary.pivoting`, shared with the fixed-support barycenter LP (a
+perturbed right-hand side, and an explicit basis inverse updated by one
+rank-one step per pivot).  Before
 returning, the coupling's marginals are checked against the weights.
 
 The independent oracles live with the tests: a HiGHS LP assembled entry by
@@ -45,7 +52,7 @@ from .errors import (
     NumericalFailure,
     ProductSizeExceeded,
 )
-from .frechet import frechet_mean, frechet_means
+from .frechet import frechet_mean, frechet_means, product_costs
 from .measures import DiscreteMeasure, MeasureEnsemble
 from .pivoting import primal_simplex
 from .spaces import Euclidean, MetricMatrix, Space
@@ -184,9 +191,11 @@ def solve_multimarginal(
     with at most sum_j n_j - J + 1 entries and objective sum mass * cost;
     it is exact because the quadratic Fréchet cost is submodular, so an
     optimal coupling is supported on a monotone chain of index tuples.
-    Other inputs run the tensor simplex over the whole product.  Either
-    way the entries come in increasing lexicographic order, masses <= 1e-15
-    are dropped, and the marginals are checked within ``MARGINAL_TOL``.
+    Other inputs run the tensor simplex over the whole product, and the
+    Fréchet means of its basic tuples give the points and the objective.
+    Either way the entries come in increasing lexicographic order, masses
+    <= 1e-15 are dropped, and the marginals are checked within
+    ``MARGINAL_TOL``.
 
     Raises:
         ProductSizeExceeded: product support larger than ``max_product_size``.
@@ -214,12 +223,22 @@ def solve_multimarginal(
         idx, x = _comonotone_entries(measures)
         points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
     else:
-        idx = _index_grid(shape)
-        points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
-        basis, x, pivots, min_reduced_cost = _tensor_simplex(costs.reshape(shape), measures)
+        full = None
+        if isinstance(space, Euclidean) and p != 2:
+            # No closed form: the costs come from one Fréchet pass over the
+            # product, and the basic tuples keep its points.
+            full = _frechet_pass(space, p, ens.lam, measures, _index_grid(shape))
+            C = full[1].reshape(shape)
+        else:
+            C = product_costs(space, p, ens.lam, [m.atoms for m in measures])
+        basis, x, pivots, min_reduced_cost = _tensor_simplex(C, measures)
         order = np.argsort(basis)
         basis, x = basis[order], x[order]
-        idx, points, costs = idx[basis], points[basis], costs[basis]
+        idx = np.column_stack(np.unravel_index(basis, shape))
+        if full is None:
+            points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
+        else:
+            points, costs = full[0][basis], full[1][basis]
     keep = x > MASS_CUT
     gamma = MultiCoupling(
         index=idx[keep], mass=x[keep], points=points[keep], objective=float(costs @ x),

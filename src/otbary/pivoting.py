@@ -8,6 +8,9 @@ nonsingular start basis and two callbacks: ``price(y)``, the reduced costs
 c - A^T y of every variable for the duals y, and ``column(k)``, the
 constraint column of variable k.  Everything else lives here:
 
+- The right-hand side is perturbed first (see :func:`primal_simplex`):
+  on degenerate inputs, such as members with uniform weights, an
+  unperturbed loop ties in the ratio test on most pivots and stalls.
 - Dantzig pricing, switched to Bland's rule after 3(m + 1) degenerate pivots
   in a row (and back after the first nondegenerate one); a variable enters
   when its reduced cost is below ``-REDUCED_COST_TOL``.
@@ -44,6 +47,9 @@ REDUCED_COST_TOL = 1e-9
 DEGENERATE_STEP = 1e-13
 MAX_PIVOTS = 200_000
 REFACTOR_EVERY = 64
+PERTURBATION = 1e-7  # scale of the right-hand side's perturbation, of max b
+PERTURBATION_SEED = 20150612
+LEVEL_TOL = 1e-13  # least true basic level that counts as feasible
 
 
 def primal_simplex(c, b, basis, column, price):
@@ -55,6 +61,15 @@ def primal_simplex(c, b, basis, column, price):
     reduced costs of every variable for duals y (a buffer the loop may
     overwrite).
 
+    The loop first solves the perturbed LP with right-hand side
+    b + delta B_0 r (B_0 the start basis, delta = ``PERTURBATION`` max b,
+    r in [0.5, 1]^m from a fixed-seed PCG64), whose start levels are all
+    positive, so ratio ties are rare and degenerate pivots few.  Its
+    optimal basis is dual feasible for the true LP too; where the true
+    levels, from fresh factors, are all at least ``-LEVEL_TOL`` it is
+    optimal and is returned.  Otherwise the loop runs again from B_0 on b
+    itself, and the pivot count covers both runs.
+
     Returns the optimal basis, its values (clipped at 0), the pivot count
     and the least reduced cost of the final pricing pass, with basic
     variables counted as 0.
@@ -62,11 +77,30 @@ def primal_simplex(c, b, basis, column, price):
     Raises:
         NumericalFailure: singular basis, no pivot row, or pivot cap hit.
     """
-    basis = np.array(basis, dtype=np.intp)
+    start = np.array(basis, dtype=np.intp)
     m = b.shape[0]
-    B = np.empty((m, m), order="F")
-    for r, k in enumerate(basis):
-        B[:, r] = column(k)
+    B0 = np.empty((m, m), order="F")
+    for i, k in enumerate(start):
+        B0[:, i] = column(k)
+    r = np.random.Generator(np.random.PCG64(PERTURBATION_SEED)).uniform(0.5, 1.0, m)
+    shifted = b + PERTURBATION * b.max() * (B0 @ r)
+    basis, lu, piv, pivots, min_reduced_cost = _pivot_loop(
+        c, shifted, start.copy(), B0.copy(order="F"), column, price
+    )
+    (getrs,) = get_lapack_funcs(("getrs",), (B0,))
+    xB = getrs(lu, piv, b)[0]
+    if xB.min() < -LEVEL_TOL:
+        basis, lu, piv, more, min_reduced_cost = _pivot_loop(c, b, start, B0, column, price)
+        pivots += more
+        xB = getrs(lu, piv, b)[0]
+    return basis, np.clip(xB, 0.0, None), pivots, min_reduced_cost
+
+
+def _pivot_loop(c, b, basis, B, column, price):
+    # The pivots from the basis whose columns B holds (both are updated in
+    # place).  Returns the optimal basis, fresh LU factors of it, the pivot
+    # count and the least reduced cost of the final pricing pass.
+    m = b.shape[0]
     getrf, getrs, getri = get_lapack_funcs(("getrf", "getrs", "getri"), (B,))
     (ger,) = get_blas_funcs(("ger",), (B,))
 
@@ -140,4 +174,4 @@ def primal_simplex(c, b, basis, column, price):
         else:
             degenerate_streak = 0
             bland = False
-    return basis, np.clip(xB, 0.0, None), pivots, float(flat.min())
+    return basis, lu, piv, pivots, float(flat.min())

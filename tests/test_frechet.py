@@ -1,11 +1,25 @@
+import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otbary import Euclidean, MetricMatrix, NonConvergence, frechet_mean, frechet_objective
-from otbary.frechet import TIE_TOL, frechet_means
+from otbary import (
+    Euclidean,
+    MetricMatrix,
+    NonConvergence,
+    UnsupportedSpace,
+    frechet,
+    frechet_mean,
+    frechet_objective,
+)
+from otbary.frechet import CHUNK_ENTRIES, TIE_TOL, frechet_means, product_costs
+from otbary.multimarginal import _cost_vector, _index_grid
 from otbary.spaces import midpoint
+from conftest import GRID_GRAPH
 
 
 def test_objective_cases(line):
@@ -258,3 +272,112 @@ def test_iteration_cap_raises(plane):
         assert frechet_mean(plane, p, pts, lam).iterations > 2
         with pytest.raises(NonConvergence):
             frechet_mean(plane, p, pts, lam, max_iter=2)
+
+
+# ---------------------------------------------------------------------------
+# The cost tensor of the multi-marginal LP against the per-tuple pass.
+# ---------------------------------------------------------------------------
+
+def _pass_costs(space, p, lam, atoms):
+    shape = tuple(len(a) for a in atoms)
+    members = [SimpleNamespace(atoms=np.asarray(a)) for a in atoms]
+    return _cost_vector(space, p, lam, members, _index_grid(shape)).reshape(shape)
+
+
+def _member_weights(draw, J):
+    lam = np.array(draw(st.lists(WEIGHTS, min_size=J, max_size=J)))
+    zero = draw(st.integers(-1, J - 1))  # a member of weight 0, or none
+    if zero >= 0 and J > 1:
+        lam[zero] = 0.0
+    return lam
+
+
+@st.composite
+def euclidean_products(draw):
+    """Atoms of J = 2-4 members in R^2 or R^3, some of them shared between
+    members (coincident atoms), with arbitrary or quarter-integer
+    coordinates; possibly one member of weight 0."""
+    d = draw(st.sampled_from([2, 3]))
+    J = draw(st.integers(2, 4))
+    coord = draw(st.sampled_from([COORDS, st.integers(-8, 8).map(lambda k: k / 4)]))
+    point = st.lists(coord, min_size=d, max_size=d)
+    pool = draw(st.lists(point, min_size=1, max_size=3))
+    atoms = [
+        np.array(draw(st.lists(st.one_of(point, st.sampled_from(pool)), min_size=1, max_size=5)))
+        for _ in range(J)
+    ]
+    return atoms, _member_weights(draw, J)
+
+
+@given(case=euclidean_products())
+@settings(max_examples=200, deadline=None)
+def test_p2_product_costs_match_the_frechet_pass(case):
+    atoms, lam = case
+    space = Euclidean(atoms[0].shape[1])
+    C = product_costs(space, 2, lam, atoms)
+    expected = _pass_costs(space, 2, lam, atoms)
+    assert np.all(np.abs(C - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+    assert np.all(C >= 0)
+
+
+# A metric with irrational distances next to the integer grid graph, whose
+# objectives tie often.
+_PLANAR_POINTS = np.random.default_rng(3).normal(size=(20, 2))
+PLANAR_METRIC = MetricMatrix(
+    np.linalg.norm(_PLANAR_POINTS[:, None] - _PLANAR_POINTS[None], axis=2)
+)
+
+
+@st.composite
+def metric_products(draw):
+    """Labels of J = 1-4 members on the grid graph or the planar metric,
+    possibly shared between members, and a block size from one tuple per
+    block (no broadcast) to the default."""
+    space = draw(st.sampled_from([GRID_GRAPH, PLANAR_METRIC]))
+    J = draw(st.integers(1, 4))
+    label = st.integers(0, space.n_points - 1)
+    atoms = [
+        np.array(draw(st.lists(label, min_size=1, max_size=6, unique=True))) for _ in range(J)
+    ]
+    chunk = draw(st.sampled_from([1, space.n_points, 7 * space.n_points, CHUNK_ENTRIES]))
+    return space, atoms, _member_weights(draw, J), chunk
+
+
+@given(case=metric_products(), p=st.sampled_from([1, 2]))
+@settings(max_examples=200, deadline=None)
+def test_metric_product_costs_are_the_frechet_pass_bit_for_bit(case, p):
+    space, atoms, lam, chunk = case
+    with mock.patch.object(frechet, "CHUNK_ENTRIES", chunk):
+        C = product_costs(space, p, lam, atoms)
+    assert np.array_equal(C, _pass_costs(space, p, lam, atoms))
+
+
+def test_product_costs_memory_at_the_product_cap(plane):
+    # J = 3 members of 100 atoms: 10^6 tuples, an 8 MB tensor.
+    rng = np.random.default_rng(20150612)
+    lam = np.full(3, 1 / 3)
+    tensor = 8 * 10**6
+
+    def peak(space, p, atoms):
+        tracemalloc.start()
+        try:
+            C = product_costs(space, p, lam, atoms)
+            return C, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    C, used = peak(plane, 2, [rng.normal(size=(100, 2)) for _ in range(3)])
+    assert C.shape == (100, 100, 100) and used < 3 * tensor
+    rc = np.indices((12, 12)).reshape(2, -1).T
+    graph = MetricMatrix(np.abs(rc[:, None, :] - rc[None, :, :]).sum(axis=2).astype(float))
+    labels = [np.sort(rng.choice(144, size=100, replace=False)) for _ in range(3)]
+    C, used = peak(graph, 1, labels)
+    # The tensor, one block of CHUNK_ENTRIES floats, and what does not grow
+    # with the product: the member tables (3 x 100 x 144 floats, 0.35 MB)
+    # and a few floats per tuple of a block, well inside a second chunk.
+    assert C.shape == (100, 100, 100) and used < tensor + 2 * 8 * CHUNK_ENTRIES
+
+
+def test_euclidean_product_costs_need_p_2(plane):
+    with pytest.raises(UnsupportedSpace):
+        product_costs(plane, 1, [0.5, 0.5], [np.zeros((1, 2)), np.ones((2, 2))])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from otbary import (
     solve_transport,
     wasserstein,
 )
-from otbary import multimarginal
+from otbary import multimarginal, pivoting
 from otbary.multimarginal import _comonotone_entries, _cost_vector, _index_grid, _staircase
 from dense_simplex import solve_lp
 from highs_oracle import brute_force_multimarginal
@@ -345,3 +347,53 @@ def test_marginals_are_checked_before_returning(line, monkeypatch):
     monkeypatch.setattr(multimarginal, "_comonotone_entries", short_of_mass)
     with pytest.raises(NumericalFailure, match="marginals"):
         solve_multimarginal(line, 2, MeasureEnsemble(ms, [0.5, 0.5]))
+
+
+def test_uniform_clouds_of_60_match_a_sparse_highs_lp(plane):
+    # Uniform weights on J = 3 clouds of 60 atoms: without the perturbed
+    # right-hand side, ratio tests tie on most pivots here and the loop hit
+    # its pivot cap.  The oracle's tuple costs are the weighted variances,
+    # one row per tuple.
+    n, J = 60, 3
+    rng = np.random.default_rng(20150612)
+    ms = [DiscreteMeasure(plane, rng.normal(size=(n, 2)), np.full(n, 1.0 / n)) for _ in range(J)]
+    lam = np.full(J, 1.0 / J)
+    gamma = solve_multimarginal(plane, 2, MeasureEnsemble(ms, lam))
+    idx = np.indices((n,) * J).reshape(J, -1).T
+    tuples = np.stack([m.atoms[idx[:, j]] for j, m in enumerate(ms)], axis=1)
+    mean = np.einsum("j,njd->nd", lam, tuples)
+    costs = np.einsum("j,nj->n", lam, ((tuples - mean[:, None, :]) ** 2).sum(axis=2))
+    rows = (idx + n * np.arange(J)).T.ravel()
+    cols = np.tile(np.arange(idx.shape[0]), J)
+    A = scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(J * n, idx.shape[0]))
+    b = np.concatenate([m.weights for m in ms])
+    res = scipy.optimize.linprog(costs, A_eq=A, b_eq=b, method="highs")
+    assert res.success
+    assert abs(gamma.objective - res.fun) <= 1e-9 * res.fun
+    for marg, m in zip(gamma.marginals(), ms):
+        assert np.max(np.abs(marg - m.weights)) <= 1e-9
+    assert gamma.min_reduced_cost >= -1e-9
+
+
+def test_infeasible_perturbed_optimum_restarts_on_the_true_lp(plane, monkeypatch):
+    # A perturbation of the size of the weights moves the perturbed optimum
+    # to a basis whose true levels are negative: the loop must run again on
+    # the unperturbed right-hand side and reach the same optimum.
+    ens = random_ensemble(np.random.default_rng(0), plane, 3, max_atoms=7)
+    expected = solve_multimarginal(plane, 2, ens)
+    runs = []
+    loop = pivoting._pivot_loop
+
+    def counted(*args):
+        runs.append(args[1].copy())
+        return loop(*args)
+
+    monkeypatch.setattr(pivoting, "_pivot_loop", counted)
+    monkeypatch.setattr(pivoting, "PERTURBATION", 1.0)
+    gamma = solve_multimarginal(plane, 2, ens)
+    assert len(runs) == 2
+    b = np.concatenate([m.weights for m in ens.measures])
+    assert not np.array_equal(runs[0], runs[1]) and np.isin(runs[1], b).all()
+    assert abs(gamma.objective - expected.objective) <= 1e-12 * expected.objective
+    for marg, m in zip(gamma.marginals(), ens.measures):
+        assert np.max(np.abs(marg - m.weights)) <= 1e-9
