@@ -19,8 +19,9 @@ s != s*; that basis is feasible and nonsingular on every space, so there is
 no phase one.  The pivots are the loop of :mod:`otbary.pivoting`, shared
 with the multi-marginal tensor simplex: it keeps an explicit basis inverse,
 updates it by one rank-one step per pivot and refactors every 64 pivots and
-before it stops.  The plans' column sums and agreement are checked before
-returning.
+before it stops.  Plan levels of at most ``MASS_CUT`` (1e-15, round-off of
+the final solve) are set to 0, as the multi-coupling drops such masses.
+The plans' column sums and agreement are checked before returning.
 
 Per-measure costs are read off the solution, with no transport solve after
 the LP.  The coupling's projection onto (member j, barycenter atom) is a
@@ -48,6 +49,7 @@ from .multimarginal import (
 )
 from .pivoting import primal_simplex
 from .spaces import MetricMatrix, Space, as_atoms, pairwise_distances
+from .staircase import MASS_CUT
 from .transport import wasserstein
 
 
@@ -190,7 +192,7 @@ def _fixed_support_lp(costs, weights):
     c = np.concatenate([C_j.ravel() for C_j in costs])
     basis, xB, pivots, min_reduced_cost = primal_simplex(c, b, basis, column, price)
     x = np.zeros(offsets[-1])
-    x[basis] = xB
+    x[basis] = np.where(xB > MASS_CUT, xB, 0.0)
     plans = [x[offsets[j] : offsets[j + 1]].reshape(S, n) for j, n in enumerate(sizes)]
     return plans, pivots, min_reduced_cost
 
@@ -270,7 +272,5 @@ def quantize(m: DiscreteMeasure, k: int) -> DiscreteMeasure:
         nearest = np.minimum(nearest, D[:, nxt])
     centers = sorted(centers)
     assign = np.argmin(D[:, centers], axis=1)
-    weights = np.zeros(len(centers))
-    for atom_idx, c_idx in enumerate(assign):
-        weights[c_idx] += m.weights[atom_idx]
+    weights = np.bincount(assign, weights=m.weights, minlength=len(centers))
     return DiscreteMeasure(m.space, m.atoms[centers], weights)

@@ -28,13 +28,17 @@ m = sum_j n_j - J + 1 independent rows, starts at the staircase basis (a
 monotone lattice path from (0, ..., 0) to (n_1 - 1, ..., n_J - 1) through
 the north-west-corner coupling, feasible on every space, so there is no
 phase one), and prices every tuple at once as
-C - u_1[:, None, ...] - ... - u_J[..., :] in one preallocated buffer.  No
-constraint matrix over the product is ever built; an entering column is
-read off its tuple's J indices.  The pivots themselves are the loop of
+C - (u_1 + ... + u_h) - (u_{h+1} + ... + u_J), h = ceil(J / 2), in one
+preallocated buffer: the two small outer sums of the member duals are
+formed first, so a pricing pass makes two passes over the product, not J.
+No constraint matrix over the product is ever built; an entering column is
+read off its tuple's J indices, taken from the flat index by integer
+division by the strides.  The pivots themselves are the loop of
 :mod:`otbary.pivoting`, shared with the fixed-support barycenter LP (a
-perturbed right-hand side, and an explicit basis inverse updated by one
-rank-one step per pivot).  Before
-returning, the coupling's marginals are checked against the weights.
+perturbed right-hand side, an explicit basis inverse updated by one
+rank-one step per pivot, and O(m) updates of the basic values and the
+duals).  Before returning, the coupling's marginals are checked against
+the weights.
 
 The independent oracles live with the tests: a HiGHS LP assembled entry by
 entry, and a dense two-phase simplex.
@@ -133,8 +137,9 @@ def _tensor_simplex(C, measures):
     others), leaving m = sum_j n_j - J + 1 independent rows.  The basis
     starts at the staircase and pivots in
     :func:`otbary.pivoting.primal_simplex`; every tuple is priced as
-    C - u_1[:, None, ...] - ... - u_J[..., :] in one preallocated buffer,
-    and an entering column is read off its tuple's J indices.
+    C - (u_1 + ... + u_h) - (u_{h+1} + ... + u_J), h = ceil(J / 2), in one
+    preallocated buffer, and an entering column is read off its tuple's J
+    indices.
 
     Returns the basis as flat tuple indices, its masses (clipped at 0), the
     pivot count and the least reduced cost of the last pricing pass.
@@ -147,31 +152,38 @@ def _tensor_simplex(C, measures):
     starts = np.cumsum((0,) + shape[:-1])
     kept = np.ones(sum(shape), dtype=bool)
     kept[starts[1:] + np.asarray(shape[1:]) - 1] = False
-    row_of = np.cumsum(kept) - 1  # reduced row of each kept full row
     b = np.concatenate([m.weights for m in measures])[kept]
     m = b.shape[0]
+    # Reduced row of each full row; the dropped rows write to a spare slot m.
+    row_of = np.where(kept, np.cumsum(kept) - 1, m).tolist()
+    # First full row and C-order stride of each member's axis.
+    axes = [(int(s), int(np.prod(shape[j + 1 :]))) for j, s in enumerate(starts)]
 
     def column(k):
-        full = starts + np.unravel_index(k, shape)
-        a = np.zeros(m)
-        a[row_of[full[kept[full]]]] = 1.0
-        return a
+        a = np.zeros(m + 1)
+        k = int(k)
+        for s, stride in axes:
+            i, k = divmod(k, stride)
+            a[row_of[s + i]] = 1.0
+        return a[:m]
 
     # Duals of the full system (0 on the dropped rows); u[j] is member j's
-    # block, shaped to broadcast along axis j of the tensor.
+    # block, shaped to broadcast along axis j of the tensor.  Pricing sums
+    # the first h blocks and the last J - h apart, into tensors of shape
+    # (n_1, ..., n_h, 1, ...) and (1, ..., n_{h+1}, ..., n_J).
     y = np.zeros(sum(shape))
     u = [
         y[s : s + n].reshape([n if i == j else 1 for i in range(J)])
         for j, (s, n) in enumerate(zip(starts, shape))
     ]
+    h = (J + 1) // 2
     reduced = np.empty(shape)
     flat = reduced.reshape(-1)
 
     def price(duals):
         y[kept] = duals
-        np.subtract(C, u[0], out=reduced)
-        for u_j in u[1:]:
-            np.subtract(reduced, u_j, out=reduced)
+        np.subtract(C, sum(u[1:h], u[0]), out=reduced)
+        np.subtract(reduced, sum(u[h + 1 :], u[h]), out=reduced)
         return flat
 
     basis = np.ravel_multi_index(_staircase(measures).T, shape)
@@ -194,8 +206,8 @@ def solve_multimarginal(
     Other inputs run the tensor simplex over the whole product, and the
     Fréchet means of its basic tuples give the points and the objective.
     Either way the entries come in increasing lexicographic order, masses
-    <= 1e-15 are dropped, and the marginals are checked within
-    ``MARGINAL_TOL``.
+    <= 1e-15 (round-off of zero levels) are dropped, the objective sums the
+    entries kept, and the marginals are checked within ``MARGINAL_TOL``.
 
     Raises:
         ProductSizeExceeded: product support larger than ``max_product_size``.
@@ -240,6 +252,7 @@ def solve_multimarginal(
         else:
             points, costs = full[0][basis], full[1][basis]
     keep = x > MASS_CUT
+    x = np.where(keep, x, 0.0)
     gamma = MultiCoupling(
         index=idx[keep], mass=x[keep], points=points[keep], objective=float(costs @ x),
         shape=shape, pivots=pivots, min_reduced_cost=min_reduced_cost,

@@ -17,22 +17,31 @@ constraint column of variable k.  Everything else lives here:
 - The ratio test pivots only on entries above ``PIVOT_TOL`` times the
   entering column's largest entry (at least 1): entries of B^-1 a reach 1e5
   on J = 3 tensor bases, and a pivot on a round-off entry near 1e-11 once
-  made the next basis exactly singular.  Ratio ties leave the basic variable
-  of smallest index.
+  made the next basis exactly singular.  The ratios go into an array of
+  inf, so theta = inf means no pivot row.  Ratio ties (within 1e-15 of
+  theta) leave the basic variable of smallest index; they are searched only
+  when there are two or more.
 - The loop keeps the m x m basis matrix B and an explicit inverse.  A pivot
   updates the inverse by one rank-one BLAS ``ger``, O(m^2), where a new
-  factorization would cost O(m^3).  Every ``REFACTOR_EVERY`` pivots B is
-  factored afresh by LAPACK's getrf; that pass takes its duals and basic
-  values from triangular solves with the factors (getrs), and the next
-  pivot inverts them (getri).  The loop stops only on a pricing pass with
-  no entering variable that used fresh factors, refactoring first if it
-  must, so what it returns carries no update drift, and a zero-level basic
-  variable comes out as 0 rather than as the round-off of a product with
-  the inverse.
+  factorization would cost O(m^3), and updates the basic values and the
+  duals in O(m): xB <- max(xB - theta d, 0) with theta at the pivot row,
+  and y <- y + r_k (new pivot row of B^-1), which prices the entering
+  column at 0.  Every ``REFACTOR_EVERY`` pivots B is factored afresh by
+  LAPACK's getrf; that pass takes its duals and basic values from
+  triangular solves with the factors (getrs), and the next pivot inverts
+  them (getri).  The loop stops only on a pricing pass with no entering
+  variable that used fresh factors, refactoring first if it must, so what
+  it returns carries no update drift, and a zero-level basic variable
+  comes out as 0 rather than as the round-off of a product with the
+  inverse.
 
 LAPACK and BLAS are called directly: at these sizes the checks of the
-``scipy.linalg`` wrappers cost more than the work.  A zero pivot in getrf
-(where ``lu_factor`` would warn) raises ``NumericalFailure("singular basis")``.
+``scipy.linalg`` wrappers cost more than the work.  The product d = B^-1 a
+is scipy's ``gemv`` rather than numpy's ``@`` as well: numpy and scipy may
+each bring their own OpenBLAS, and with two BLAS threads the two thread
+pools contended, so a fixed-support LP with 888 rows took 36 s instead of
+10 s on a 2-vCPU host.  A zero pivot in getrf (where ``lu_factor`` would
+warn) raises ``NumericalFailure("singular basis")``.
 """
 
 from __future__ import annotations
@@ -102,7 +111,7 @@ def _pivot_loop(c, b, basis, B, column, price):
     # count and the least reduced cost of the final pricing pass.
     m = b.shape[0]
     getrf, getrs, getri = get_lapack_funcs(("getrf", "getrs", "getri"), (B,))
-    (ger,) = get_blas_funcs(("ger",), (B,))
+    gemv, ger = get_blas_funcs(("gemv", "ger"), (B,))
 
     def factor():
         lu, piv, info = getrf(B)
@@ -113,6 +122,7 @@ def _pivot_loop(c, b, basis, B, column, price):
 
     lu, piv = factor()
     B_inv = None  # built by getri at the first pivot after a factorization
+    ratios = np.empty(m)
     since_refactor = 0
     pivots = 0
     degenerate_streak = 0
@@ -120,11 +130,8 @@ def _pivot_loop(c, b, basis, B, column, price):
     while True:
         if since_refactor == 0:
             # Fresh values, from triangular solves with the factors.
-            xB = getrs(lu, piv, b)[0]
+            xB = np.maximum(getrs(lu, piv, b)[0], 0.0)
             y = getrs(lu, piv, c[basis], trans=1)[0]
-        else:
-            xB = B_inv @ b
-            y = c[basis] @ B_inv
         flat = price(y)
         flat[basis] = 0.0
         if bland:
@@ -146,15 +153,18 @@ def _pivot_loop(c, b, basis, B, column, price):
             if info != 0:
                 raise NumericalFailure("singular basis")
         a = column(k)
-        d = B_inv @ a
-        pos = d > PIVOT_TOL * max(1.0, float(np.abs(d).max()))
-        if not pos.any():
+        d = gemv(1.0, B_inv, a)
+        ratios.fill(np.inf)
+        np.divide(xB, d, out=ratios, where=d > PIVOT_TOL * max(1.0, np.abs(d).max()))
+        leave = int(ratios.argmin())
+        theta = ratios[leave]
+        if theta == np.inf:
             # The LPs here are bounded, so this is lost accuracy, not a ray.
             raise NumericalFailure("entering column has no pivot row")
-        ratios = np.clip(xB[pos], 0.0, None) / d[pos]
-        theta = ratios.min()
-        tied = np.flatnonzero(pos)[ratios <= theta + 1e-15]
-        leave = int(tied[np.argmin(basis[tied])])
+        tied = ratios <= theta + 1e-15
+        if np.count_nonzero(tied) > 1:
+            tied = np.flatnonzero(tied)
+            leave = int(tied[np.argmin(basis[tied])])
         basis[leave] = k
         B[:, leave] = a
         pivots += 1
@@ -163,10 +173,15 @@ def _pivot_loop(c, b, basis, B, column, price):
             (lu, piv), since_refactor = factor(), 0
         else:
             # Eta update: row `leave` becomes row / d[leave], and every
-            # other row i loses d[i] times that new row.
+            # other row i loses d[i] times that new row.  The new row also
+            # moves the duals: y + r_k row prices column k at 0.
             row = B_inv[leave] / d[leave]
             B_inv = ger(-1.0, d, row, a=B_inv, overwrite_a=1)
             B_inv[leave] = row
+            y += flat[k] * row
+            xB -= theta * d
+            xB[leave] = theta
+            np.maximum(xB, 0.0, out=xB)
         if theta <= DEGENERATE_STEP:
             degenerate_streak += 1
             if degenerate_streak > 3 * (m + 1):

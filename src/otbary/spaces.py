@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch, UnsupportedSpace
 
 TRIANGLE_TOL = 1e-9
-TRIANGLE_BLOCK_ENTRIES = 2**22  # (rows, n, n) sums per triangle-check block
+TRIANGLE_BLOCK_ENTRIES = 2**18  # (rows, n, n) sums per triangle-check block, 2 MiB
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from otbary.errors import NumericalFailure
 PIVOT_TOL = 1e-11
 REDUCED_COST_TOL = 1e-9
 FEAS_TOL = 1e-7
+LEVEL_CUT = 1e-15  # a final basic level at most this is the round-off of 0
 
 
 @dataclass
@@ -136,5 +137,5 @@ def solve_lp(
 
     basis, xB, it2 = _simplex_phase(A, b, c, basis, tol=tol, max_iter=max_iter)
     x = np.zeros(n)
-    x[basis] = np.clip(xB, 0.0, None)
+    x[basis] = np.where(xB > LEVEL_CUT, xB, 0.0)
     return LPResult(x=x, objective=float(c @ x), basis=basis, iterations=it1 + it2)

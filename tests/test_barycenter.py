@@ -23,7 +23,7 @@ from otbary import (
 from otbary import barycenter as bary_module
 from otbary.barycenter import _dirac_start, _fixed_support_lp
 from otbary.spaces import as_atoms, pairwise_distances
-from conftest import random_ensemble, random_measure, space_points, tensor_ensembles
+from conftest import GRID_GRAPH, random_ensemble, random_measure, space_points, tensor_ensembles
 from dense_simplex import solve_lp
 
 
@@ -321,6 +321,23 @@ def test_fixed_support_lp_matches_both_lp_solvers(ens, p, data):
         assert np.max(np.abs(pi.sum(axis=1) - plans[0].sum(axis=1))) <= 1e-9
     assert min_reduced_cost >= -1e-9
     assert (r.pivots, r.min_reduced_cost) == (pivots, min_reduced_cost)
+
+
+@pytest.mark.parametrize(
+    "atoms, support", [([0, 1, 2, 3, 6, 7], [0, 2, 1, 6, 7, 3]), ([0, 1, 2, 3, 22, 23], [1, 0, 2, 22, 23, 3])]
+)
+def test_zero_optimum_carries_no_round_off_mass(atoms, support):
+    # Two equal members on the grid graph and their own atoms, reordered, as
+    # the support: the optimum is 0.  The final solves leave levels near
+    # 1e-16 on cells of cost 1/2 (the library's on the first support, the
+    # dense oracle's on the second), which must reach neither objective.
+    ms = [DiscreteMeasure(GRID_GRAPH, np.array(atoms), np.full(6, 1 / 6)) for _ in range(2)]
+    ens = MeasureEnsemble(ms, [0.5, 0.5])
+    r = barycenter_fixed_support(GRID_GRAPH, 1, ens, support)
+    assert r.objective == 0.0 and r.per_measure_costs == [0.0, 0.0]
+    assert measures_equal(r.measure, ms[0])
+    c, A, b = _fixed_support_system(*_lp_blocks(GRID_GRAPH, 1, ens, support))
+    assert solve_lp(c, A, b).objective == 0.0
 
 
 def test_dirac_start_is_feasible_and_nonsingular(plane):

@@ -23,7 +23,7 @@ from otbary import multimarginal, pivoting
 from otbary.multimarginal import _comonotone_entries, _cost_vector, _index_grid, _staircase
 from dense_simplex import solve_lp
 from highs_oracle import brute_force_multimarginal
-from conftest import QUARTERS, random_ensemble, random_measure, tensor_ensembles
+from conftest import GRID_GRAPH, QUARTERS, random_ensemble, random_measure, tensor_ensembles
 
 
 def _marginal_system(measures, idx):
@@ -349,16 +349,33 @@ def test_marginals_are_checked_before_returning(line, monkeypatch):
         solve_multimarginal(line, 2, MeasureEnsemble(ms, [0.5, 0.5]))
 
 
-def test_uniform_clouds_of_60_match_a_sparse_highs_lp(plane):
-    # Uniform weights on J = 3 clouds of 60 atoms: without the perturbed
-    # right-hand side, ratio tests tie on most pivots here and the loop hit
-    # its pivot cap.  The oracle's tuple costs are the weighted variances,
-    # one row per tuple.
-    n, J = 60, 3
+@pytest.mark.parametrize(
+    "atoms, p", [([13, 24, 25, 27, 39, 43], 1), ([2, 4, 10, 12, 27], 2), ([0, 3, 14, 19, 42, 47], 1)]
+)
+def test_identical_members_cost_exactly_zero(atoms, p):
+    # Four equal uniform members on the grid graph: the optimum is 0, as
+    # HiGHS finds.  The final solve leaves levels near 5e-17 on tuples of
+    # positive cost; they are dropped from the coupling, and so from its
+    # objective.
+    ms = [DiscreteMeasure(GRID_GRAPH, np.array(atoms), np.full(len(atoms), 1 / len(atoms)))
+          for _ in range(4)]
+    ens = MeasureEnsemble(ms, np.full(4, 0.25))
+    gamma = solve_multimarginal(GRID_GRAPH, p, ens)
+    assert brute_force_multimarginal(GRID_GRAPH, p, ens).objective == 0.0
+    assert gamma.objective == 0.0
+    assert all(len(set(tup)) == 1 for tup, _ in gamma.entries)
+
+
+def _uniform_clouds(plane, n, J):
+    # J clouds of n standard normal atoms with uniform weights.
     rng = np.random.default_rng(20150612)
-    ms = [DiscreteMeasure(plane, rng.normal(size=(n, 2)), np.full(n, 1.0 / n)) for _ in range(J)]
-    lam = np.full(J, 1.0 / J)
-    gamma = solve_multimarginal(plane, 2, MeasureEnsemble(ms, lam))
+    return [DiscreteMeasure(plane, rng.normal(size=(n, 2)), np.full(n, 1.0 / n)) for _ in range(J)]
+
+
+def _sparse_highs_objective(ms, lam):
+    # Optimal value of the product LP at p = 2 by HiGHS on a sparse matrix:
+    # the tuple costs are the weighted variances, one row per tuple.
+    n, J = ms[0].n_atoms, len(ms)
     idx = np.indices((n,) * J).reshape(J, -1).T
     tuples = np.stack([m.atoms[idx[:, j]] for j, m in enumerate(ms)], axis=1)
     mean = np.einsum("j,njd->nd", lam, tuples)
@@ -369,10 +386,83 @@ def test_uniform_clouds_of_60_match_a_sparse_highs_lp(plane):
     b = np.concatenate([m.weights for m in ms])
     res = scipy.optimize.linprog(costs, A_eq=A, b_eq=b, method="highs")
     assert res.success
-    assert abs(gamma.objective - res.fun) <= 1e-9 * res.fun
+    return res.fun
+
+
+def test_uniform_clouds_of_60_match_a_sparse_highs_lp(plane):
+    # Uniform weights on J = 3 clouds of 60 atoms: without the perturbed
+    # right-hand side, ratio tests tie on most pivots here and the loop hit
+    # its pivot cap.
+    ms = _uniform_clouds(plane, 60, 3)
+    lam = np.full(3, 1.0 / 3)
+    gamma = solve_multimarginal(plane, 2, MeasureEnsemble(ms, lam))
+    reference = _sparse_highs_objective(ms, lam)
+    assert abs(gamma.objective - reference) <= 1e-9 * reference
     for marg, m in zip(gamma.marginals(), ms):
         assert np.max(np.abs(marg - m.weights)) <= 1e-9
     assert gamma.min_reduced_cost >= -1e-9
+
+
+def test_updated_values_and_duals_without_refactoring(plane, monkeypatch):
+    # Between factorizations the basic values and the duals are updated in
+    # O(m) per pivot.  With no scheduled refactorization every pricing pass
+    # but the last runs on updated values, which must not drift off the
+    # optimum; every pass's duals must stay those of its basis.
+    monkeypatch.setattr(pivoting, "REFACTOR_EVERY", 10**9)
+    drift = []
+    loop = pivoting._pivot_loop
+
+    def watched(c, b, basis, B, column, price):
+        def checked(y):
+            fresh = scipy.linalg.solve(B, c[basis], transposed=True)
+            drift.append(np.max(np.abs(y - fresh)) / max(1.0, np.abs(fresh).max()))
+            return price(y)
+
+        return loop(c, b, basis, B, column, checked)
+
+    monkeypatch.setattr(pivoting, "_pivot_loop", watched)
+    ms = _uniform_clouds(plane, 40, 3)
+    lam = np.full(3, 1.0 / 3)
+    gamma = solve_multimarginal(plane, 2, MeasureEnsemble(ms, lam))
+    assert gamma.pivots > 100 and len(drift) > gamma.pivots
+    assert max(drift) <= 1e-9
+    reference = _sparse_highs_objective(ms, lam)
+    assert abs(gamma.objective - reference) <= 1e-9 * reference
+    for marg, m in zip(gamma.marginals(), ms):
+        assert np.max(np.abs(marg - m.weights)) <= 1e-9
+    assert gamma.min_reduced_cost >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (3, 1), (1, 4), (3, 4), (2, 3, 4), (1, 3, 1), (4, 1, 2), (2, 1, 3, 2), (3, 2, 2, 3)]
+)
+def test_tensor_simplex_callbacks_match_the_dense_system(plane, shape, monkeypatch):
+    # The tensor simplex builds no constraint matrix: column(k) must be
+    # column k of the marginal system less its implied rows, and price(y)
+    # must be c - A^T y.
+    rng = np.random.default_rng(len(shape) * 10 + sum(shape))
+    ms = [DiscreteMeasure(plane, rng.normal(size=(n, 2)), rng.dirichlet(np.ones(n))) for n in shape]
+    C = rng.normal(size=shape)
+    captured = {}
+
+    def capture(c, b, basis, column, price):
+        captured.update(c=c, b=b, column=column, price=price)
+        return basis, b, 0, 0.0
+
+    monkeypatch.setattr(multimarginal, "primal_simplex", capture)
+    multimarginal._tensor_simplex(C, ms)
+    A, b = _marginal_system(ms, _index_grid(shape))
+    starts = np.cumsum((0,) + shape[:-1])
+    implied = starts[1:] + np.asarray(shape[1:]) - 1
+    A, b = np.delete(A, implied, axis=0), np.delete(b, implied)
+    c = C.ravel()
+    assert np.array_equal(captured["c"], c) and np.array_equal(captured["b"], b)
+    for k in range(c.size):
+        assert np.array_equal(captured["column"](k), A[:, k])
+    for _ in range(5):
+        y = rng.normal(size=A.shape[0])
+        reduced = captured["price"](y.copy())
+        assert np.all(np.abs(reduced - (c - A.T @ y)) <= 1e-12 * np.maximum(1.0, np.abs(c)))
 
 
 def test_infeasible_perturbed_optimum_restarts_on_the_true_lp(plane, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,16 @@ def test_metric_matrix_triangle_check_covers_every_block():
     with pytest.raises(DimensionMismatch):
         MetricMatrix(d)
 
+
+def test_metric_matrix_triangle_check_memory_on_a_12_by_12_grid():
+    # 144 nodes: the whole (n, n, n) sum cube would take 23.9 MB; the check
+    # builds it a block of rows at a time.
+    rc = np.indices((12, 12)).reshape(2, -1).T
+    d = np.abs(rc[:, None, :] - rc[None, :, :]).sum(axis=2).astype(float)
+    tracemalloc.start()
+    try:
+        MetricMatrix(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
