@@ -189,6 +189,63 @@ def _child_seed(master: int, *key: int) -> int:
     return int(np.random.SeedSequence([master, *key]).generate_state(1)[0])
 
 
+def _run_rows(
+    cfg: ExperimentConfig,
+    ensemble_at,
+    label: str,
+    *,
+    save_members: bool,
+    max_product_size: int,
+    keep_artifacts: str | None,
+) -> ConsistencyReport:
+    """The row loop both frameworks share.
+
+    For every (size, replication), ``ensemble_at(size, rep)`` gives the
+    ensemble whose barycenter is compared with the reference barycenter; an
+    :class:`OTBaryError` becomes that row's ``error``.  Artifacts are named
+    ``bary_{label}{size}_rep{rep}.json`` and, with ``save_members``,
+    ``sample_{label}{size}_rep{rep}_j{j}.json``.
+    """
+    space = cfg.ensemble.space
+    ref = barycenter_finite(space, cfg.p, cfg.ensemble, max_product_size=max_product_size)
+    report = ConsistencyReport()
+    for size in cfg.sizes:
+        for rep in range(cfg.replications):
+            t0 = time.perf_counter()
+            try:
+                ens = ensemble_at(size, rep)
+                bary = barycenter_finite(
+                    space, cfg.p, ens, max_product_size=max_product_size
+                )
+                dist, _ = wasserstein(space, cfg.p, bary.measure, ref.measure)
+                ens_dist = ensemble_distance(space, cfg.p, ens, cfg.ensemble)
+                wall = (time.perf_counter() - t0) * 1e3
+                report.rows.append(
+                    ReportRow(
+                        cfg.framework, size, rep, dist, ens_dist, bary.objective, wall
+                    )
+                )
+                if keep_artifacts:
+                    stem = f"{label}{size}_rep{rep}"
+                    save_measure(
+                        bary.measure, os.path.join(keep_artifacts, f"bary_{stem}.json")
+                    )
+                    if save_members:
+                        for j, m in enumerate(ens.measures):
+                            save_measure(
+                                m, os.path.join(keep_artifacts, f"sample_{stem}_j{j}.json")
+                            )
+            except OTBaryError as exc:
+                wall = (time.perf_counter() - t0) * 1e3
+                report.rows.append(
+                    ReportRow(
+                        cfg.framework, size, rep, None, None, None, wall,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                )
+    return report
+
+
 def run_empirical_consistency(
     cfg: ExperimentConfig,
     *,
@@ -200,50 +257,18 @@ def run_empirical_consistency(
     barycenter is recorded for every (n, replication)."""
     if cfg.framework != "empirical_sampling":
         raise InvalidConfig(f"framework is {cfg.framework!r}, not empirical_sampling")
-    space = cfg.ensemble.space
-    ref = barycenter_finite(space, cfg.p, cfg.ensemble, max_product_size=max_product_size)
-    report = ConsistencyReport()
-    for n in cfg.sizes:
-        for rep in range(cfg.replications):
-            t0 = time.perf_counter()
-            try:
-                sampled = [
-                    sample_empirical(mu, n, _child_seed(cfg.seed, n, j, rep))
-                    for j, mu in enumerate(cfg.ensemble.measures)
-                ]
-                ens_n = MeasureEnsemble(sampled, cfg.ensemble.lam)
-                bary = barycenter_finite(
-                    space, cfg.p, ens_n, max_product_size=max_product_size
-                )
-                dist, _ = wasserstein(space, cfg.p, bary.measure, ref.measure)
-                ens_dist = ensemble_distance(space, cfg.p, ens_n, cfg.ensemble)
-                wall = (time.perf_counter() - t0) * 1e3
-                report.rows.append(
-                    ReportRow(
-                        cfg.framework, n, rep, dist, ens_dist, bary.objective, wall
-                    )
-                )
-                if keep_artifacts:
-                    save_measure(
-                        bary.measure,
-                        os.path.join(keep_artifacts, f"bary_n{n}_rep{rep}.json"),
-                    )
-                    for j, m in enumerate(sampled):
-                        save_measure(
-                            m,
-                            os.path.join(
-                                keep_artifacts, f"sample_n{n}_rep{rep}_j{j}.json"
-                            ),
-                        )
-            except OTBaryError as exc:
-                wall = (time.perf_counter() - t0) * 1e3
-                report.rows.append(
-                    ReportRow(
-                        cfg.framework, n, rep, None, None, None, wall,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-    return report
+
+    def sampled(n, rep):
+        members = [
+            sample_empirical(mu, n, _child_seed(cfg.seed, n, j, rep))
+            for j, mu in enumerate(cfg.ensemble.measures)
+        ]
+        return MeasureEnsemble(members, cfg.ensemble.lam)
+
+    return _run_rows(
+        cfg, sampled, "n", save_members=True,
+        max_product_size=max_product_size, keep_artifacts=keep_artifacts,
+    )
 
 
 def run_growing_ensemble(
@@ -260,40 +285,15 @@ def run_growing_ensemble(
         raise InvalidConfig(
             f"largest size {cfg.sizes[-1]} exceeds ensemble size {cfg.ensemble.size}"
         )
-    space = cfg.ensemble.space
-    ref = barycenter_finite(space, cfg.p, cfg.ensemble, max_product_size=max_product_size)
-    report = ConsistencyReport()
-    for J in cfg.sizes:
-        for rep in range(cfg.replications):
-            t0 = time.perf_counter()
-            try:
-                lam = cfg.ensemble.lam[:J]
-                ens_J = MeasureEnsemble(cfg.ensemble.measures[:J], lam / lam.sum())
-                bary = barycenter_finite(
-                    space, cfg.p, ens_J, max_product_size=max_product_size
-                )
-                dist, _ = wasserstein(space, cfg.p, bary.measure, ref.measure)
-                ens_dist = ensemble_distance(space, cfg.p, ens_J, cfg.ensemble)
-                wall = (time.perf_counter() - t0) * 1e3
-                report.rows.append(
-                    ReportRow(
-                        cfg.framework, J, rep, dist, ens_dist, bary.objective, wall
-                    )
-                )
-                if keep_artifacts:
-                    save_measure(
-                        bary.measure,
-                        os.path.join(keep_artifacts, f"bary_J{J}_rep{rep}.json"),
-                    )
-            except OTBaryError as exc:
-                wall = (time.perf_counter() - t0) * 1e3
-                report.rows.append(
-                    ReportRow(
-                        cfg.framework, J, rep, None, None, None, wall,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-    return report
+
+    def first(J, rep):
+        lam = cfg.ensemble.lam[:J]
+        return MeasureEnsemble(cfg.ensemble.measures[:J], lam / lam.sum())
+
+    return _run_rows(
+        cfg, first, "J", save_members=False,
+        max_product_size=max_product_size, keep_artifacts=keep_artifacts,
+    )
 
 
 def run_experiment(

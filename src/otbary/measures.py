@@ -84,11 +84,14 @@ def _canonical(atoms: np.ndarray, weights: np.ndarray):
     order = np.lexsort((weights, *points.T[::-1]))
     atoms, weights = atoms[order], weights[order]
     starts = _group_starts(points[order])
-    sizes = np.diff(np.append(starts, atoms.shape[0]))
-    sums = weights[starts]
-    for k in range(1, int(sizes.max())):
-        more = sizes > k
-        sums[more] += weights[starts[more] + k]
+    if starts.size == weights.size:  # no atom merges
+        return atoms, _renormalized(weights)
+    first = np.zeros(weights.size, dtype=bool)
+    first[starts] = True
+    # ufunc.at adds in index order, so each group is summed left to right
+    # (np.add.reduceat would sum long groups pairwise)
+    sums = np.zeros(starts.size)
+    np.add.at(sums, np.cumsum(first) - 1, weights)
     return atoms[starts], _renormalized(sums)
 
 
@@ -149,16 +152,19 @@ def pushforward(m: DiscreteMeasure, mapping) -> DiscreteMeasure:
 
 
 def sample_empirical(m: DiscreteMeasure, n: int, seed: int) -> DiscreteMeasure:
-    """Empirical measure of n i.i.d. draws from m, each atom carrying 1/n.
+    """Empirical measure of n i.i.d. draws from m.
 
     Draws are multinomial over the atoms; deterministic for a given seed.
-    Repeated draws of an atom merge into one atom carrying their total mass.
+    They are counted per atom of m, and each drawn atom carries weight
+    count / n.
     """
     if n < 1:
         raise DimensionMismatch(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     idx = rng.choice(m.n_atoms, size=n, p=m.weights)
-    return DiscreteMeasure(m.space, m.atoms[idx], np.full(n, 1.0 / n))
+    counts = np.bincount(idx, minlength=m.n_atoms)
+    drawn = counts > 0
+    return DiscreteMeasure(m.space, m.atoms[drawn], counts[drawn] / n)
 
 
 def pth_moment(m: DiscreteMeasure, x0, p: float) -> float:

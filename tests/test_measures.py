@@ -103,6 +103,22 @@ def test_sample_deterministic(line):
     a = sample_empirical(m, 100, seed=9)
     b = sample_empirical(m, 100, seed=9)
     assert np.array_equal(a.atoms, b.atoms)
+    assert np.array_equal(a.weights, b.weights)
+
+
+@pytest.mark.parametrize(
+    "n_atoms, n, seed",
+    [(1, 5, 0), (3, 1, 4), (5, 7, 11), (20, 30, 2), (20, 1000, 21), (20, 1000, 8)],
+)
+def test_sample_counts_draws(line, n_atoms, n, seed):
+    # Drawn atoms and count / n weights, recomputed from the generator alone
+    src = np.random.default_rng(100 + seed)
+    m = DiscreteMeasure(line, src.normal(size=(n_atoms, 1)), src.dirichlet(np.ones(n_atoms)))
+    s = sample_empirical(m, n, seed=seed)
+    draws = np.random.default_rng(seed).choice(m.n_atoms, size=n, p=m.weights)
+    labels, counts = np.unique(draws, return_counts=True)
+    assert s.atoms.tobytes() == m.atoms[labels].tobytes()
+    assert s.weights.tobytes() == (counts / n).tobytes()
 
 
 def test_sample_binomial_concentration(line):
@@ -255,3 +271,20 @@ def test_canonical_form_properties(case, p, data):
     assert np.array_equal(shuffled.atoms, m.atoms)
     assert np.array_equal(shuffled.weights, m.weights)
     assert wasserstein(space, p, shuffled, fixed)[0] == wasserstein(space, p, m, fixed)[0]
+
+
+def test_canonical_sums_long_groups_left_to_right(line):
+    # One atom drawn 60 times plus shuffled near-duplicates of others: each
+    # group must be summed in order, as a pairwise sum would change the bytes
+    rng = np.random.default_rng(13)
+    atoms = [[0.25]] * 60
+    for x in (-1.0, 0.5, 3.0):
+        atoms += [[x + s] for s in rng.uniform(0.0, 9e-13, size=15)]
+    atoms = np.asarray(atoms)
+    for weights in (np.full(len(atoms), 1.0 / len(atoms)), rng.dirichlet(np.ones(len(atoms)))):
+        perm = rng.permutation(len(atoms))
+        m = DiscreteMeasure(line, atoms[perm], weights[perm])
+        ref_atoms, ref_weights = reference_canonical(atoms[perm], weights[perm])
+        assert m.n_atoms == 4
+        assert m.atoms.tobytes() == ref_atoms.tobytes()
+        assert m.weights.tobytes() == ref_weights.tobytes()
