@@ -2,8 +2,8 @@
 
 The library works with discrete probability measures over a Euclidean space
 or an explicit finite metric matrix.  Pairwise distances come from the
-north-west-corner coupling on the line and a transportation simplex
-elsewhere; barycenters of measure ensembles come from the exact
+north-west-corner coupling on the line and the transportation LP
+elsewhere, on the pivot loop that the library's other LPs share; barycenters of measure ensembles come from the exact
 multi-marginal transport LP whose optimal coupling is pushed forward through
 the point-level Fréchet mean, with a fixed-support joint LP as the scalable
 fallback.  A small harness reproduces barycenter consistency numerically

@@ -190,7 +190,7 @@ def _fixed_support_lp(costs, weights):
         return reduced
 
     c = np.concatenate([C_j.ravel() for C_j in costs])
-    basis, xB, pivots, min_reduced_cost = primal_simplex(c, b, basis, column, price)
+    basis, xB, pivots, min_reduced_cost, _ = primal_simplex(c, b, basis, column, price)
     x = np.zeros(offsets[-1])
     x[basis] = np.where(xB > MASS_CUT, xB, 0.0)
     plans = [x[offsets[j] : offsets[j + 1]].reshape(S, n) for j, n in enumerate(sizes)]

@@ -187,7 +187,7 @@ def _tensor_simplex(C, measures):
         return flat
 
     basis = np.ravel_multi_index(_staircase(measures).T, shape)
-    return primal_simplex(C.ravel(), b, basis, column, price)
+    return primal_simplex(C.ravel(), b, basis, column, price)[:4]
 
 
 def solve_multimarginal(

@@ -1,7 +1,8 @@
-"""The primal simplex pivot loop shared by the library's two exact LPs.
+"""The primal simplex pivot loop shared by the library's three exact LPs.
 
-The multi-marginal tensor simplex (:mod:`otbary.multimarginal`) and the
-fixed-support joint LP (:mod:`otbary.barycenter`) are both structured LPs
+The two-marginal transportation LP (:mod:`otbary.transport`), the
+multi-marginal tensor simplex (:mod:`otbary.multimarginal`) and the
+fixed-support joint LP (:mod:`otbary.barycenter`) are all structured LPs
 min c.x, A x = b, x >= 0 whose constraint matrix is never built.  Each
 hands :func:`primal_simplex` the costs of its variables, a feasible,
 nonsingular start basis and two callbacks: ``price(y)``, the reduced costs
@@ -60,6 +61,17 @@ PERTURBATION = 1e-7  # scale of the right-hand side's perturbation, of max b
 PERTURBATION_SEED = 20150612
 LEVEL_TOL = 1e-13  # least true basic level that counts as feasible
 
+# The perturbation's r, drawn once and regrown only for a larger m: the
+# first m values of a longer draw from the same seed are the draw of m.
+_draws = np.empty(0)
+
+
+def _perturbation_draws(m):
+    global _draws
+    if _draws.shape[0] < m:
+        _draws = np.random.Generator(np.random.PCG64(PERTURBATION_SEED)).uniform(0.5, 1.0, m)
+    return _draws[:m]
+
 
 def primal_simplex(c, b, basis, column, price):
     """Solve min c.x, A x = b, x >= 0 from a feasible start basis.
@@ -79,9 +91,9 @@ def primal_simplex(c, b, basis, column, price):
     optimal and is returned.  Otherwise the loop runs again from B_0 on b
     itself, and the pivot count covers both runs.
 
-    Returns the optimal basis, its values (clipped at 0), the pivot count
-    and the least reduced cost of the final pricing pass, with basic
-    variables counted as 0.
+    Returns the optimal basis, its values (clipped at 0), the pivot count,
+    the least reduced cost of the final pricing pass, with basic variables
+    counted as 0, and the duals y of that pass, solved from fresh factors.
 
     Raises:
         NumericalFailure: singular basis, no pivot row, or pivot cap hit.
@@ -91,24 +103,23 @@ def primal_simplex(c, b, basis, column, price):
     B0 = np.empty((m, m), order="F")
     for i, k in enumerate(start):
         B0[:, i] = column(k)
-    r = np.random.Generator(np.random.PCG64(PERTURBATION_SEED)).uniform(0.5, 1.0, m)
-    shifted = b + PERTURBATION * b.max() * (B0 @ r)
-    basis, lu, piv, pivots, min_reduced_cost = _pivot_loop(
+    shifted = b + PERTURBATION * b.max() * (B0 @ _perturbation_draws(m))
+    basis, lu, piv, pivots, min_reduced_cost, y = _pivot_loop(
         c, shifted, start.copy(), B0.copy(order="F"), column, price
     )
     (getrs,) = get_lapack_funcs(("getrs",), (B0,))
     xB = getrs(lu, piv, b)[0]
     if xB.min() < -LEVEL_TOL:
-        basis, lu, piv, more, min_reduced_cost = _pivot_loop(c, b, start, B0, column, price)
+        basis, lu, piv, more, min_reduced_cost, y = _pivot_loop(c, b, start, B0, column, price)
         pivots += more
         xB = getrs(lu, piv, b)[0]
-    return basis, np.clip(xB, 0.0, None), pivots, min_reduced_cost
+    return basis, np.maximum(xB, 0.0), pivots, min_reduced_cost, y
 
 
 def _pivot_loop(c, b, basis, B, column, price):
     # The pivots from the basis whose columns B holds (both are updated in
     # place).  Returns the optimal basis, fresh LU factors of it, the pivot
-    # count and the least reduced cost of the final pricing pass.
+    # count, the least reduced cost of the final pricing pass and its duals.
     m = b.shape[0]
     getrf, getrs, getri = get_lapack_funcs(("getrf", "getrs", "getri"), (B,))
     gemv, ger = get_blas_funcs(("gemv", "ger"), (B,))
@@ -189,4 +200,4 @@ def _pivot_loop(c, b, basis, B, column, price):
         else:
             degenerate_streak = 0
             bland = False
-    return basis, lu, piv, pivots, float(flat.min())
+    return basis, lu, piv, pivots, float(flat.min()), y

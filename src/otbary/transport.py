@@ -9,10 +9,10 @@ cost is summed over its at most n + m - 1 cells and the duals follow along
 the staircase basis in O(n + m), so no n x m cost matrix is built.  Every
 other space builds the cost matrix and runs :func:`solve_transport`.
 
-:func:`solve_transport` is a transportation simplex: north-west-corner start,
-spanning-tree duals, Dantzig pivoting with a Bland fallback after a run of
-degenerate pivots, deterministic tie-breaking throughout.  It returns a basic
-optimal plan with nonnegative reduced costs certified at 1e-9.
+:func:`solve_transport` runs the transportation LP on the pivot loop of
+:mod:`otbary.pivoting`, shared with the multi-marginal and fixed-support
+LPs, and returns a basic optimal plan with duals u, v (u_0 = 0) whose
+reduced costs are certified nonnegative at 1e-9.
 
 :func:`wasserstein_1d` is the independent one-dimensional oracle: it
 integrates the quantile-function gap over the common refinement of cumulative
@@ -25,18 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InfeasibleWeights,
-    NumericalFailure,
-    UnsupportedSpace,
-)
+from .errors import DimensionMismatch, InfeasibleWeights, UnsupportedSpace
 from .measures import DiscreteMeasure
+from .pivoting import primal_simplex
 from .spaces import Euclidean, Space, pairwise_distances
-from .staircase import _comonotone_entries, _lattice_path
+from .staircase import MASS_CUT, _comonotone_entries, _lattice_path
 
 FEASIBILITY_TOL = 1e-9
-OPTIMALITY_TOL = 1e-9
 MAX_COST_ENTRIES = 10**8
 
 
@@ -58,110 +53,27 @@ class TransportPlan:
         return [(int(i), int(j), float(self.plan[i, j])) for i, j in zip(ii, jj)]
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
-    n, m = a.shape[0], b.shape[0]
-    a = a.copy()
-    b = b.copy()
-    mass: dict[tuple[int, int], float] = {}
-    i = j = 0
-    while True:
-        t = min(a[i], b[j])
-        mass[(i, j)] = t
-        a[i] -= t
-        b[j] -= t
-        if i == n - 1 and j == m - 1:
-            break
-        if i == n - 1:
-            j += 1
-        elif j == m - 1:
-            i += 1
-        elif a[i] <= 1e-15:
-            i += 1
-        else:
-            j += 1
-    return mass
-
-
-def _tree_duals(C, basis, n, m):
-    u = np.full(n, np.nan)
-    v = np.full(m, np.nan)
-    row_adj: list[list[int]] = [[] for _ in range(n)]
-    col_adj: list[list[int]] = [[] for _ in range(m)]
-    for (i, j) in basis:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in row_adj[k]:
-                if np.isnan(v[j]):
-                    v[j] = C[k, j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in col_adj[k]:
-                if np.isnan(u[i]):
-                    u[i] = C[i, k] - v[k]
-                    stack.append(("r", i))
-    if np.isnan(u).any() or np.isnan(v).any():
-        raise NumericalFailure("basis graph is not a spanning tree")
-    return u, v, row_adj, col_adj
-
-
-def _find_cycle(entering, row_adj, col_adj, n, m):
-    # Unique path in the spanning tree from row i0 back to column j0; the
-    # cycle is that path closed by the entering cell.
-    i0, j0 = entering
-    parent: dict[tuple[str, int], tuple[str, int] | None] = {("r", i0): None}
-    stack = [("r", i0)]
-    while stack:
-        node = stack.pop()
-        kind, k = node
-        neighbors = (
-            [("c", j) for j in row_adj[k]] if kind == "r" else [("r", i) for i in col_adj[k]]
-        )
-        for nxt in neighbors:
-            if nxt not in parent:
-                parent[nxt] = node
-                if nxt == ("c", j0):
-                    stack = []
-                    break
-                stack.append(nxt)
-    if ("c", j0) not in parent:
-        raise NumericalFailure("entering cell closes no cycle")
-    # Walk back: nodes alternate row/col; consecutive nodes define basis cells.
-    path_nodes = [("c", j0)]
-    while parent[path_nodes[-1]] is not None:
-        path_nodes.append(parent[path_nodes[-1]])
-    path_nodes.reverse()  # row i0 ... col j0
-    cells = [entering]
-    for a, b in zip(path_nodes, path_nodes[1:]):
-        if a[0] == "r":
-            cells.append((a[1], b[1]))
-        else:
-            cells.append((b[1], a[1]))
-    return cells  # alternating signs, cells[0] is '+'
-
-
-def solve_transport(
-    cost,
-    w_src,
-    w_tgt,
-    *,
-    tol: float = OPTIMALITY_TOL,
-    max_iter: int = 100_000,
-) -> TransportPlan:
+def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
     """Solve the transportation LP min <cost, pi> with fixed marginals.
+
+    The rows are the source weights and all but the last target weight
+    (that row is implied by the others), so the LP has n + m - 1 rows and
+    one variable per cell, in C order.  It starts at the north-west-corner
+    basis and pivots in :func:`otbary.pivoting.primal_simplex`; a cell's
+    column holds its two ones, and every cell is priced as
+    C - u[:, None] - v[None, :] in one preallocated buffer.  Plan levels of
+    at most ``MASS_CUT`` (1e-15, round-off of 0) are set to 0, as on the
+    line, and the duals are shifted so that u_0 = 0.  With one source or
+    one target the plan is forced and no LP is run.
 
     Raises:
         InfeasibleWeights: marginal totals differ by more than 1e-9.
-        NumericalFailure: pivot cap exceeded.
+        NumericalFailure: singular basis, no pivot row, or pivot cap hit.
     """
     C = np.asarray(cost, dtype=float)
     if C.ndim != 2:
         raise DimensionMismatch(f"cost must be a matrix, got shape {C.shape}")
-    if not np.all(np.isfinite(C)) or np.any(C < 0):
+    if not (np.isfinite(C).all() and (C >= 0).all()):
         raise DimensionMismatch("cost entries must be finite and nonnegative")
     n, m = C.shape
     if n * m > MAX_COST_ENTRIES:
@@ -170,69 +82,68 @@ def solve_transport(
     b = np.asarray(w_tgt, dtype=float).ravel()
     if a.shape[0] != n or b.shape[0] != m:
         raise DimensionMismatch("weight lengths do not match cost shape")
-    if np.any(a < -1e-15) or np.any(b < -1e-15):
+    if min(a.min(), b.min()) < -1e-15:
         raise InfeasibleWeights("negative marginal weight")
-    a = np.clip(a, 0.0, None)
-    b = np.clip(b, 0.0, None)
-    if abs(a.sum() - b.sum()) > FEASIBILITY_TOL:
-        raise InfeasibleWeights(
-            f"marginal totals differ: {a.sum()!r} vs {b.sum()!r}"
+    a = np.maximum(a, 0.0)
+    b = np.maximum(b, 0.0)
+    total_a, total_b = a.sum(), b.sum()
+    if not abs(total_a - total_b) <= FEASIBILITY_TOL:  # NaN weights fail here
+        raise InfeasibleWeights(f"marginal totals differ: {total_a!r} vs {total_b!r}")
+    b = b * (total_a / total_b)
+    if n == 1 or m == 1:
+        # One source or one target: the plan is forced, and u_i + v_j = C_ij
+        # on every cell.
+        plan = b[None, :] if n == 1 else a[:, None]
+        return TransportPlan(
+            plan=plan, cost=float((plan * C).sum()), u=C[:, 0] - C[0, 0], v=C[0].copy()
         )
-    b = b * (a.sum() / b.sum())
+    rows = n + m - 1
 
-    mass = _northwest_corner(a, b)
-    basis = list(mass.keys())
-    degenerate_streak = 0
-    bland = False
-    for pivots in range(max_iter):
-        u, v, row_adj, col_adj = _tree_duals(C, basis, n, m)
-        reduced = C - u[:, None] - v[None, :]
-        for (i, j) in basis:
-            reduced[i, j] = 0.0
-        if bland:
-            cand = np.argwhere(reduced < -tol)
-            if cand.size == 0:
-                break
-            entering = (int(cand[0, 0]), int(cand[0, 1]))
+    # North-west corner: step down a row where its cumulative weight is
+    # reached first (or together with the column's), else right a column.
+    ca, cb = np.cumsum(a[:-1]).tolist(), np.cumsum(b[:-1]).tolist()
+    i = j = 0
+    basis = [0]
+    for _ in range(rows - 1):
+        if j == m - 1 or (i < n - 1 and ca[i] <= cb[j]):
+            i += 1
         else:
-            flat = int(np.argmin(reduced))
-            entering = (flat // m, flat % m)
-            if reduced[entering] >= -tol:
-                break
-        cells = _find_cycle(entering, row_adj, col_adj, n, m)
-        minus = cells[1::2]
-        theta = min(mass[c] for c in minus)
-        leaving = min(c for c in minus if mass[c] <= theta)
-        for k, c in enumerate(cells):
-            if k == 0:
-                mass[c] = theta
-            elif k % 2 == 1:
-                mass[c] -= theta
-            else:
-                mass[c] += theta
-        del mass[leaving]
-        basis = list(mass.keys())
-        if theta <= 1e-15:
-            degenerate_streak += 1
-            if degenerate_streak > 2 * (n + m):
-                bland = True
-        else:
-            degenerate_streak = 0
-            bland = False
-    else:
-        raise NumericalFailure("transportation simplex pivot cap exceeded")
+            j += 1
+        basis.append(i * m + j)
 
+    def column(k):
+        # Row n + m - 1, the dropped last target row, is a spare slot.
+        i, j = divmod(int(k), m)
+        col = np.zeros(rows + 1)
+        col[i] = col[n + j] = 1.0
+        return col[:rows]
+
+    v = np.zeros(m)  # the dropped row's dual stays 0
+    reduced = np.empty((n, m))
+    flat = reduced.reshape(-1)
+
+    def price(y):
+        v[:-1] = y[n:]
+        np.subtract(C, y[:n, None], out=reduced)
+        np.subtract(reduced, v, out=reduced)
+        return flat
+
+    basis, x, pivots, _, y = primal_simplex(
+        C.ravel(), np.concatenate([a, b[:-1]]), basis, column, price
+    )
     plan = np.zeros((n, m))
-    for (i, j), t in mass.items():
-        plan[i, j] = max(t, 0.0)
-    return TransportPlan(plan=plan, cost=float((plan * C).sum()), u=u, v=v, pivots=pivots)
+    plan.reshape(-1)[basis] = np.where(x > MASS_CUT, x, 0.0)
+    v[:-1] = y[n:]
+    return TransportPlan(
+        plan=plan, cost=float((plan * C).sum()), u=y[:n] - y[0], v=v + y[0], pivots=pivots
+    )
 
 
 def _line_transport(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
     # North-west-corner coupling of the sorted atoms and the duals of its
     # staircase basis.  Along the path a row step i -> i + 1 at column j
     # gives u_{i+1} - u_i = c_k - c_{k-1} (c_k the cost of the k-th cell),
-    # a column step the same for v; u_0 = 0, as in _tree_duals.
+    # a column step the same for v; u_0 = 0, as in solve_transport.
     x, y = mu.atoms[:, 0], nu.atoms[:, 0]
     idx, mass = _comonotone_entries([mu, nu])
     path = _lattice_path(idx, (mu.n_atoms, nu.n_atoms))
@@ -252,14 +163,12 @@ def wasserstein(
     p: float,
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-    *,
-    tol: float = OPTIMALITY_TOL,
 ) -> tuple[float, TransportPlan]:
     """W_p distance and an optimal plan between two measures on ``space``.
 
     The plan is indexed by the measures' own atoms.  On the line the plan is
-    the north-west-corner coupling, exact with no solver, so ``tol`` is not
-    read there; elsewhere it is the simplex's reduced-cost tolerance.
+    the north-west-corner coupling, exact with no solver; elsewhere it comes
+    from :func:`solve_transport`.
     """
     if mu.space != space or nu.space != space:
         raise DimensionMismatch("measures do not live on the given space")
@@ -269,7 +178,7 @@ def wasserstein(
         result = _line_transport(p, mu, nu)
     else:
         C = pairwise_distances(space, mu.atoms, nu.atoms) ** p
-        result = solve_transport(C, mu.weights, nu.weights, tol=tol)
+        result = solve_transport(C, mu.weights, nu.weights)
     return max(result.cost, 0.0) ** (1.0 / p), result
 
 

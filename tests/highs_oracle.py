@@ -1,9 +1,12 @@
-"""HiGHS oracle for multi-marginal transport, for the tests.
+"""HiGHS oracles for multi-marginal and two-marginal transport, for the tests.
 
-It assembles the full (sum_j n_j x prod_j n_j) LP entry by entry, pricing
-every tuple with :func:`otbary.multimarginal.mm_cost` one at a time, and
-hands it to ``scipy.optimize.linprog``: no LP code, batched Fréchet pass or
-constraint structure is shared with :func:`otbary.solve_multimarginal`.
+:func:`brute_force_multimarginal` assembles the full
+(sum_j n_j x prod_j n_j) LP entry by entry, pricing every tuple with
+:func:`otbary.multimarginal.mm_cost` one at a time, and hands it to
+``scipy.optimize.linprog``: no LP code, batched Fréchet pass or constraint
+structure is shared with :func:`otbary.solve_multimarginal`.
+:func:`highs_transport` does the same for a given cost matrix, with every
+row of both marginals, for :func:`otbary.solve_transport`.
 """
 
 from __future__ import annotations
@@ -62,3 +65,16 @@ def brute_force_multimarginal(
         index=np.array(tuples, dtype=np.intp)[keep], mass=res.x[keep],
         points=np.array(points)[keep], objective=float(res.fun), shape=shape,
     )
+
+
+def highs_transport(cost, a, b) -> float:
+    """Optimal value of the two-marginal transportation LP, solved by HiGHS."""
+    C = np.asarray(cost, dtype=float)
+    n, m = C.shape
+    A_eq = np.vstack([np.kron(np.eye(n), np.ones(m)), np.kron(np.ones(n), np.eye(m))])
+    res = scipy.optimize.linprog(
+        C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]), method="highs"
+    )
+    if not res.success:
+        raise InfeasibleWeights(f"oracle LP failed: {res.message}")
+    return float(res.fun)

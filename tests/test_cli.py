@@ -56,12 +56,6 @@ def test_dist_diracs_p1(dirac_files, capsys):
     assert json.loads(capsys.readouterr().out)["w_p"] == pytest.approx(3.0)
 
 
-def test_dist_tol_flag(dirac_files, capsys):
-    pa, pb = dirac_files
-    assert main(["dist", "--tol", "1e-12", "--in-a", str(pa), "--in-b", str(pb)]) == 0
-    assert json.loads(capsys.readouterr().out)["w_p"] == pytest.approx(3.0)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -72,6 +66,7 @@ def test_dist_tol_flag(dirac_files, capsys):
         ["quantize", "--in", "m.json", "--k", "1", "--out", "q.json", "--p", "1"],
         ["dist", "--in-a", "a.json", "--in-b", "b.json", "--max-product-size", "4"],
         ["quantize", "--in", "m.json", "--k", "1", "--out", "q.json", "--max-product-size", "4"],
+        ["dist", "--tol", "1e-12", "--in-a", "a.json", "--in-b", "b.json"],
     ],
 )
 def test_flags_are_rejected_where_unread(argv, capsys):

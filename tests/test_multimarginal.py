@@ -16,13 +16,12 @@ from otbary import (
     mm_cost,
     pushforward_barycenter,
     solve_multimarginal,
-    solve_transport,
     wasserstein,
 )
 from otbary import multimarginal, pivoting
 from otbary.multimarginal import _comonotone_entries, _cost_vector, _index_grid, _staircase
 from dense_simplex import solve_lp
-from highs_oracle import brute_force_multimarginal
+from highs_oracle import brute_force_multimarginal, highs_transport
 from conftest import GRID_GRAPH, QUARTERS, random_ensemble, random_measure, tensor_ensembles
 
 
@@ -93,9 +92,9 @@ def test_j2_reduces_to_pairwise(rng):
         for i in range(mu.n_atoms):
             for k in range(nu.n_atoms):
                 C[i, k], _ = mm_cost(s, p, ens.lam, (mu.atoms[i], nu.atoms[k]))
-        pairwise = solve_transport(C, mu.weights, nu.weights)
+        pairwise = highs_transport(C, mu.weights, nu.weights)
         gamma = solve_multimarginal(s, p, ens)
-        assert abs(gamma.objective - pairwise.cost) <= 1e-8
+        assert abs(gamma.objective - pairwise) <= 1e-8
 
 
 def test_oracle_equivalence(rng):
@@ -463,6 +462,15 @@ def test_tensor_simplex_callbacks_match_the_dense_system(plane, shape, monkeypat
         y = rng.normal(size=A.shape[0])
         reduced = captured["price"](y.copy())
         assert np.all(np.abs(reduced - (c - A.T @ y)) <= 1e-12 * np.maximum(1.0, np.abs(c)))
+
+
+def test_cached_perturbation_draw_is_the_fresh_draw(monkeypatch):
+    # The draw is made once and regrown for a larger m; a shorter draw must
+    # be the prefix of a longer one, so pivots do not depend on call order.
+    monkeypatch.setattr(pivoting, "_draws", np.empty(0))
+    for m in (3, 100, 7, 888, 1, 4999):
+        fresh = np.random.Generator(np.random.PCG64(pivoting.PERTURBATION_SEED)).uniform(0.5, 1.0, m)
+        assert np.array_equal(pivoting._perturbation_draws(m), fresh)
 
 
 def test_infeasible_perturbed_optimum_restarts_on_the_true_lp(plane, monkeypatch):

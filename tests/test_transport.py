@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otbary import (
@@ -16,6 +16,7 @@ from otbary import (
 )
 from otbary import transport
 from conftest import embedded, line_measures, random_measure
+from highs_oracle import highs_transport
 
 
 def test_single_cell_plan():
@@ -48,6 +49,11 @@ def test_unbalanced_rejected():
         solve_transport([[1.0]], [1.0], [0.5])
 
 
+def test_nan_weight_rejected():
+    with pytest.raises(InfeasibleWeights):
+        solve_transport([[1.0, 2.0], [3.0, 0.5]], [0.5, np.nan], [0.5, 0.5])
+
+
 def test_plan_feasibility_random(rng):
     for _ in range(30):
         n, m = rng.integers(1, 12, 2)
@@ -64,6 +70,38 @@ def test_plan_feasibility_random(rng):
         # optimality certificate: nonnegative reduced costs
         reduced = C - r.u[:, None] - r.v[None, :]
         assert reduced.min() >= -1e-9
+
+
+def _weights(rng, n, total, zeros):
+    w = rng.random(n) + 0.05
+    w[rng.permutation(n)[:zeros]] = 0.0
+    return total * w / w.sum()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # Uniform weights on n x n: the degenerate case the perturbation is for.
+        lambda rng, n: (np.full(n, 1.0 / n), np.full(n, 1.0 / n)),
+        lambda rng, n: (_weights(rng, n, 1.0, n // 3), _weights(rng, n + 2, 1.0, n // 2)),
+        lambda rng, n: (_weights(rng, n, 2.5, 0), _weights(rng, n + 1, 2.5, 0)),
+    ],
+    ids=["uniform", "zero entries", "total 2.5"],
+)
+def test_solve_transport_matches_highs(case):
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4, 7, 12, 25):
+        a, b = case(rng, n)
+        x, y = rng.normal(size=(a.size, 2)), rng.normal(size=(b.size, 2))
+        C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        r = solve_transport(C, a, b)
+        reference = highs_transport(C, a, b)
+        assert abs(r.cost - reference) <= 1e-9 * reference
+        assert np.max(np.abs(r.plan.sum(axis=1) - a)) <= 1e-9
+        assert np.max(np.abs(r.plan.sum(axis=0) - b)) <= 1e-9
+        assert r.plan.min() >= 0.0
+        assert (C - r.u[:, None] - r.v[None, :]).min() >= -1e-9
+        assert r.u[0] == 0.0
 
 
 def test_wasserstein_diracs(plane):
@@ -163,6 +201,13 @@ def test_translation_invariance(rng, plane):
         assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
+# Uniform weights against weights a few 1e-17 off them: the plane's LP
+# moves those round-off masses off the diagonal, which the line cuts.
+@example(
+    mu=DiscreteMeasure(Euclidean(1), np.linspace(-1, 1, 9)[:, None], np.full(9, 1 / 9)),
+    nu=DiscreteMeasure(Euclidean(1), np.linspace(-1, 1, 9)[:, None], np.full(9, 0.01) / 0.09),
+    p=1,
+)
 @given(mu=line_measures(), nu=line_measures(), p=st.sampled_from([1, 1.5, 2, 3]))
 @settings(max_examples=300, deadline=None)
 def test_line_route_is_certified(mu, nu, p):
