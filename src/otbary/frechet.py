@@ -204,6 +204,8 @@ def _backtrack(x, f, g, s, rows, pts, lam, p, armijo):
     # factor taken (0 where none was).
     x_new, f_new = x.copy(), f.copy()
     taken = np.zeros(x.shape[0])
+    if not rows.size:
+        return x_new, f_new, taken
     slope = (g * s).sum(axis=1)
     seek = rows[slope[rows] < 0]
     t = 1.0
@@ -235,34 +237,35 @@ def _iterate_rows(pts, x, lam, p, tol, max_iter):
         _, g, diff, d, on, c = _local(xl, P, lam, p)
         s, newton = _newton(g, diff, d, on, c, p)
         step = _norm(s)
-        trusted = newton[step[newton] <= NEWTON_TRUST * d[newton].min(axis=1)]
+        near = step[newton] <= NEWTON_TRUST * d[newton].min(axis=1)
+        trusted = newton[near]
         # Trusted steps shrink quadratically; one that stops shrinking is
         # rounding noise hopping between neighbouring floats.
         stalled = np.zeros(live.size, dtype=bool)
         stalled[trusted] = step[trusted] >= 0.5 * last[live[trusted]]
         last[live] = np.inf
         last[live[trusted]] = step[trusted]
-        x_n, f_n, taken = _backtrack(
-            xl, fl, g, s, np.setdiff1d(newton, trusted), P, lam, p, NEWTON_DECREASE
-        )
+        x_n, f_n, taken = _backtrack(xl, fl, g, s, newton[~near], P, lam, p, NEWTON_DECREASE)
         x_n[trusted] = xl[trusted] + s[trusted]
         f_n[trusted] = _power_sum(lam, _dists(x_n[trusted], P[trusted]), p)
         taken[trusted] = 1.0
         # Rows on an atom, or where no Newton step descends: a Weiszfeld step
         # (p = 1) or a gradient step.
         b = np.flatnonzero(taken == 0)
-        if p == 1:
+        stuck = b  # the rows where no step descends
+        if b.size and p == 1:
             w = _weiszfeld_steps(g[b], on[b], c[b], lam)
             x_w = xl[b] + w
             f_w, g_w, _, _, on_w, _ = _local(x_w, P[b], lam, p)
             took = (f_w < fl[b]) | _flat_descent(xl[b], x_w, fl[b], f_w, g_w, on_w)
             x_n[b[took]], f_n[b[took]] = x_w[took], f_w[took]
-        else:
+            stuck = b[~took]
+        elif b.size:
             x_g, f_g, t_g = _backtrack(
                 xl[b], fl[b], g[b], -g[b], np.arange(b.size), P[b], lam, p, ARMIJO
             )
-            took = t_g > 0
             x_n[b], f_n[b] = x_g, f_g
+            stuck = b[t_g == 0]
         x[live], f[live] = x_n, f_n
         iters[live] = it
         # Converged: a full Newton step within tol of the distance to the
@@ -270,7 +273,7 @@ def _iterate_rows(pts, x, lam, p, tol, max_iter):
         # resolution of x, or no descent left at all.
         limit = tol * d.min(axis=1) + RESOLUTION * np.abs(xl).max(axis=1)
         stop = ((taken == 1.0) & (step <= limit)) | stalled
-        stop[b[~took]] = True
+        stop[stuck] = True
         live = live[~stop]
     if live.size:
         raise NonConvergence(

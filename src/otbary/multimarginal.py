@@ -35,10 +35,10 @@ No constraint matrix over the product is ever built; an entering column is
 read off its tuple's J indices, taken from the flat index by integer
 division by the strides.  The pivots themselves are the loop of
 :mod:`otbary.pivoting`, shared with the fixed-support barycenter LP (a
-perturbed right-hand side, an explicit basis inverse updated by one
-rank-one step per pivot, and O(m) updates of the basic values and the
-duals).  Before returning, the coupling's marginals are checked against
-the weights.
+perturbed right-hand side, the product form of the basis inverse between
+factorizations, and O(m) updates of the basic values and the duals).
+Before returning, the coupling's marginals are checked against the
+weights.
 
 The independent oracles live with the tests: a HiGHS LP assembled entry by
 entry, and a dense two-phase simplex.

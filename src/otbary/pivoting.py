@@ -22,33 +22,37 @@ constraint column of variable k.  Everything else lives here:
   inf, so theta = inf means no pivot row.  Ratio ties (within 1e-15 of
   theta) leave the basic variable of smallest index; they are searched only
   when there are two or more.
-- The loop keeps the m x m basis matrix B and an explicit inverse.  A pivot
-  updates the inverse by one rank-one BLAS ``ger``, O(m^2), where a new
-  factorization would cost O(m^3), and updates the basic values and the
-  duals in O(m): xB <- max(xB - theta d, 0) with theta at the pivot row,
-  and y <- y + r_k (new pivot row of B^-1), which prices the entering
-  column at 0.  Every ``REFACTOR_EVERY`` pivots B is factored afresh by
-  LAPACK's getrf; that pass takes its duals and basic values from
-  triangular solves with the factors (getrs), and the next pivot inverts
-  them (getri).  The loop stops only on a pricing pass with no entering
-  variable that used fresh factors, refactoring first if it must, so what
-  it returns carries no update drift, and a zero-level basic variable
-  comes out as 0 rather than as the round-off of a product with the
-  inverse.
+- The loop keeps the m x m basis matrix B and, between factorizations,
+  the product form of its inverse (Dantzig & Orchard-Hays 1954):
+  B^-1 = B_0^-1 - W^T Q, where B_0^-1 is the inverse at the last
+  factorization and each of the j pivots since then appended one row to W
+  and one to Q.  A pivot on row l with d = B^-1 a appends
+  w = (d - e_l) / d_l and q = row l of B^-1, O(m j), where an explicit
+  inverse takes a rank-one O(m^2) update; d itself is one matvec with
+  B_0^-1 stacked over Q plus an O(m j) correction.  The same q moves the
+  duals, y <- y + (r_k / d_l) q, which prices the entering column at 0,
+  and the basic values move in O(m): xB <- max(xB - theta d, 0) with
+  theta at the pivot row.  W and Q grow with the pivots since the
+  factorization.
+- B is factored afresh every ``REFACTOR_EVERY`` pivots, times m // 128
+  from m = 256 on (about m / 2): a factorization costs O(m^3) and the
+  product form O(m j) per pivot, so the period grows with m.  One LU solve of B against
+  [b | I] gives the basic values and B_0^-1, and c_B B_0^-1 the duals.
+- The loop stops only on a pricing pass with no entering variable whose
+  duals come from fresh factors, so what it returns carries no update
+  drift.  When updated duals price nothing in, it first solves
+  B^T y = c_B alone, and factors for B_0^-1 only if those duals price a
+  variable in.  The basic values it returns come from an LU solve on the
+  final basis, so a zero-level basic variable comes out as 0 rather than
+  as the round-off of a product with the inverse.
 
-LAPACK and BLAS are called directly: at these sizes the checks of the
-``scipy.linalg`` wrappers cost more than the work.  The product d = B^-1 a
-is scipy's ``gemv`` rather than numpy's ``@`` as well: numpy and scipy may
-each bring their own OpenBLAS, and with two BLAS threads the two thread
-pools contended, so a fixed-support LP with 888 rows took 36 s instead of
-10 s on a 2-vCPU host.  A zero pivot in getrf (where ``lu_factor`` would
-warn) raises ``NumericalFailure("singular basis")``.
+The loop runs on numpy alone.  A singular factorization (numpy's
+``LinAlgError``) raises ``NumericalFailure("singular basis")``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import NumericalFailure
 
@@ -104,45 +108,53 @@ def primal_simplex(c, b, basis, column, price):
     for i, k in enumerate(start):
         B0[:, i] = column(k)
     shifted = b + PERTURBATION * b.max() * (B0 @ _perturbation_draws(m))
-    basis, lu, piv, pivots, min_reduced_cost, y = _pivot_loop(
-        c, shifted, start.copy(), B0.copy(order="F"), column, price
-    )
-    (getrs,) = get_lapack_funcs(("getrs",), (B0,))
-    xB = getrs(lu, piv, b)[0]
+    B = B0.copy(order="F")
+    basis, pivots, min_reduced_cost, y = _pivot_loop(c, shifted, start.copy(), B, column, price)
+    xB = _solve(B, b)
     if xB.min() < -LEVEL_TOL:
-        basis, lu, piv, more, min_reduced_cost, y = _pivot_loop(c, b, start, B0, column, price)
+        basis, more, min_reduced_cost, y = _pivot_loop(c, b, start, B0, column, price)
         pivots += more
-        xB = getrs(lu, piv, b)[0]
+        xB = _solve(B0, b)
     return basis, np.maximum(xB, 0.0), pivots, min_reduced_cost, y
+
+
+def _solve(B, rhs):
+    try:
+        return np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError:
+        # A basis is never singular, so this is lost accuracy.
+        raise NumericalFailure("singular basis") from None
 
 
 def _pivot_loop(c, b, basis, B, column, price):
     # The pivots from the basis whose columns B holds (both are updated in
-    # place).  Returns the optimal basis, fresh LU factors of it, the pivot
-    # count, the least reduced cost of the final pricing pass and its duals.
+    # place).  Returns the optimal basis, the pivot count, the least reduced
+    # cost of the final pricing pass and its duals.
     m = b.shape[0]
-    getrf, getrs, getri = get_lapack_funcs(("getrf", "getrs", "getri"), (B,))
-    gemv, ger = get_blas_funcs(("gemv", "ger"), (B,))
+    period = REFACTOR_EVERY * max(1, m // 128)
+    rhs = np.concatenate([b[:, None], np.eye(m)], axis=1)
+    # B^-1 = B_0^-1 - W^T Q: M holds B_0^-1 over the rows q_1..q_j of Q, so
+    # one matvec gives both B_0^-1 a and Q a; W holds the rows w_1..w_j.
+    # Room for m updates at first; both grow if the period is longer.
+    cap = min(period, m)
+    M = np.empty((m + cap, m))
+    W = np.empty((cap, m))
 
     def factor():
-        lu, piv, info = getrf(B)
-        if info > 0:
-            # A basis is never singular, so this is lost accuracy.
-            raise NumericalFailure("singular basis")
-        return lu, piv
+        # One LU solve for the basic values and B_0^-1.
+        X = _solve(B, rhs)
+        M[:m] = X[:, 1:]
+        return np.maximum(X[:, 0], 0.0)
 
-    lu, piv = factor()
-    B_inv = None  # built by getri at the first pivot after a factorization
+    xB = factor()
+    y = c[basis].dot(M[:m])
+    fresh = True  # y comes from a factorization of the current basis
+    j = 0  # pivots since B_0^-1
     ratios = np.empty(m)
-    since_refactor = 0
     pivots = 0
     degenerate_streak = 0
     bland = False
     while True:
-        if since_refactor == 0:
-            # Fresh values, from triangular solves with the factors.
-            xB = np.maximum(getrs(lu, piv, b)[0], 0.0)
-            y = getrs(lu, piv, c[basis], trans=1)[0]
         flat = price(y)
         flat[basis] = 0.0
         if bland:
@@ -153,20 +165,24 @@ def _pivot_loop(c, b, basis, B, column, price):
             k = int(flat.argmin())
             optimal = flat[k] >= -REDUCED_COST_TOL
         if optimal:
-            if since_refactor == 0:
+            if fresh:
                 break
-            (lu, piv), since_refactor = factor(), 0
+            # Updated duals price nothing in.  Check with fresh ones, which
+            # need no inverse, since this pass is most likely the last.
+            y, fresh = _solve(B.T, c[basis]), True
             continue
+        if fresh and j:
+            xB, j = factor(), 0
         if pivots == MAX_PIVOTS:
             raise NumericalFailure("simplex pivot cap exceeded")
-        if since_refactor == 0:
-            B_inv, info = getri(lu, piv)
-            if info != 0:
-                raise NumericalFailure("singular basis")
         a = column(k)
-        d = gemv(1.0, B_inv, a)
+        t = M[: m + j].dot(a)
+        d = t[:m]
+        if j:
+            d -= t[m:].dot(W[:j])
         ratios.fill(np.inf)
-        np.divide(xB, d, out=ratios, where=d > PIVOT_TOL * max(1.0, np.abs(d).max()))
+        size = np.abs(d)
+        np.divide(xB, d, out=ratios, where=d > PIVOT_TOL * max(1.0, size[size.argmax()]))
         leave = int(ratios.argmin())
         theta = ratios[leave]
         if theta == np.inf:
@@ -179,17 +195,29 @@ def _pivot_loop(c, b, basis, B, column, price):
         basis[leave] = k
         B[:, leave] = a
         pivots += 1
-        since_refactor += 1
-        if since_refactor == REFACTOR_EVERY:
-            (lu, piv), since_refactor = factor(), 0
+        if j + 1 == period:
+            xB, j, fresh = factor(), 0, True
+            y = c[basis].dot(M[:m])
         else:
-            # Eta update: row `leave` becomes row / d[leave], and every
-            # other row i loses d[i] times that new row.  The new row also
-            # moves the duals: y + r_k row prices column k at 0.
-            row = B_inv[leave] / d[leave]
-            B_inv = ger(-1.0, d, row, a=B_inv, overwrite_a=1)
-            B_inv[leave] = row
-            y += flat[k] * row
+            # Product-form update: B^-1 <- B^-1 - w q with q the old row
+            # `leave` of B^-1 and w = (d - e_leave) / d_leave.  The same q
+            # moves the duals: y + (r_k / d_leave) q prices column k at 0.
+            if j == W.shape[0]:
+                grow = min(2 * j, period) - j
+                M = np.concatenate([M, np.empty((grow, m))])
+                W = np.concatenate([W, np.empty((grow, m))])
+            q = M[m + j]
+            if j:
+                np.subtract(M[leave], W[:j, leave].dot(M[m : m + j]), out=q)
+            else:
+                q[:] = M[leave]
+            pivot = d[leave]
+            y += q * (flat[k] / pivot)
+            w = W[j]
+            np.divide(d, pivot, out=w)
+            w[leave] -= 1.0 / pivot
+            j += 1
+            fresh = False
             xB -= theta * d
             xB[leave] = theta
             np.maximum(xB, 0.0, out=xB)
@@ -200,4 +228,4 @@ def _pivot_loop(c, b, basis, B, column, price):
         else:
             degenerate_streak = 0
             bland = False
-    return basis, lu, piv, pivots, float(flat.min()), y
+    return basis, pivots, float(flat.min()), y

@@ -1,0 +1,104 @@
+"""Run the CLI end to end with scipy blocked.
+
+    PYTHONPATH=src python tests/no_scipy_smoke.py
+
+Sets ``sys.modules["scipy"] = None``, so any ``import scipy...`` raises,
+imports ``otbary`` and ``otbary.cli``, and runs through ``cli.main``, in a
+temporary directory: ``dist`` in 2D, ``bary`` in 2D at p = 1 and p = 2, on
+a grid graph and on a fixed support, ``mmot`` and a small 2D
+``experiment``.  Exits 1 if a command fails or if a scipy module was loaded.
+The library needs numpy alone; scipy is for the tests' oracles.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+sys.modules["scipy"] = None  # blocks every scipy import
+
+import numpy as np  # noqa: E402
+
+import otbary as ot  # noqa: E402
+import otbary.cli  # noqa: E402
+from otbary.measures import save_ensemble, save_measure  # noqa: E402
+
+
+def _grid_graph(side):
+    # Shortest-path distances of the side x side grid graph: L1 on the grid.
+    ij = np.indices((side, side)).reshape(2, -1).T
+    return np.abs(ij[:, None, :] - ij[None, :, :]).sum(axis=2).astype(float)
+
+
+def _inputs(tmp: Path) -> dict:
+    rng = np.random.default_rng(20150612)
+    plane = ot.Euclidean(2)
+    clouds = [
+        ot.DiscreteMeasure(plane, rng.normal(size=(n, 2)), rng.dirichlet(np.ones(n)))
+        for n in (6, 5, 4)
+    ]
+    graph = ot.MetricMatrix(_grid_graph(5))
+    nodes = [ot.DiscreteMeasure(graph, rng.choice(25, size=5, replace=False), np.full(5, 0.2))
+             for _ in range(3)]
+    axis = np.linspace(-1.5, 1.5, 4)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    paths = {name: tmp / f"{name}.json" for name in ("a", "b", "plane", "graph", "grid", "cfg")}
+    save_measure(clouds[0], paths["a"])
+    save_measure(clouds[1], paths["b"])
+    save_ensemble(ot.MeasureEnsemble(clouds, [0.5, 0.3, 0.2]), paths["plane"])
+    save_ensemble(ot.MeasureEnsemble(nodes, np.full(3, 1 / 3)), paths["graph"])
+    save_measure(ot.DiscreteMeasure(plane, grid, np.full(16, 1 / 16)), paths["grid"])
+    paths["cfg"].write_text(json.dumps({
+        "framework": "empirical_sampling",
+        "p": 2,
+        "seed": 0,
+        "sizes": [5, 20],
+        "replications": 2,
+        "template": {
+            "space": {"type": "euclidean", "dim": 2},
+            "atoms": rng.normal(size=(4, 2)).tolist(),
+            "weights": [0.25] * 4,
+        },
+        "deformation": {
+            "kind": "translation",
+            "seed": 4,
+            "count": 3,
+            "params": {"offset": {"dist": "uniform", "low": -0.2, "high": 0.2}},
+        },
+    }))
+    return {name: str(path) for name, path in paths.items()}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as workdir:
+        tmp = Path(workdir)
+        f = _inputs(tmp)
+        out = str(tmp / "out.json")
+        runs = [
+            ["dist", "--in-a", f["a"], "--in-b", f["b"], "--plan", out],
+            ["bary", "--in", f["plane"], "--out", out, "--p", "1"],
+            ["bary", "--in", f["plane"], "--out", out, "--p", "2"],
+            ["bary", "--in", f["graph"], "--out", out],
+            ["bary", "--in", f["plane"], "--out", out, "--method", "fixed", "--support", f["grid"]],
+            ["mmot", "--in", f["plane"], "--out", out],
+            ["experiment", "--config", f["cfg"], "--out", str(tmp / "rows.csv")],
+        ]
+        failed = 0
+        for argv in runs:
+            with redirect_stdout(StringIO()):
+                code = otbary.cli.main(argv)
+            print(f"otbary {argv[0]}: exit {code}")
+            failed += code != 0
+    loaded = sorted(name for name, mod in sys.modules.items()
+                    if name.startswith("scipy") and mod is not None)
+    if loaded:
+        print("scipy modules loaded:", ", ".join(loaded))
+    return 1 if failed or loaded else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

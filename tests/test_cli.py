@@ -246,3 +246,19 @@ def test_import_does_not_load_scipy_optimize():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_scipy():
+    # The library needs numpy alone.  The smoke script blocks scipy, runs
+    # dist, bary (p = 1, p = 2, graph, fixed support), mmot and experiment
+    # through the CLI, and fails if any of them does or a scipy module loads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("no_scipy_smoke.py"))],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.count(": exit 0") == 7

@@ -20,6 +20,7 @@ from otbary import (
 )
 from otbary import multimarginal, pivoting
 from otbary.multimarginal import _comonotone_entries, _cost_vector, _index_grid, _staircase
+from otbary.transport import solve_transport
 from dense_simplex import solve_lp
 from highs_oracle import brute_force_multimarginal, highs_transport
 from conftest import GRID_GRAPH, QUARTERS, random_ensemble, random_measure, tensor_ensembles
@@ -430,6 +431,47 @@ def test_updated_values_and_duals_without_refactoring(plane, monkeypatch):
     for marg, m in zip(gamma.marginals(), ms):
         assert np.max(np.abs(marg - m.weights)) <= 1e-9
     assert gamma.min_reduced_cost >= -1e-9
+
+
+@pytest.mark.parametrize("every", [1, 2, 3])
+def test_short_refactor_periods_match_highs(plane, every, monkeypatch):
+    # REFACTOR_EVERY = 1 factors the basis afresh after every pivot, so each
+    # d = B^-1 a comes from B_0^-1 alone (j = 0); with 2, every other d
+    # takes one product-form correction (j = 1); with 3, a row of B^-1 is
+    # also read through one update.  Each must reach HiGHS's optimum on a
+    # tensor LP and a 2D transportation LP.
+    monkeypatch.setattr(pivoting, "REFACTOR_EVERY", every)
+    solves = []
+    solve = pivoting._solve
+
+    def counted(B, rhs):
+        solves.append(rhs.ndim)
+        return solve(B, rhs)
+
+    monkeypatch.setattr(pivoting, "_solve", counted)
+    ms = _uniform_clouds(plane, 12, 3)
+    lam = np.full(3, 1.0 / 3)
+    gamma = solve_multimarginal(plane, 2, MeasureEnsemble(ms, lam))
+    # One factorization per `every` pivots, and one per perturbed start.
+    assert gamma.pivots > 20 and solves.count(2) >= gamma.pivots // every
+    reference = _sparse_highs_objective(ms, lam)
+    assert abs(gamma.objective - reference) <= 1e-9 * reference
+    for marg, m in zip(gamma.marginals(), ms):
+        assert np.max(np.abs(marg - m.weights)) <= 1e-9
+    assert gamma.min_reduced_cost >= -1e-9
+
+    rng = np.random.default_rng(9)
+    a, b = rng.dirichlet(np.ones(15)), rng.dirichlet(np.ones(20))
+    x, y = rng.normal(size=(15, 2)), rng.normal(size=(20, 2))
+    C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+    del solves[:]
+    r = solve_transport(C, a, b)
+    assert r.pivots > 10 and solves.count(2) >= r.pivots // every
+    reference = highs_transport(C, a, b)
+    assert abs(r.cost - reference) <= 1e-9 * reference
+    assert np.max(np.abs(r.plan.sum(axis=1) - a)) <= 1e-9
+    assert np.max(np.abs(r.plan.sum(axis=0) - b)) <= 1e-9
+    assert (C - r.u[:, None] - r.v[None, :]).min() >= -1e-9
 
 
 @pytest.mark.parametrize(
