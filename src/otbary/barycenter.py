@@ -17,9 +17,9 @@ j >= 1 has 2.  It starts with all mass on the best Dirac s* of the support
 per member) and completes the basis with the zero-level cells pi_j[s, 0],
 s != s*; that basis is feasible and nonsingular on every space, so there is
 no phase one.  The pivots are the loop of :mod:`otbary.pivoting`, shared
-with the multi-marginal tensor simplex: it keeps the product form of the
-basis inverse, appending one update per pivot, and refactors every 64
-pivots (more from m = 256 rows) and before it stops.  Plan levels of at
+with the coupling LP of the multi-marginal route: it keeps the product
+form of the basis inverse, appending one update per pivot, and refactors
+every 64 pivots (more from m = 256 rows) and before it stops.  Plan levels of at
 most ``MASS_CUT`` (1e-15, round-off of the final solve) are set to 0, as
 the multi-coupling drops such masses.
 The plans' column sums and agreement are checked before returning.

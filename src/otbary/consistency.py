@@ -168,7 +168,7 @@ def _line_member_costs(p: float, measures_a, measures_b) -> np.ndarray:
     # function Q is constant, so row a of the matrix is
     # |Q_a - Q_b|^p @ width; one row at a time keeps memory at J_b x K.
     members = [*measures_a, *measures_b]
-    idx, width = _comonotone_entries(members)
+    idx, width = _comonotone_entries([m.weights for m in members])
     Q = np.stack([m.atoms[idx[:, k], 0] for k, m in enumerate(members)])
     Qa, Qb = Q[: len(measures_a)], Q[len(measures_a) :]
     return np.stack([(np.abs(q - Qb) ** p) @ width for q in Qa])

@@ -20,23 +20,14 @@ the sorted marginals, built from the common refinement of their cumulative
 weights (:mod:`otbary.staircase`, shared with the two-marginal line route
 of :func:`otbary.transport.wasserstein`): the cost
 sum_j lam_j |x_j - mean|^2 is submodular, so that coupling is optimal
-(Carlier, J. Convex Anal. 2003) and needs no LP at all.  Every
-other input runs a primal simplex on the cost tensor C of shape
-(n_1, ..., n_J) (:func:`_tensor_simplex`).  It keeps every marginal row of
-member 1 and all but the last row of every other member, which leaves
-m = sum_j n_j - J + 1 independent rows, starts at the staircase basis (a
-monotone lattice path from (0, ..., 0) to (n_1 - 1, ..., n_J - 1) through
-the north-west-corner coupling, feasible on every space, so there is no
-phase one), and prices every tuple at once as
-C - (u_1 + ... + u_h) - (u_{h+1} + ... + u_J), h = ceil(J / 2), in one
-preallocated buffer: the two small outer sums of the member duals are
-formed first, so a pricing pass makes two passes over the product, not J.
-No constraint matrix over the product is ever built; an entering column is
-read off its tuple's J indices, taken from the flat index by integer
-division by the strides.  The pivots themselves are the loop of
-:mod:`otbary.pivoting`, shared with the fixed-support barycenter LP (a
-perturbed right-hand side, the product form of the basis inverse between
-factorizations, and O(m) updates of the basic values and the duals).
+(Carlier, J. Convex Anal. 2003) and needs no LP at all.  It has at most
+sum_j n_j - J + 1 entries and builds nothing over the product, so the
+product cap does not apply to it.  Every other input builds the cost
+tensor C of shape (n_1, ..., n_J), whose size the cap bounds, and runs the
+one coupling LP, :func:`otbary.staircase.coupling_simplex`, the setup
+:func:`otbary.transport.solve_transport` runs at J = 2: the staircase
+start, sum_j n_j - J + 1 rows, pricing in two passes over the tensor and
+no constraint matrix, on the pivot loop of :mod:`otbary.pivoting`.
 Before returning, the coupling's marginals are checked against the
 weights.
 
@@ -58,9 +49,8 @@ from .errors import (
 )
 from .frechet import frechet_mean, frechet_means, product_costs
 from .measures import DiscreteMeasure, MeasureEnsemble
-from .pivoting import primal_simplex
 from .spaces import Euclidean, MetricMatrix, Space
-from .staircase import MASS_CUT, _comonotone_entries, _staircase
+from .staircase import MASS_CUT, _comonotone_entries, coupling_simplex
 
 DEFAULT_PRODUCT_CAP = 10**6
 MARGINAL_TOL = 1e-9
@@ -73,7 +63,7 @@ class MultiCoupling:
     mean of each tuple's atoms (``points``: (K, d) coordinates, or (K,)
     labels on a metric matrix) and the objective.
 
-    ``pivots`` and ``min_reduced_cost`` come from the tensor simplex: its
+    ``pivots`` and ``min_reduced_cost`` come from the coupling LP: its
     pivot count and the least reduced cost of its final pricing pass over
     the whole product (basic tuples count as 0), the optimality certificate.
     Routes that price nothing (J = 1, the line at p = 2, the HiGHS oracle)
@@ -129,67 +119,6 @@ def _cost_vector(space, p, lam, measures, idx) -> np.ndarray:
     return _frechet_pass(space, p, lam, measures, idx)[1]
 
 
-def _tensor_simplex(C, measures):
-    """Primal simplex for min <C, x> over the couplings of ``measures``.
-
-    Row (j, i) says that the tuples with i_j = i carry member j's weight i;
-    the last row of every member j >= 2 is dropped (it is implied by the
-    others), leaving m = sum_j n_j - J + 1 independent rows.  The basis
-    starts at the staircase and pivots in
-    :func:`otbary.pivoting.primal_simplex`; every tuple is priced as
-    C - (u_1 + ... + u_h) - (u_{h+1} + ... + u_J), h = ceil(J / 2), in one
-    preallocated buffer, and an entering column is read off its tuple's J
-    indices.
-
-    Returns the basis as flat tuple indices, its masses (clipped at 0), the
-    pivot count and the least reduced cost of the last pricing pass.
-
-    Raises:
-        NumericalFailure: singular basis, no pivot row, or pivot cap hit.
-    """
-    shape = C.shape
-    J = len(shape)
-    starts = np.cumsum((0,) + shape[:-1])
-    kept = np.ones(sum(shape), dtype=bool)
-    kept[starts[1:] + np.asarray(shape[1:]) - 1] = False
-    b = np.concatenate([m.weights for m in measures])[kept]
-    m = b.shape[0]
-    # Reduced row of each full row; the dropped rows write to a spare slot m.
-    row_of = np.where(kept, np.cumsum(kept) - 1, m).tolist()
-    # First full row and C-order stride of each member's axis.
-    axes = [(int(s), int(np.prod(shape[j + 1 :]))) for j, s in enumerate(starts)]
-
-    def column(k):
-        a = np.zeros(m + 1)
-        k = int(k)
-        for s, stride in axes:
-            i, k = divmod(k, stride)
-            a[row_of[s + i]] = 1.0
-        return a[:m]
-
-    # Duals of the full system (0 on the dropped rows); u[j] is member j's
-    # block, shaped to broadcast along axis j of the tensor.  Pricing sums
-    # the first h blocks and the last J - h apart, into tensors of shape
-    # (n_1, ..., n_h, 1, ...) and (1, ..., n_{h+1}, ..., n_J).
-    y = np.zeros(sum(shape))
-    u = [
-        y[s : s + n].reshape([n if i == j else 1 for i in range(J)])
-        for j, (s, n) in enumerate(zip(starts, shape))
-    ]
-    h = (J + 1) // 2
-    reduced = np.empty(shape)
-    flat = reduced.reshape(-1)
-
-    def price(duals):
-        y[kept] = duals
-        np.subtract(C, sum(u[1:h], u[0]), out=reduced)
-        np.subtract(reduced, sum(u[h + 1 :], u[h]), out=reduced)
-        return flat
-
-    basis = np.ravel_multi_index(_staircase(measures).T, shape)
-    return primal_simplex(C.ravel(), b, basis, column, price)[:4]
-
-
 def solve_multimarginal(
     space: Space,
     p: float,
@@ -203,14 +132,15 @@ def solve_multimarginal(
     with at most sum_j n_j - J + 1 entries and objective sum mass * cost;
     it is exact because the quadratic Fréchet cost is submodular, so an
     optimal coupling is supported on a monotone chain of index tuples.
-    Other inputs run the tensor simplex over the whole product, and the
+    Other inputs run the coupling LP over the whole product, and the
     Fréchet means of its basic tuples give the points and the objective.
     Either way the entries come in increasing lexicographic order, masses
     <= 1e-15 (round-off of zero levels) are dropped, the objective sums the
     entries kept, and the marginals are checked within ``MARGINAL_TOL``.
 
     Raises:
-        ProductSizeExceeded: product support larger than ``max_product_size``.
+        ProductSizeExceeded: off the line p = 2 route, product support
+            larger than ``max_product_size``.
         NumericalFailure: the simplex failed, or the marginals miss the
             weights.
     """
@@ -218,10 +148,6 @@ def solve_multimarginal(
         raise DimensionMismatch("ensemble does not live on the given space")
     measures = ens.measures
     shape = tuple(m.n_atoms for m in measures)
-    if np.prod([float(n) for n in shape]) > max_product_size:
-        raise ProductSizeExceeded(
-            f"product support {shape} exceeds cap {max_product_size}"
-        )
     if abs(ens.lam.sum() - 1.0) > MARGINAL_TOL:
         raise InfeasibleWeights("ensemble weights are not a probability vector")
     if len(measures) == 1:
@@ -231,10 +157,15 @@ def solve_multimarginal(
             points=m.atoms.copy(), objective=0.0, shape=shape,
         )
     pivots, min_reduced_cost = 0, None
+    weights = [m.weights for m in measures]
     if isinstance(space, Euclidean) and space.dim == 1 and p == 2:
-        idx, x = _comonotone_entries(measures)
+        idx, x = _comonotone_entries(weights)
         points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
     else:
+        if np.prod([float(n) for n in shape]) > max_product_size:
+            raise ProductSizeExceeded(
+                f"product support {shape} exceeds cap {max_product_size}"
+            )
         full = None
         if isinstance(space, Euclidean) and p != 2:
             # No closed form: the costs come from one Fréchet pass over the
@@ -243,7 +174,7 @@ def solve_multimarginal(
             C = full[1].reshape(shape)
         else:
             C = product_costs(space, p, ens.lam, [m.atoms for m in measures])
-        basis, x, pivots, min_reduced_cost = _tensor_simplex(C, measures)
+        basis, x, pivots, min_reduced_cost, _ = coupling_simplex(C, weights)
         order = np.argsort(basis)
         basis, x = basis[order], x[order]
         idx = np.column_stack(np.unravel_index(basis, shape))

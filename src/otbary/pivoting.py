@@ -1,8 +1,8 @@
-"""The primal simplex pivot loop shared by the library's three exact LPs.
+"""The primal simplex pivot loop shared by the library's two LP setups.
 
-The two-marginal transportation LP (:mod:`otbary.transport`), the
-multi-marginal tensor simplex (:mod:`otbary.multimarginal`) and the
-fixed-support joint LP (:mod:`otbary.barycenter`) are all structured LPs
+The coupling LP (:func:`otbary.staircase.coupling_simplex`: the
+two-marginal transportation LP at J = 2 and the multi-marginal LP) and the
+fixed-support joint LP (:mod:`otbary.barycenter`) are structured LPs
 min c.x, A x = b, x >= 0 whose constraint matrix is never built.  Each
 hands :func:`primal_simplex` the costs of its variables, a feasible,
 nonsingular start basis and two callbacks: ``price(y)``, the reduced costs
@@ -93,7 +93,8 @@ def primal_simplex(c, b, basis, column, price):
     optimal basis is dual feasible for the true LP too; where the true
     levels, from fresh factors, are all at least ``-LEVEL_TOL`` it is
     optimal and is returned.  Otherwise the loop runs again from B_0 on b
-    itself, and the pivot count covers both runs.
+    itself, with B_0 built again from ``column``, and the pivot count covers
+    both runs.
 
     Returns the optimal basis, its values (clipped at 0), the pivot count,
     the least reduced cost of the final pricing pass, with basic variables
@@ -103,19 +104,25 @@ def primal_simplex(c, b, basis, column, price):
         NumericalFailure: singular basis, no pivot row, or pivot cap hit.
     """
     start = np.array(basis, dtype=np.intp)
-    m = b.shape[0]
-    B0 = np.empty((m, m), order="F")
-    for i, k in enumerate(start):
-        B0[:, i] = column(k)
-    shifted = b + PERTURBATION * b.max() * (B0 @ _perturbation_draws(m))
-    B = B0.copy(order="F")
+    B = _basis_matrix(start, column)
+    shifted = b + PERTURBATION * b.max() * (B @ _perturbation_draws(b.shape[0]))
     basis, pivots, min_reduced_cost, y = _pivot_loop(c, shifted, start.copy(), B, column, price)
     xB = _solve(B, b)
     if xB.min() < -LEVEL_TOL:
-        basis, more, min_reduced_cost, y = _pivot_loop(c, b, start, B0, column, price)
+        B = _basis_matrix(start, column)
+        basis, more, min_reduced_cost, y = _pivot_loop(c, b, start, B, column, price)
         pivots += more
-        xB = _solve(B0, b)
+        xB = _solve(B, b)
     return basis, np.maximum(xB, 0.0), pivots, min_reduced_cost, y
+
+
+def _basis_matrix(basis, column):
+    # The columns of the basic variables, in a Fortran-order matrix whose
+    # columns the loop replaces in place.
+    B = np.empty((basis.shape[0], basis.shape[0]), order="F")
+    for i, k in enumerate(basis.tolist()):
+        B[:, i] = column(k)
+    return B
 
 
 def _solve(B, rhs):

@@ -9,10 +9,11 @@ cost is summed over its at most n + m - 1 cells and the duals follow along
 the staircase basis in O(n + m), so no n x m cost matrix is built.  Every
 other space builds the cost matrix and runs :func:`solve_transport`.
 
-:func:`solve_transport` runs the transportation LP on the pivot loop of
-:mod:`otbary.pivoting`, shared with the multi-marginal and fixed-support
-LPs, and returns a basic optimal plan with duals u, v (u_0 = 0) whose
-reduced costs are certified nonnegative at 1e-9.
+:func:`solve_transport` is the J = 2 case of the one coupling LP,
+:func:`otbary.staircase.coupling_simplex`, whose setup the multi-marginal
+tensor simplex runs for J >= 3, on the pivot loop of
+:mod:`otbary.pivoting`.  It returns a basic optimal plan with duals u, v
+(u_0 = 0) whose reduced costs are certified nonnegative at 1e-9.
 
 :func:`wasserstein_1d` is the independent one-dimensional oracle: it
 integrates the quantile-function gap over the common refinement of cumulative
@@ -27,9 +28,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleWeights, UnsupportedSpace
 from .measures import DiscreteMeasure
-from .pivoting import primal_simplex
 from .spaces import Euclidean, Space, pairwise_distances
-from .staircase import MASS_CUT, _comonotone_entries, _lattice_path
+from .staircase import MASS_CUT, _comonotone_entries, _staircase, coupling_simplex
 
 FEASIBILITY_TOL = 1e-9
 MAX_COST_ENTRIES = 10**8
@@ -56,13 +56,12 @@ class TransportPlan:
 def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
     """Solve the transportation LP min <cost, pi> with fixed marginals.
 
-    The rows are the source weights and all but the last target weight
-    (that row is implied by the others), so the LP has n + m - 1 rows and
-    one variable per cell, in C order.  It starts at the north-west-corner
-    basis and pivots in :func:`otbary.pivoting.primal_simplex`; a cell's
-    column holds its two ones, and every cell is priced as
-    C - u[:, None] - v[None, :] in one preallocated buffer.  Plan levels of
-    at most ``MASS_CUT`` (1e-15, round-off of 0) are set to 0, as on the
+    The LP is :func:`otbary.staircase.coupling_simplex` on the two weight
+    vectors: the source rows and all but the last target row (that row is
+    implied by the others), n + m - 1 rows and one variable per cell, in C
+    order, from the north-west-corner basis.  The marginal totals need not
+    be 1; the target weights are scaled to the source total.  Plan levels
+    of at most ``MASS_CUT`` (1e-15, round-off of 0) are set to 0, as on the
     line, and the duals are shifted so that u_0 = 0.  With one source or
     one target the plan is forced and no LP is run.
 
@@ -73,7 +72,7 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
     C = np.asarray(cost, dtype=float)
     if C.ndim != 2:
         raise DimensionMismatch(f"cost must be a matrix, got shape {C.shape}")
-    if not (np.isfinite(C).all() and (C >= 0).all()):
+    if not 0.0 <= C.min() <= C.max() < np.inf:  # NaN entries fail here
         raise DimensionMismatch("cost entries must be finite and nonnegative")
     n, m = C.shape
     if n * m > MAX_COST_ENTRIES:
@@ -82,10 +81,11 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
     b = np.asarray(w_tgt, dtype=float).ravel()
     if a.shape[0] != n or b.shape[0] != m:
         raise DimensionMismatch("weight lengths do not match cost shape")
-    if min(a.min(), b.min()) < -1e-15:
+    least = min(a.min(), b.min())
+    if least < -1e-15:
         raise InfeasibleWeights("negative marginal weight")
-    a = np.maximum(a, 0.0)
-    b = np.maximum(b, 0.0)
+    if least < 0.0:
+        a, b = np.maximum(a, 0.0), np.maximum(b, 0.0)
     total_a, total_b = a.sum(), b.sum()
     if not abs(total_a - total_b) <= FEASIBILITY_TOL:  # NaN weights fail here
         raise InfeasibleWeights(f"marginal totals differ: {total_a!r} vs {total_b!r}")
@@ -97,45 +97,11 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
         return TransportPlan(
             plan=plan, cost=float((plan * C).sum()), u=C[:, 0] - C[0, 0], v=C[0].copy()
         )
-    rows = n + m - 1
-
-    # North-west corner: step down a row where its cumulative weight is
-    # reached first (or together with the column's), else right a column.
-    ca, cb = np.cumsum(a[:-1]).tolist(), np.cumsum(b[:-1]).tolist()
-    i = j = 0
-    basis = [0]
-    for _ in range(rows - 1):
-        if j == m - 1 or (i < n - 1 and ca[i] <= cb[j]):
-            i += 1
-        else:
-            j += 1
-        basis.append(i * m + j)
-
-    def column(k):
-        # Row n + m - 1, the dropped last target row, is a spare slot.
-        i, j = divmod(int(k), m)
-        col = np.zeros(rows + 1)
-        col[i] = col[n + j] = 1.0
-        return col[:rows]
-
-    v = np.zeros(m)  # the dropped row's dual stays 0
-    reduced = np.empty((n, m))
-    flat = reduced.reshape(-1)
-
-    def price(y):
-        v[:-1] = y[n:]
-        np.subtract(C, y[:n, None], out=reduced)
-        np.subtract(reduced, v, out=reduced)
-        return flat
-
-    basis, x, pivots, _, y = primal_simplex(
-        C.ravel(), np.concatenate([a, b[:-1]]), basis, column, price
-    )
+    basis, x, pivots, _, y = coupling_simplex(C, [a, b])
     plan = np.zeros((n, m))
     plan.reshape(-1)[basis] = np.where(x > MASS_CUT, x, 0.0)
-    v[:-1] = y[n:]
     return TransportPlan(
-        plan=plan, cost=float((plan * C).sum()), u=y[:n] - y[0], v=v + y[0], pivots=pivots
+        plan=plan, cost=float((plan * C).sum()), u=y[:n] - y[0], v=y[n:] + y[0], pivots=pivots
     )
 
 
@@ -145,11 +111,13 @@ def _line_transport(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Trans
     # gives u_{i+1} - u_i = c_k - c_{k-1} (c_k the cost of the k-th cell),
     # a column step the same for v; u_0 = 0, as in solve_transport.
     x, y = mu.atoms[:, 0], nu.atoms[:, 0]
-    idx, mass = _comonotone_entries([mu, nu])
-    path = _lattice_path(idx, (mu.n_atoms, nu.n_atoms))
-    c = np.abs(x[path[:, 0]] - y[path[:, 1]]) ** p
+    weights = [mu.weights, nu.weights]
+    idx, mass = _comonotone_entries(weights)
+    in_row = _staircase(weights) < mu.n_atoms  # the start cell and the row steps
+    rows = in_row.cumsum() - 1
+    c = np.abs(x[rows] - y[np.arange(rows.shape[0]) - rows]) ** p
     gain = np.diff(c)
-    row_step = np.diff(path[:, 0]) == 1
+    row_step = in_row[1:]
     u = np.concatenate([[0.0], np.cumsum(gain[row_step])])
     v = c[0] + np.concatenate([[0.0], np.cumsum(gain[~row_step])])
     plan = np.zeros((mu.n_atoms, nu.n_atoms))

@@ -5,13 +5,17 @@
 Sets ``sys.modules["scipy"] = None``, so any ``import scipy...`` raises,
 imports ``otbary`` and ``otbary.cli``, and runs through ``cli.main``, in a
 temporary directory: ``dist`` in 2D, ``bary`` in 2D at p = 1 and p = 2, on
-a grid graph and on a fixed support, ``mmot`` and a small 2D
-``experiment``.  Exits 1 if a command fails or if a scipy module was loaded.
-The library needs numpy alone; scipy is for the tests' oracles.
+a grid graph and on a fixed support, ``mmot``, a small 2D ``experiment``
+and a growing-ensemble ``experiment`` on the line up to J = 6 members of 15
+atoms, whose product of 1.1e7 tuples is past the default cap, which the
+line route does not need.  Exits 1 if a command fails, if a row of the line
+experiment records an error, or if a scipy module was loaded.  The library
+needs numpy alone; scipy is for the tests' oracles.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 import tempfile
@@ -46,7 +50,8 @@ def _inputs(tmp: Path) -> dict:
              for _ in range(3)]
     axis = np.linspace(-1.5, 1.5, 4)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    paths = {name: tmp / f"{name}.json" for name in ("a", "b", "plane", "graph", "grid", "cfg")}
+    paths = {name: tmp / f"{name}.json"
+             for name in ("a", "b", "plane", "graph", "grid", "cfg", "line")}
     save_measure(clouds[0], paths["a"])
     save_measure(clouds[1], paths["b"])
     save_ensemble(ot.MeasureEnsemble(clouds, [0.5, 0.3, 0.2]), paths["plane"])
@@ -70,6 +75,23 @@ def _inputs(tmp: Path) -> dict:
             "params": {"offset": {"dist": "uniform", "low": -0.2, "high": 0.2}},
         },
     }))
+    paths["line"].write_text(json.dumps({
+        "framework": "growing_ensemble",
+        "p": 2,
+        "seed": 0,
+        "sizes": [2, 4, 6],
+        "ensemble": {
+            "lambda": [1 / 6] * 6,
+            "measures": [
+                {
+                    "space": {"type": "euclidean", "dim": 1},
+                    "atoms": rng.normal(size=(15, 1)).tolist(),
+                    "weights": rng.dirichlet(np.ones(15)).tolist(),
+                }
+                for _ in range(6)
+            ],
+        },
+    }))
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -86,6 +108,7 @@ def main() -> int:
             ["bary", "--in", f["plane"], "--out", out, "--method", "fixed", "--support", f["grid"]],
             ["mmot", "--in", f["plane"], "--out", out],
             ["experiment", "--config", f["cfg"], "--out", str(tmp / "rows.csv")],
+            ["experiment", "--config", f["line"], "--out", str(tmp / "line.csv")],
         ]
         failed = 0
         for argv in runs:
@@ -93,6 +116,13 @@ def main() -> int:
                 code = otbary.cli.main(argv)
             print(f"otbary {argv[0]}: exit {code}")
             failed += code != 0
+        rows = []
+        if (tmp / "line.csv").exists():
+            with open(tmp / "line.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+        errors = [row["error"] for row in rows if row["error"]]
+        print(f"line experiment: {len(rows)} rows, {len(errors)} with an error")
+        failed += not rows or bool(errors)
     loaded = sorted(name for name, mod in sys.modules.items()
                     if name.startswith("scipy") and mod is not None)
     if loaded:

@@ -25,6 +25,7 @@ from otbary.barycenter import _dirac_start, _fixed_support_lp
 from otbary.spaces import as_atoms, pairwise_distances
 from conftest import GRID_GRAPH, random_ensemble, random_measure, space_points, tensor_ensembles
 from dense_simplex import solve_lp
+from highs_oracle import HIGHS_OPTIONS
 
 
 def quantile_average_1d(space, measures, lam, n):
@@ -311,7 +312,7 @@ def test_fixed_support_lp_matches_both_lp_solvers(ens, p, data):
     r = barycenter_fixed_support(space, p, ens, support)
     costs, weights = _lp_blocks(space, p, ens, support)
     c, A, b = _fixed_support_system(costs, weights)
-    highs = scipy.optimize.linprog(c, A_eq=A, b_eq=b, method="highs").fun
+    highs = scipy.optimize.linprog(c, A_eq=A, b_eq=b, method="highs", options=HIGHS_OPTIONS).fun
     dense = solve_lp(c, A, b).objective
     for reference in (highs, dense):
         assert abs(r.objective - reference) <= 1e-12 * abs(reference)

@@ -118,7 +118,9 @@ def test_bary_fixed_single_point(tmp_path, ensemble_file):
 
 
 def test_bary_oversized_exits_2(tmp_path, capsys):
-    ms = [DiscreteMeasure(LINE, [[0.0], [1.0]], [0.5, 0.5]) for _ in range(3)]
+    # In the plane: the line route at p = 2 builds no product, so the cap
+    # does not apply there.
+    ms = [DiscreteMeasure(Euclidean(2), [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]) for _ in range(3)]
     ens = MeasureEnsemble(ms, np.full(3, 1 / 3))
     pe = tmp_path / "big.json"
     save_ensemble(ens, pe)
@@ -250,8 +252,9 @@ def test_import_does_not_load_scipy_optimize():
 
 def test_cli_runs_without_scipy():
     # The library needs numpy alone.  The smoke script blocks scipy, runs
-    # dist, bary (p = 1, p = 2, graph, fixed support), mmot and experiment
-    # through the CLI, and fails if any of them does or a scipy module loads.
+    # dist, bary (p = 1, p = 2, graph, fixed support), mmot and two
+    # experiments (2D, and the line past the product cap) through the CLI,
+    # and fails if any of them does or a scipy module loads.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -261,4 +264,4 @@ def test_cli_runs_without_scipy():
         text=True,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.count(": exit 0") == 7
+    assert out.stdout.count(": exit 0") == 8

@@ -18,11 +18,12 @@ from otbary import (
     solve_multimarginal,
     wasserstein,
 )
-from otbary import multimarginal, pivoting
-from otbary.multimarginal import _comonotone_entries, _cost_vector, _index_grid, _staircase
+from otbary import multimarginal, pivoting, staircase
+from otbary.multimarginal import _cost_vector, _index_grid
+from otbary.staircase import _comonotone_entries, _staircase, coupling_simplex
 from otbary.transport import solve_transport
 from dense_simplex import solve_lp
-from highs_oracle import brute_force_multimarginal, highs_transport
+from highs_oracle import HIGHS_OPTIONS, brute_force_multimarginal, highs_transport
 from conftest import GRID_GRAPH, QUARTERS, random_ensemble, random_measure, tensor_ensembles
 
 
@@ -169,11 +170,26 @@ def test_optimality_inequalities(rng):
             assert value >= gamma.objective - 1e-8
 
 
-def test_product_size_cap(line):
-    ms = [DiscreteMeasure(line, [[0.0], [1.0]], [0.5, 0.5]) for _ in range(3)]
+def test_product_size_cap(plane):
+    # In the plane: the line route at p = 2 builds no product, so the cap
+    # does not apply there.
+    ms = [DiscreteMeasure(plane, [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]) for _ in range(3)]
     ens = MeasureEnsemble(ms, np.full(3, 1 / 3))
     with pytest.raises(ProductSizeExceeded):
-        solve_multimarginal(line, 2, ens, max_product_size=4)
+        solve_multimarginal(plane, 2, ens, max_product_size=4)
+
+
+def test_line_route_ignores_the_product_cap(line):
+    # Six members of 15 atoms: a product of 1.1e7 tuples, over the default
+    # cap, but the comonotone coupling has at most 85 entries.
+    rng = np.random.default_rng(6)
+    ms = [DiscreteMeasure(line, rng.normal(size=(15, 1)), rng.dirichlet(np.ones(15)))
+          for _ in range(6)]
+    ens = MeasureEnsemble(ms, np.full(6, 1 / 6))
+    gamma = solve_multimarginal(line, 2, ens)
+    assert gamma.shape == (15,) * 6 and len(gamma.entries) <= 6 * 14 + 1
+    for marg, m in zip(gamma.marginals(), ms):
+        assert np.max(np.abs(marg - m.weights)) <= 1e-9
 
 
 
@@ -274,23 +290,36 @@ def test_tensor_simplex_two_clouds_of_100(plane):
     assert abs(gamma.objective - expected) <= 1e-12 * expected
 
 
+def _staircase_cells(measures):
+    # The staircase's cells from its order: position 0 is the start cell,
+    # the others member steps listed member by member.
+    shape = [m.n_atoms for m in measures]
+    order = _staircase([m.weights for m in measures])
+    assert order[0] == 0
+    member = np.repeat(np.arange(len(shape)), [n - 1 for n in shape])
+    steps = np.zeros((order.size, len(shape)), dtype=np.intp)
+    steps[np.arange(1, order.size), member[order[1:] - 1]] = 1
+    return np.cumsum(steps, axis=0)
+
+
 @given(ens=line_ensembles(QUARTERS))
 @settings(max_examples=100, deadline=None)
 def test_staircase_is_a_lattice_path_through_the_comonotone_coupling(ens):
-    path = _staircase(ens.measures)
+    path = _staircase_cells(ens.measures)
     shape = np.array([m.n_atoms for m in ens.measures])
     assert len(path) == shape.sum() - len(shape) + 1
     assert np.all(path[0] == 0) and np.all(path[-1] == shape - 1)
     steps = np.diff(path, axis=0)
     assert np.all(steps.sum(axis=1) == 1) and np.all(steps >= 0)
     on_path = {tuple(cell) for cell in path}
-    assert all(tuple(t) in on_path for t in _comonotone_entries(ens.measures)[0])
+    entries = _comonotone_entries([m.weights for m in ens.measures])[0]
+    assert all(tuple(t) in on_path for t in entries)
 
 
 def _stepwise_staircase(measures):
     # Reference walk, one cell at a time: toward each comonotone entry and
     # then the far corner, advance coordinate 0 first, then 1, and so on.
-    idx, _ = _comonotone_entries(measures)
+    idx, _ = _comonotone_entries([m.weights for m in measures])
     last = np.array([m.n_atoms - 1 for m in measures])
     cell = np.zeros(len(measures), dtype=np.intp)
     path = [cell.copy()]
@@ -305,7 +334,7 @@ def _stepwise_staircase(measures):
 @given(ens=line_ensembles(QUARTERS))
 @settings(max_examples=100, deadline=None)
 def test_staircase_matches_the_stepwise_walk(ens):
-    assert np.array_equal(_staircase(ens.measures), _stepwise_staircase(ens.measures))
+    assert np.array_equal(_staircase_cells(ens.measures), _stepwise_staircase(ens.measures))
 
 
 def test_tensor_simplex_returns_values_of_a_fresh_factorization(plane):
@@ -317,21 +346,22 @@ def test_tensor_simplex_returns_values_of_a_fresh_factorization(plane):
     shape = tuple(m.n_atoms for m in ens.measures)
     idx = _index_grid(shape)
     C = _cost_vector(plane, 2, ens.lam, ens.measures, idx).reshape(shape)
-    basis, x, pivots, _ = multimarginal._tensor_simplex(C, ens.measures)
+    basis, x, pivots, _, _ = coupling_simplex(C, [m.weights for m in ens.measures])
     assert pivots > 0
     A, b = _marginal_system(ens.measures, idx)
     starts = np.cumsum((0,) + shape[:-1])
     implied = starts[1:] + np.asarray(shape[1:]) - 1
     A, b = np.delete(A, implied, axis=0), np.delete(b, implied)
-    fresh = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A[:, basis]), b)
+    fresh = np.linalg.solve(A[:, basis], b)
     assert np.array_equal(x, np.clip(fresh, 0.0, None))
 
 
 def test_singular_basis_is_a_numerical_failure(plane, monkeypatch):
-    # A repeated staircase cell gives two equal basis columns.
+    # A repeated staircase cell gives two equal basis columns: after the
+    # start cell (0, 0) and member 1's step to (1, 0), the start cell's
+    # offset 0 stays at (1, 0).
     ms = [DiscreteMeasure(plane, [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]) for _ in range(2)]
-    path = np.array([[0, 0], [0, 0], [1, 1]])
-    monkeypatch.setattr(multimarginal, "_staircase", lambda measures: path)
+    monkeypatch.setattr(staircase, "_staircase", lambda weights: np.array([0, 1, 0]))
     with pytest.raises(NumericalFailure, match="singular basis"):
         solve_multimarginal(plane, 2, MeasureEnsemble(ms, [0.5, 0.5]))
 
@@ -340,8 +370,8 @@ def test_marginals_are_checked_before_returning(line, monkeypatch):
     ms = [DiscreteMeasure(line, [[0.0], [1.0]], [0.5, 0.5]) for _ in range(2)]
     entries = multimarginal._comonotone_entries
 
-    def short_of_mass(measures):
-        idx, mass = entries(measures)
+    def short_of_mass(weights):
+        idx, mass = entries(weights)
         return idx, mass * (1 - 1e-8)
 
     monkeypatch.setattr(multimarginal, "_comonotone_entries", short_of_mass)
@@ -384,7 +414,7 @@ def _sparse_highs_objective(ms, lam):
     cols = np.tile(np.arange(idx.shape[0]), J)
     A = scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(J * n, idx.shape[0]))
     b = np.concatenate([m.weights for m in ms])
-    res = scipy.optimize.linprog(costs, A_eq=A, b_eq=b, method="highs")
+    res = scipy.optimize.linprog(costs, A_eq=A, b_eq=b, method="highs", options=HIGHS_OPTIONS)
     assert res.success
     return res.fun
 
@@ -488,10 +518,10 @@ def test_tensor_simplex_callbacks_match_the_dense_system(plane, shape, monkeypat
 
     def capture(c, b, basis, column, price):
         captured.update(c=c, b=b, column=column, price=price)
-        return basis, b, 0, 0.0
+        return basis, b, 0, 0.0, np.zeros(b.shape[0])
 
-    monkeypatch.setattr(multimarginal, "primal_simplex", capture)
-    multimarginal._tensor_simplex(C, ms)
+    monkeypatch.setattr(staircase, "primal_simplex", capture)
+    coupling_simplex(C, [m.weights for m in ms])
     A, b = _marginal_system(ms, _index_grid(shape))
     starts = np.cumsum((0,) + shape[:-1])
     implied = starts[1:] + np.asarray(shape[1:]) - 1

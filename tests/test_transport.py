@@ -85,8 +85,9 @@ def _weights(rng, n, total, zeros):
         lambda rng, n: (np.full(n, 1.0 / n), np.full(n, 1.0 / n)),
         lambda rng, n: (_weights(rng, n, 1.0, n // 3), _weights(rng, n + 2, 1.0, n // 2)),
         lambda rng, n: (_weights(rng, n, 2.5, 0), _weights(rng, n + 1, 2.5, 0)),
+        lambda rng, n: (_weights(rng, 2, 1.0, 0), _weights(rng, n + 2, 1.0, 0)),
     ],
-    ids=["uniform", "zero entries", "total 2.5"],
+    ids=["uniform", "zero entries", "total 2.5", "two sources"],
 )
 def test_solve_transport_matches_highs(case):
     rng = np.random.default_rng(11)
