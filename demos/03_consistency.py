@@ -14,7 +14,7 @@ from otbary import (
     Euclidean,
     ExperimentConfig,
     generate_deformation_ensemble,
-    run_empirical_consistency,
+    run_experiment,
 )
 
 line = Euclidean(1)
@@ -36,7 +36,7 @@ cfg = ExperimentConfig(
     ensemble=ens,
     replications=5,
 )
-report = run_empirical_consistency(cfg)
+report = run_experiment(cfg)
 print("median W_2 distance to the reference barycenter:")
 for size in cfg.sizes:
     print(f"  n = {size:>5d}:  {report.median_dist(size):.5f}")

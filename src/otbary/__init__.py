@@ -23,9 +23,7 @@ from .consistency import (
     ExperimentConfig,
     ensemble_distance,
     generate_deformation_ensemble,
-    run_empirical_consistency,
     run_experiment,
-    run_growing_ensemble,
 )
 from .deformations import Deformation, DeformationSpec, draw_deformations
 from .errors import (

@@ -28,7 +28,7 @@ from .measures import (
     measure_to_dict,
     save_measure,
 )
-from .multimarginal import pushforward_barycenter, solve_multimarginal
+from .multimarginal import DEFAULT_PRODUCT_CAP, pushforward_barycenter, solve_multimarginal
 from .transport import wasserstein
 
 EXIT_OK = 0
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument(
         "--max-product-size",
         type=int,
-        default=10**6,
+        default=DEFAULT_PRODUCT_CAP,
         help="cap on the multi-marginal product support",
     )
 

@@ -1,12 +1,13 @@
 """Convergence experiments for barycenters of converging ensembles.
 
-Two frameworks: replace each member measure by an n-sample empirical version
-(empirical_sampling), or grow the ensemble one member at a time toward a
-reference ensemble (growing_ensemble / deformation).  Every row of the
-report records the distance from the recomputed barycenter to the reference
-barycenter; the ensemble-level distance is the exact nested transport
-problem (outer LP over member measures, inner costs W_p^p).  On the line
-both need no inner solver: the distance to the reference is the
+One runner, :func:`run_experiment`, covers both frameworks of an
+:class:`ExperimentConfig`: replace each member measure by an n-sample
+empirical version (empirical_sampling), or grow the ensemble one member at
+a time toward a reference ensemble (growing_ensemble / deformation).  Every
+row of the report records the distance from the recomputed barycenter to
+the reference barycenter; the ensemble-level distance is the exact nested
+transport problem (outer LP over member measures, inner costs W_p^p).  On
+the line both need no inner solver: the distance to the reference is the
 north-west-corner plan of :func:`otbary.transport.wasserstein`, and all
 inner costs of the ensemble distance come from one pass over the common
 refinement of every member's cumulative weights, leaving one transport
@@ -38,6 +39,7 @@ from .measures import (
     sample_empirical,
     save_measure,
 )
+from .multimarginal import DEFAULT_PRODUCT_CAP
 from .spaces import Euclidean, Space
 from .staircase import _comonotone_entries
 from .transport import solve_transport, wasserstein
@@ -64,17 +66,22 @@ class ExperimentConfig:
     sizes: list[int]
     ensemble: MeasureEnsemble
     replications: int = 1
-    deformation: DeformationSpec | None = None
 
     def __post_init__(self):
         if self.framework not in FRAMEWORKS:
             raise InvalidConfig(f"unknown framework {self.framework!r}")
         if self.replications < 1:
             raise InvalidConfig("replications must be >= 1")
-        if len(self.sizes) == 0 or any(
+        if len(self.sizes) == 0 or self.sizes[0] < 1 or any(
             b <= a for a, b in zip(self.sizes, self.sizes[1:])
         ):
-            raise InvalidConfig("sizes must be a nonempty strictly increasing list")
+            raise InvalidConfig(
+                "sizes must be a nonempty strictly increasing list of positive integers"
+            )
+        if self.framework != "empirical_sampling" and self.sizes[-1] > self.ensemble.size:
+            raise InvalidConfig(
+                f"largest size {self.sizes[-1]} exceeds ensemble size {self.ensemble.size}"
+            )
 
 
 @dataclass
@@ -189,23 +196,26 @@ def _child_seed(master: int, *key: int) -> int:
     return int(np.random.SeedSequence([master, *key]).generate_state(1)[0])
 
 
-def _run_rows(
+def run_experiment(
     cfg: ExperimentConfig,
-    ensemble_at,
-    label: str,
     *,
-    save_members: bool,
-    max_product_size: int,
-    keep_artifacts: str | None,
+    max_product_size: int = DEFAULT_PRODUCT_CAP,
+    keep_artifacts: str | None = None,
 ) -> ConsistencyReport:
-    """The row loop both frameworks share.
+    """Run the experiment ``cfg`` describes: one row per (size, replication).
 
-    For every (size, replication), ``ensemble_at(size, rep)`` gives the
-    ensemble whose barycenter is compared with the reference barycenter; an
+    ``cfg.framework`` picks each row's ensemble.  Under empirical_sampling
+    the size-n ensemble replaces each member by an n-draw empirical version,
+    seeded by (seed, n, member, replication); otherwise the size-J ensemble
+    keeps the first J members of the reference with renormalized weights.
+    Each row records the distance from that ensemble's barycenter to the
+    reference barycenter and the ensemble's distance to the reference; an
     :class:`OTBaryError` becomes that row's ``error``.  Artifacts are named
-    ``bary_{label}{size}_rep{rep}.json`` and, with ``save_members``,
-    ``sample_{label}{size}_rep{rep}_j{j}.json``.
+    ``bary_n{size}_rep{rep}.json`` (``J`` in place of ``n`` when not
+    sampling) and, when sampling, ``sample_n{size}_rep{rep}_j{j}.json``.
     """
+    sampling = cfg.framework == "empirical_sampling"
+    label = "n" if sampling else "J"
     space = cfg.ensemble.space
     ref = barycenter_finite(space, cfg.p, cfg.ensemble, max_product_size=max_product_size)
     report = ConsistencyReport()
@@ -213,7 +223,15 @@ def _run_rows(
         for rep in range(cfg.replications):
             t0 = time.perf_counter()
             try:
-                ens = ensemble_at(size, rep)
+                if sampling:
+                    members = [
+                        sample_empirical(mu, size, _child_seed(cfg.seed, size, j, rep))
+                        for j, mu in enumerate(cfg.ensemble.measures)
+                    ]
+                    ens = MeasureEnsemble(members, cfg.ensemble.lam)
+                else:
+                    lam = cfg.ensemble.lam[:size]
+                    ens = MeasureEnsemble(cfg.ensemble.measures[:size], lam / lam.sum())
                 bary = barycenter_finite(
                     space, cfg.p, ens, max_product_size=max_product_size
                 )
@@ -230,7 +248,7 @@ def _run_rows(
                     save_measure(
                         bary.measure, os.path.join(keep_artifacts, f"bary_{stem}.json")
                     )
-                    if save_members:
+                    if sampling:
                         for j, m in enumerate(ens.measures):
                             save_measure(
                                 m, os.path.join(keep_artifacts, f"sample_{stem}_j{j}.json")
@@ -244,71 +262,6 @@ def _run_rows(
                     )
                 )
     return report
-
-
-def run_empirical_consistency(
-    cfg: ExperimentConfig,
-    *,
-    max_product_size: int = 10**6,
-    keep_artifacts: str | None = None,
-) -> ConsistencyReport:
-    """Empirical-sampling framework: each member is replaced by an n-draw
-    empirical version; the barycenter's distance to the exact reference
-    barycenter is recorded for every (n, replication)."""
-    if cfg.framework != "empirical_sampling":
-        raise InvalidConfig(f"framework is {cfg.framework!r}, not empirical_sampling")
-
-    def sampled(n, rep):
-        members = [
-            sample_empirical(mu, n, _child_seed(cfg.seed, n, j, rep))
-            for j, mu in enumerate(cfg.ensemble.measures)
-        ]
-        return MeasureEnsemble(members, cfg.ensemble.lam)
-
-    return _run_rows(
-        cfg, sampled, "n", save_members=True,
-        max_product_size=max_product_size, keep_artifacts=keep_artifacts,
-    )
-
-
-def run_growing_ensemble(
-    cfg: ExperimentConfig,
-    *,
-    max_product_size: int = 10**6,
-    keep_artifacts: str | None = None,
-) -> ConsistencyReport:
-    """Growing-ensemble framework: the size-J ensemble keeps the first J
-    members of the reference with renormalized weights."""
-    if cfg.framework not in ("growing_ensemble", "deformation"):
-        raise InvalidConfig(f"framework is {cfg.framework!r}, not growing_ensemble")
-    if cfg.sizes[-1] > cfg.ensemble.size:
-        raise InvalidConfig(
-            f"largest size {cfg.sizes[-1]} exceeds ensemble size {cfg.ensemble.size}"
-        )
-
-    def first(J, rep):
-        lam = cfg.ensemble.lam[:J]
-        return MeasureEnsemble(cfg.ensemble.measures[:J], lam / lam.sum())
-
-    return _run_rows(
-        cfg, first, "J", save_members=False,
-        max_product_size=max_product_size, keep_artifacts=keep_artifacts,
-    )
-
-
-def run_experiment(
-    cfg: ExperimentConfig,
-    *,
-    max_product_size: int = 10**6,
-    keep_artifacts: str | None = None,
-) -> ConsistencyReport:
-    if cfg.framework == "empirical_sampling":
-        return run_empirical_consistency(
-            cfg, max_product_size=max_product_size, keep_artifacts=keep_artifacts
-        )
-    return run_growing_ensemble(
-        cfg, max_product_size=max_product_size, keep_artifacts=keep_artifacts
-    )
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -352,5 +305,4 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         sizes=sizes,
         ensemble=ensemble,
         replications=replications,
-        deformation=spec,
     )

@@ -54,35 +54,31 @@ def _draw(descriptor, rng, size):
 class Deformation:
     """One realized map; callable on an (n, d) atom array."""
 
-    def __init__(self, fn, description: str):
+    def __init__(self, fn):
         self._fn = fn
-        self.description = description
 
     def __call__(self, atoms: np.ndarray) -> np.ndarray:
         return self._fn(np.asarray(atoms, dtype=float))
 
 
 def identity_deformation() -> Deformation:
-    return Deformation(lambda a: a, "identity")
+    return Deformation(lambda a: a)
 
 
 def _translation(offset: np.ndarray) -> Deformation:
-    return Deformation(lambda a: a + offset[None, :], f"translation {offset.tolist()}")
+    return Deformation(lambda a: a + offset[None, :])
 
 
 def _scaling(factor: float, center: np.ndarray) -> Deformation:
     if factor <= 0:
         raise InvalidConfig(f"scaling factor must be positive, got {factor}")
-    return Deformation(
-        lambda a: center[None, :] + factor * (a - center[None, :]),
-        f"scaling x{factor:.6g}",
-    )
+    return Deformation(lambda a: center[None, :] + factor * (a - center[None, :]))
 
 
 def _affine(matrix: np.ndarray, offset: np.ndarray) -> Deformation:
     if abs(np.linalg.det(matrix)) < 1e-9:
         raise InvalidConfig("affine matrix is singular")
-    return Deformation(lambda a: a @ matrix.T + offset[None, :], "affine")
+    return Deformation(lambda a: a @ matrix.T + offset[None, :])
 
 
 def _monotone_spline(knots: np.ndarray, values: np.ndarray) -> Deformation:
@@ -98,7 +94,7 @@ def _monotone_spline(knots: np.ndarray, values: np.ndarray) -> Deformation:
         y[above] = values[-1] + hi_slope * (x[above] - knots[-1])
         return y[:, None]
 
-    return Deformation(apply, "monotone-1d-spline")
+    return Deformation(apply)
 
 
 def draw_deformations(spec: DeformationSpec, count: int, dim: int) -> list[Deformation]:

@@ -44,11 +44,11 @@ without a per-tuple array or point.
   shorter than 1e-3 of the distance to the nearest atom is taken on the
   quadratic model's word.
 
-A row has converged after a full Newton step of at most ``tol`` times the
-distance to its nearest atom (or below the resolution of x), when such short
-steps stop shrinking (rounding noise), or when nothing descends.  Rows
-freeze once converged; a row still iterating at ``max_iter`` raises
-:class:`NonConvergence`.  The Euclidean rows are processed
+A row has converged after a full Newton step of at most ``STEP_TOL`` times
+the distance to its nearest atom (or below the resolution of x), when such
+short steps stop shrinking (rounding noise), or when nothing descends.  Rows
+freeze once converged; a row still iterating after ``MAX_ITER`` steps
+raises :class:`NonConvergence`.  The Euclidean rows are processed
 ``CHUNK_ENTRIES // (J d)`` at a time, the metric ones
 ``CHUNK_ENTRIES // n_points`` at a time, so working memory stays bounded for
 any batch size; :func:`product_costs` on a metric matrix works in blocks of
@@ -224,13 +224,13 @@ def _backtrack(x, f, g, s, rows, pts, lam, p, armijo):
     return x_new, f_new, taken
 
 
-def _iterate_rows(pts, x, lam, p, tol, max_iter):
+def _iterate_rows(pts, x, lam, p):
     n = pts.shape[0]
     iters = np.zeros(n, dtype=np.int64)
     f = _power_sum(lam, _dists(x, pts), p)
     live = np.arange(n)
     last = np.full(n, np.inf)  # each row's last trusted Newton step
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not live.size:
             break
         P, xl, fl = pts[live], x[live], f[live]
@@ -268,16 +268,16 @@ def _iterate_rows(pts, x, lam, p, tol, max_iter):
             stuck = b[t_g == 0]
         x[live], f[live] = x_n, f_n
         iters[live] = it
-        # Converged: a full Newton step within tol of the distance to the
+        # Converged: a full Newton step within STEP_TOL of the distance to the
         # nearest atom (the scale on which the model holds) or below the
         # resolution of x, or no descent left at all.
-        limit = tol * d.min(axis=1) + RESOLUTION * np.abs(xl).max(axis=1)
+        limit = STEP_TOL * d.min(axis=1) + RESOLUTION * np.abs(xl).max(axis=1)
         stop = ((taken == 1.0) & (step <= limit)) | stalled
         stop[stuck] = True
         live = live[~stop]
     if live.size:
         raise NonConvergence(
-            f"{live.size} p = {p:g} Fréchet means still moving after {max_iter} iterations"
+            f"{live.size} p = {p:g} Fréchet means still moving after {MAX_ITER} iterations"
         )
     return x, iters
 
@@ -302,7 +302,7 @@ def _metric_chunk(tables, rows):
     return label, objs[np.arange(rows.shape[0]), label], np.zeros(rows.shape[0], dtype=np.int64)
 
 
-def _euclidean_chunk(pts, lam, p, tol, max_iter):
+def _euclidean_chunk(pts, lam, p):
     x = np.empty((pts.shape[0], pts.shape[2]))
     iters = np.zeros(pts.shape[0], dtype=np.int64)
     # A tuple of one repeated point is its own mean, exactly.
@@ -332,7 +332,7 @@ def _euclidean_chunk(pts, lam, p, tol, max_iter):
     else:
         if p == 1:
             start[lower] = offset[lower]
-        x_local, iters[rest] = _iterate_rows(local, start, lam, p, tol, max_iter)
+        x_local, iters[rest] = _iterate_rows(local, start, lam, p)
         x[rest] = base + x_local
         # A solution on an atom is that atom, exactly.
         on = (x_local[:, None, :] == local).all(axis=2)
@@ -342,13 +342,7 @@ def _euclidean_chunk(pts, lam, p, tol, max_iter):
 
 
 def frechet_means(
-    space: Space,
-    p: float,
-    tuples,
-    lam,
-    *,
-    tol: float = STEP_TOL,
-    max_iter: int = MAX_ITER,
+    space: Space, p: float, tuples, lam
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fréchet mean of every row of ``tuples``: one minimizer of
     x -> sum_j lam_j d(x, tuples[k, j])^p per row k.
@@ -358,7 +352,7 @@ def frechet_means(
     their objectives and the iterations per row.
 
     Raises:
-        NonConvergence: a row is still iterating after ``max_iter`` steps.
+        NonConvergence: a row is still iterating after ``MAX_ITER`` steps.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     if p < 1:
@@ -376,7 +370,7 @@ def frechet_means(
         tuples = tuples.astype(float)
         points = np.empty((N, tuples.shape[2]))
         rows = max(1, CHUNK_ENTRIES // (J * tuples.shape[2]))
-        solve = lambda chunk: _euclidean_chunk(chunk, lam, p, tol, max_iter)
+        solve = lambda chunk: _euclidean_chunk(chunk, lam, p)
     objs = np.empty(N)
     iters = np.zeros(N, dtype=np.int64)
     for lo in range(0, N, rows):
@@ -474,15 +468,7 @@ def product_costs(space: Space, p: float, lam, atoms) -> np.ndarray:
     return _squared_distance_sum(lam, [np.asarray(a, dtype=float) for a in atoms], shape)
 
 
-def frechet_mean(
-    space: Space,
-    p: float,
-    pts,
-    lam,
-    *,
-    tol: float = STEP_TOL,
-    max_iter: int = MAX_ITER,
-) -> FrechetResult:
+def frechet_mean(space: Space, p: float, pts, lam) -> FrechetResult:
     """One minimizer of x -> sum_j lam_j d(x, pts_j)^p, deterministically:
     :func:`frechet_means` on a batch of one.  ``converged`` is always True;
     the iteration cap raises instead.
@@ -491,6 +477,6 @@ def frechet_mean(
         NonConvergence: the iteration cap was reached before convergence.
     """
     pts, lam = _check(space, pts, lam)
-    points, objs, iters = frechet_means(space, p, pts[None], lam, tol=tol, max_iter=max_iter)
+    points, objs, iters = frechet_means(space, p, pts[None], lam)
     point = int(points[0]) if isinstance(space, MetricMatrix) else points[0]
     return FrechetResult(point, float(objs[0]), int(iters[0]), True)

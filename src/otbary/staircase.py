@@ -1,20 +1,23 @@
 """The north-west-corner coupling of sorted marginals, its staircase, and
 the one coupling LP, all on the members' weight vectors.
 
-:func:`_comonotone_entries` is the one owner of the common refinement of
-cumulative weights: each interval between consecutive breakpoints of the
-members' cumulative weights carries one entry, at the index tuple of the
-members' quantiles on it.  On the line with a convex cost in x - y this
-coupling is optimal: for two marginals the cost matrix of sorted atoms is
-Monge (Hoffman 1963), and for J marginals at p = 2 the Fréchet cost is
-submodular (Carlier, J. Convex Anal. 2003).  On any space it is a feasible
-coupling.
+:func:`_refinement` is the one owner of the common refinement of cumulative
+weights.  :func:`_comonotone_entries` reads the coupling off it: each
+interval between consecutive breakpoints of the members' cumulative weights
+carries one entry, at the index tuple of the members' quantiles on it.  On
+the line with a convex cost in x - y this coupling is optimal: for two
+marginals the cost matrix of sorted atoms is Monge (Hoffman 1963), and for
+J marginals at p = 2 the Fréchet cost is submodular (Carlier, J. Convex
+Anal. 2003).  On any space it is a feasible coupling.
 
 :func:`_staircase` joins those entries into a staircase, a monotone
 lattice path from (0, ..., 0) to (n_1 - 1, ..., n_J - 1) that advances one
 coordinate per step.  Its sum_j n_j - J + 1 cells are a basis of the
 transportation polytope; for J = 2 it is a spanning tree of the bipartite
-row/column graph, so its duals follow along the path.
+row/column graph, so its duals follow along the path.  The two-marginal
+line route of :func:`otbary.transport.wasserstein` needs both the entries
+and the path, and reads them (:func:`_entries`, :func:`_path`) off one
+refinement.
 
 :func:`coupling_simplex` is the LP over the couplings of J >= 2 weight
 vectors, for :func:`otbary.transport.solve_transport` (J = 2) and
@@ -51,10 +54,14 @@ def _refinement(weights):
 
 
 def _comonotone_entries(weights) -> tuple[np.ndarray, np.ndarray]:
+    return _entries(_refinement(weights))
+
+
+def _entries(refinement):
     # One entry per interval of the common refinement of the cumulative
     # weights; member j sits at its quantile index on that interval.  Atoms
     # are sorted, so increasing intervals give increasing index tuples.
-    inner, _, starts, mass, keep = _refinement(weights)
+    inner, _, starts, mass, keep = refinement
     idx = np.stack([np.searchsorted(c, starts[1:], side="right") for c in inner], axis=1)
     return idx, mass[keep][1:]
 
@@ -71,7 +78,11 @@ def _staircase(weights) -> np.ndarray:
     first entry whose interval starts at or after it, and the start cell to
     the interval from -inf; a stable sort by interval gives path order.
     """
-    _, points, starts, _, _ = _refinement(weights)
+    return _path(_refinement(weights))
+
+
+def _path(refinement):
+    _, points, starts, _, _ = refinement
     return starts.searchsorted(points[2:]).argsort(kind="stable")
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DimensionMismatch, InfeasibleWeights, UnsupportedSpace
 from .measures import DiscreteMeasure
 from .spaces import Euclidean, Space, pairwise_distances
-from .staircase import MASS_CUT, _comonotone_entries, _staircase, coupling_simplex
+from .staircase import MASS_CUT, _entries, _path, _refinement, coupling_simplex
 
 FEASIBILITY_TOL = 1e-9
 MAX_COST_ENTRIES = 10**8
@@ -111,9 +111,9 @@ def _line_transport(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Trans
     # gives u_{i+1} - u_i = c_k - c_{k-1} (c_k the cost of the k-th cell),
     # a column step the same for v; u_0 = 0, as in solve_transport.
     x, y = mu.atoms[:, 0], nu.atoms[:, 0]
-    weights = [mu.weights, nu.weights]
-    idx, mass = _comonotone_entries(weights)
-    in_row = _staircase(weights) < mu.n_atoms  # the start cell and the row steps
+    refinement = _refinement([mu.weights, nu.weights])
+    idx, mass = _entries(refinement)
+    in_row = _path(refinement) < mu.n_atoms  # the start cell and the row steps
     rows = in_row.cumsum() - 1
     c = np.abs(x[rows] - y[np.arange(rows.shape[0]) - rows]) ** p
     gain = np.diff(c)

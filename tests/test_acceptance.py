@@ -20,7 +20,7 @@ from otbary import (
     mm_cost,
     pushforward,
     pushforward_barycenter,
-    run_empirical_consistency,
+    run_experiment,
     solve_multimarginal,
     wasserstein,
     wasserstein_1d,
@@ -194,7 +194,7 @@ def test_criterion_6_empirical_consistency():
         replications=20,
     )
     t0 = time.perf_counter()
-    report = run_empirical_consistency(cfg)
+    report = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     m10 = report.median_dist(10)
     m1000 = report.median_dist(1000)

@@ -200,9 +200,10 @@ def test_experiment_runs_and_is_deterministic(tmp_path, capsys):
 def test_experiment_bad_sizes_exit_3(tmp_path):
     cfg_path = experiment_config(tmp_path)
     raw = json.loads(cfg_path.read_text())
-    raw["sizes"] = [10, 5]
-    write_json(cfg_path, raw)
-    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 3
+    # Decreasing sizes, and a growing ensemble past its two members.
+    for change in ({"sizes": [10, 5]}, {"framework": "growing_ensemble", "sizes": [1, 3]}):
+        write_json(cfg_path, {**raw, **change})
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 3
 
 
 def test_cli_outputs_reparse(tmp_path, ensemble_file):

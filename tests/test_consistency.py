@@ -14,8 +14,7 @@ from otbary import (
     ensemble_distance,
     generate_deformation_ensemble,
     measures_equal,
-    run_empirical_consistency,
-    run_growing_ensemble,
+    run_experiment,
 )
 from otbary import consistency
 from otbary.consistency import config_from_dict
@@ -131,17 +130,22 @@ def test_config_validation(line):
     ens = MeasureEnsemble([t, t], [0.5, 0.5])
     with pytest.raises(InvalidConfig):
         ExperimentConfig("empirical_sampling", 2, 0, [10, 10], ens)
+    for framework in ("empirical_sampling", "growing_ensemble"):
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig(framework, 2, 0, [0, 1], ens)
     with pytest.raises(InvalidConfig):
         ExperimentConfig("bogus", 2, 0, [10], ens)
     with pytest.raises(InvalidConfig):
         ExperimentConfig("empirical_sampling", 2, 0, [10], ens, replications=0)
+    with pytest.raises(InvalidConfig, match="exceeds ensemble size"):
+        ExperimentConfig("growing_ensemble", 2, 0, [1, 3], ens)
 
 
 def test_growing_constant_sequence(line):
     t = uniform_template(line, n=4)
     ens = MeasureEnsemble([t, t, t], np.full(3, 1 / 3))
     cfg = ExperimentConfig("growing_ensemble", 2, 0, [1, 2, 3], ens)
-    rep = run_growing_ensemble(cfg)
+    rep = run_experiment(cfg)
     for row in rep.rows:
         assert row.error == ""
         assert row.dist_to_ref == pytest.approx(0.0, abs=1e-9)
@@ -151,7 +155,7 @@ def test_growing_constant_sequence(line):
 def test_growing_full_size_exact(rng, line):
     ens = random_ensemble(rng, line, 4, max_atoms=3, uniform_lam=True)
     cfg = ExperimentConfig("growing_ensemble", 2, 0, [2, 4], ens)
-    rep = run_growing_ensemble(cfg)
+    rep = run_experiment(cfg)
     by_size = {r.size: r for r in rep.rows}
     assert by_size[4].dist_to_ref == pytest.approx(0.0, abs=1e-9)
     assert by_size[4].dist_to_ref <= by_size[2].dist_to_ref + 1e-9
@@ -163,7 +167,7 @@ def test_empirical_degenerate_dirac(line):
     b = DiscreteMeasure(line, [[1.0]], [1.0])
     ens = MeasureEnsemble([a, b], [0.5, 0.5])
     cfg = ExperimentConfig("empirical_sampling", 2, 0, [5], ens)
-    rep = run_empirical_consistency(cfg)
+    rep = run_experiment(cfg)
     assert rep.rows[0].dist_to_ref == pytest.approx(0.0, abs=1e-12)
 
 
@@ -172,8 +176,8 @@ def test_empirical_determinism(line):
     spec = DeformationSpec("translation", {"offset": {"dist": "uniform", "low": -0.2, "high": 0.2}}, seed=5)
     ens = generate_deformation_ensemble(t, spec, 2)
     cfg = ExperimentConfig("empirical_sampling", 2, 7, [5, 20], ens, replications=2)
-    r1 = run_empirical_consistency(cfg)
-    r2 = run_empirical_consistency(cfg)
+    r1 = run_experiment(cfg)
+    r2 = run_experiment(cfg)
     assert [row.dist_to_ref for row in r1.rows] == [row.dist_to_ref for row in r2.rows]
 
 
@@ -182,7 +186,7 @@ def test_empirical_median_shrinks(line):
     spec = DeformationSpec("translation", {"offset": {"dist": "uniform", "low": -0.3, "high": 0.3}}, seed=2)
     ens = generate_deformation_ensemble(t, spec, 3)
     cfg = ExperimentConfig("empirical_sampling", 2, 21, [10, 200], ens, replications=5)
-    rep = run_empirical_consistency(cfg)
+    rep = run_experiment(cfg)
     assert rep.median_dist(200) < rep.median_dist(10)
 
 

@@ -264,14 +264,16 @@ def test_anchor_returns_the_atom_exactly(plane):
     assert r.objective == frechet_objective(plane, 1, pts, lam, pts[0])
 
 
-def test_iteration_cap_raises(plane):
+def test_iteration_cap_raises(plane, monkeypatch):
     # No atom is the median: at (1, 3) the others pull with 0.51 > 0.4.
     pts = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
     lam = np.array([0.3, 0.3, 0.4])
     for p in (1, 3):
         assert frechet_mean(plane, p, pts, lam).iterations > 2
+    monkeypatch.setattr(frechet, "MAX_ITER", 2)
+    for p in (1, 3):
         with pytest.raises(NonConvergence):
-            frechet_mean(plane, p, pts, lam, max_iter=2)
+            frechet_mean(plane, p, pts, lam)
 
 
 # ---------------------------------------------------------------------------
