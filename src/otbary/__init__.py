@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedSpace,
     WeightSumOutOfTolerance,
 )
-from .frechet import FrechetResult, frechet_mean, frechet_objective
+from .frechet import frechet_means, frechet_objective
 from .measures import (
     DiscreteMeasure,
     MeasureEnsemble,
@@ -54,7 +54,6 @@ from .measures import (
 )
 from .multimarginal import (
     MultiCoupling,
-    mm_cost,
     pushforward_barycenter,
     solve_multimarginal,
 )

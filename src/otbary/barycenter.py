@@ -49,7 +49,7 @@ from .multimarginal import (
     solve_multimarginal,
 )
 from .pivoting import primal_simplex
-from .spaces import MetricMatrix, Space, as_atoms, pairwise_distances
+from .spaces import MetricMatrix, Space, as_atoms, check_order, pairwise_distances
 from .staircase import MASS_CUT
 from .transport import wasserstein
 
@@ -205,9 +205,11 @@ def barycenter_fixed_support(
     transport plans sharing their first marginal; c_j = <C_j, pi_j>.
 
     Raises:
+        DimensionMismatch: p < 1, or an empty support.
         NumericalFailure: the simplex failed, or the plans miss the weights
             or disagree on the support by more than ``MARGINAL_TOL``.
     """
+    check_order(p)
     support = as_atoms(space, support)
     if support.shape[0] == 0:
         raise DimensionMismatch("support must be nonempty")

@@ -76,9 +76,7 @@ def cmd_dist(args) -> int:
 
 def cmd_bary(args) -> int:
     ens = load_ensemble(args.in_path)
-    if args.method == "fixed":
-        if not args.support:
-            raise InvalidConfig("--method fixed requires --support")
+    if args.support is not None:
         grid = load_measure(args.support)
         result = barycenter_fixed_support(ens.space, args.p, ens, grid.atoms)
     else:
@@ -171,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bary", parents=[order, cap], help="ensemble barycenter")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--method", choices=["mmot", "fixed"], default="mmot")
-    sp.add_argument("--support", default=None, help="measure file giving the grid")
+    sp.add_argument("--support", default=None, help="fix the support to this measure's atoms")
     sp.set_defaults(fn=cmd_bary)
 
     sp = sub.add_parser("mmot", parents=[order, cap], help="multi-marginal coupling")

@@ -40,7 +40,7 @@ from .measures import (
     save_measure,
 )
 from .multimarginal import DEFAULT_PRODUCT_CAP
-from .spaces import Euclidean, Space
+from .spaces import Euclidean, Space, check_order
 from .staircase import _comonotone_entries
 from .transport import solve_transport, wasserstein
 
@@ -154,8 +154,7 @@ def ensemble_distance(
     """
     if ens_a.space != space or ens_b.space != space:
         raise DimensionMismatch("ensembles do not live on the given space")
-    if p < 1:
-        raise DimensionMismatch(f"order p must be >= 1, got {p}")
+    check_order(p)
     if isinstance(space, Euclidean) and space.dim == 1:
         cost = _line_member_costs(p, ens_a.measures, ens_b.measures)
     else:

@@ -46,7 +46,7 @@ def _draw(descriptor, rng, size):
     if kind == "choice":
         values = np.asarray(descriptor["values"], dtype=float)
         probs = descriptor.get("probs")
-        idx = rng.choice(len(values), size=size if np.ndim(values) == 1 else size[0] if isinstance(size, tuple) else size, p=probs)
+        idx = rng.choice(len(values), size=size, p=probs)
         return values[idx]
     raise InvalidConfig(f"unknown distribution descriptor {kind!r}")
 

@@ -5,18 +5,19 @@ the multi-marginal solver: it picks one minimizer of
 f(x) = sum_j lam_j d(x, a_j)^p with a fixed tie-breaking rule, so identical
 inputs always give identical outputs.
 
-:func:`frechet_means` solves a whole batch of tuples at once and is the only
-solver; :func:`frechet_mean` is the same call on a batch of one.  Every step
-is elementwise across the rows of a batch, so a tuple gets bit-identical
-results alone or inside any batch.  :func:`product_costs` gives the
-objectives alone of a whole product of tuples (the multi-marginal cost
-tensor) where they have a closed form, Euclidean p = 2 and metric matrices,
-without a per-tuple array or point.
+:func:`frechet_means` is the one solver.  It takes the members' atoms
+((n_j, d) coordinates or (n_j,) labels) and an (N, J) array of index
+tuples, and gathers the tuples' points itself, a chunk at a time.  Every
+step is elementwise across the rows of a batch, so a tuple gets
+bit-identical results alone or inside any batch.  :func:`product_costs`
+takes the same atoms and gives the objectives alone of their whole product
+(the multi-marginal cost tensor) where they have a closed form, Euclidean
+p = 2 and metric matrices, without a per-tuple array or point.
 
 - Metric-matrix spaces minimize over the listed points exhaustively and
   break objective ties (within 1e-12) toward the smallest label.  Each
-  member j gets one table of lam_j d(a, x)^p, a row per label a it uses,
-  and a tuple's objectives are the sum of one gathered row per member.
+  member j gets one table of lam_j d(a, x)^p, a row per atom a, and a
+  tuple's objectives are the sum of one gathered row per member.
 - A Euclidean tuple of one repeated point is its own mean.  The others are
   solved relative to one of their atoms, so coordinates the atoms share
   stay exact; a solution on an atom returns that atom exactly.
@@ -48,7 +49,7 @@ A row has converged after a full Newton step of at most ``STEP_TOL`` times
 the distance to its nearest atom (or below the resolution of x), when such
 short steps stop shrinking (rounding noise), or when nothing descends.  Rows
 freeze once converged; a row still iterating after ``MAX_ITER`` steps
-raises :class:`NonConvergence`.  The Euclidean rows are processed
+raises :class:`NonConvergence`.  The Euclidean rows are gathered and solved
 ``CHUNK_ENTRIES // (J d)`` at a time, the metric ones
 ``CHUNK_ENTRIES // n_points`` at a time, so working memory stays bounded for
 any batch size; :func:`product_costs` on a metric matrix works in blocks of
@@ -57,12 +58,10 @@ at most ``CHUNK_ENTRIES`` floats too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence, UnsupportedSpace
-from .spaces import MetricMatrix, Space, as_atoms
+from .spaces import MetricMatrix, Space, as_atoms, check_order
 
 STEP_TOL = 1e-10  # Newton step, relative to the nearest atom
 RESOLUTION = 4 * np.finfo(float).eps  # steps below this times |x| cannot move x
@@ -75,14 +74,6 @@ ARMIJO = 1e-4  # sufficient decrease of a gradient step
 NEWTON_DECREASE = 0.25  # sufficient decrease of a Newton step
 MIN_STEP = 1e-18  # smallest backtracking factor
 CHUNK_ENTRIES = 2**18  # floats in one (rows, J, d) or (n_points, rows) block
-
-
-@dataclass
-class FrechetResult:
-    point: np.ndarray | int
-    objective: float
-    iterations: int
-    converged: bool
 
 
 def _check(space, pts, lam):
@@ -282,24 +273,19 @@ def _iterate_rows(pts, x, lam, p):
     return x, iters
 
 
-def _metric_tables(space, tuples, lam, p):
-    # Per member j, lam_j d(a, x)^p from every label a the member uses (one
-    # row each) to every point x, and each tuple's row in that table.
-    tables, rows = [], np.empty(tuples.shape, dtype=np.intp)
-    for j in range(tuples.shape[1]):
-        used = np.zeros(space.n_points, dtype=bool)
-        used[tuples[:, j]] = True
-        tables.append(lam[j] * space.dist.T[used] ** p)
-        rows[:, j] = (np.cumsum(used) - 1)[tuples[:, j]]
-    return tables, rows
+def _member_tables(space, p, lam, atoms):
+    # Per member j, lam_j d(a, x)^p from each of its labels a (one row each)
+    # to every point x: the one source of the metric objectives, so
+    # frechet_means and product_costs agree bit for bit.
+    return [lam[j] * space.dist.T[a] ** p for j, a in enumerate(atoms)]
 
 
-def _metric_chunk(tables, rows):
-    objs = np.zeros((rows.shape[0], tables[0].shape[1]))
+def _metric_chunk(tables, idx):
+    objs = np.zeros((idx.shape[0], tables[0].shape[1]))
     for j, table in enumerate(tables):
-        objs += table[rows[:, j]]
+        objs += table[idx[:, j]]
     label = (objs <= objs.min(axis=1)[:, None] + TIE_TOL).argmax(axis=1)
-    return label, objs[np.arange(rows.shape[0]), label], np.zeros(rows.shape[0], dtype=np.int64)
+    return label, objs[np.arange(idx.shape[0]), label], np.zeros(idx.shape[0], dtype=np.int64)
 
 
 def _euclidean_chunk(pts, lam, p):
@@ -342,40 +328,46 @@ def _euclidean_chunk(pts, lam, p):
 
 
 def frechet_means(
-    space: Space, p: float, tuples, lam
+    space: Space, p: float, lam, atoms, idx
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fréchet mean of every row of ``tuples``: one minimizer of
-    x -> sum_j lam_j d(x, tuples[k, j])^p per row k.
+    """Fréchet mean of every index tuple: one minimizer of
+    x -> sum_j lam_j d(x, atoms[j][idx[k, j]])^p per row k of ``idx``.
 
-    ``tuples`` holds (N, J, d) coordinates in a Euclidean space and (N, J)
-    labels on a metric matrix.  Returns the points ((N, d) or (N,) labels),
-    their objectives and the iterations per row.
+    ``atoms`` holds each member's (n_j, d) coordinates or (n_j,) labels, as
+    for :func:`product_costs`, and ``idx`` is an (N, J) array of member
+    indices.  Returns the points ((N, d) or (N,) labels), their objectives
+    and the iterations per row.
 
     Raises:
+        DimensionMismatch: p < 1, or ``atoms``, ``idx`` and ``lam`` disagree
+            on the number of members.
         NonConvergence: a row is still iterating after ``MAX_ITER`` steps.
     """
+    check_order(p)
     lam = np.asarray(lam, dtype=float).ravel()
-    if p < 1:
-        raise DimensionMismatch(f"order p must be >= 1, got {p}")
-    tuples = np.asarray(tuples)
-    N, J = tuples.shape[:2]
-    if J != lam.shape[0] or J == 0:
-        raise DimensionMismatch(f"{J} points per tuple with {lam.shape[0]} weights")
+    idx = np.asarray(idx, dtype=np.intp)
+    N, J = idx.shape
+    if not J == len(atoms) == lam.shape[0] or J == 0:
+        raise DimensionMismatch(
+            f"{len(atoms)} members, {J} indices per tuple and {lam.shape[0]} weights"
+        )
     if isinstance(space, MetricMatrix):
-        tables, tuples = _metric_tables(space, tuples.astype(np.intp), lam, p)
+        tables = _member_tables(space, p, lam, [np.asarray(a, dtype=np.intp) for a in atoms])
         points = np.empty(N, dtype=np.intp)
         rows = max(1, CHUNK_ENTRIES // space.n_points)
-        solve = lambda chunk: _metric_chunk(tables, chunk)
+        solve = lambda part: _metric_chunk(tables, idx[part])
     else:
-        tuples = tuples.astype(float)
-        points = np.empty((N, tuples.shape[2]))
-        rows = max(1, CHUNK_ENTRIES // (J * tuples.shape[2]))
-        solve = lambda chunk: _euclidean_chunk(chunk, lam, p)
+        atoms = [np.asarray(a, dtype=float) for a in atoms]
+        points = np.empty((N, space.dim))
+        rows = max(1, CHUNK_ENTRIES // (J * space.dim))
+        solve = lambda part: _euclidean_chunk(
+            np.stack([a[idx[part, j]] for j, a in enumerate(atoms)], axis=1), lam, p
+        )
     objs = np.empty(N)
     iters = np.zeros(N, dtype=np.int64)
     for lo in range(0, N, rows):
         part = slice(lo, lo + rows)
-        points[part], objs[part], iters[part] = solve(tuples[part])
+        points[part], objs[part], iters[part] = solve(part)
     return points, objs, iters
 
 
@@ -397,7 +389,7 @@ def _metric_product(space, p, lam, atoms, shape):
     # s, ..., J - 1 are broadcast whole, with the points as a last axis, and
     # the flattened leading axes are walked `rows` tuples at a time.
     P = space.n_points
-    tables = [lam[j] * space.dist.T[a] ** p for j, a in enumerate(atoms)]
+    tables = _member_tables(space, p, lam, atoms)
     J = len(shape)
     s, tail = J, 1
     while s > 1 and tail * shape[s - 1] * P <= CHUNK_ENTRIES:
@@ -467,16 +459,3 @@ def product_costs(space: Space, p: float, lam, atoms) -> np.ndarray:
         raise UnsupportedSpace(f"no product-cost form for Euclidean p = {p:g}")
     return _squared_distance_sum(lam, [np.asarray(a, dtype=float) for a in atoms], shape)
 
-
-def frechet_mean(space: Space, p: float, pts, lam) -> FrechetResult:
-    """One minimizer of x -> sum_j lam_j d(x, pts_j)^p, deterministically:
-    :func:`frechet_means` on a batch of one.  ``converged`` is always True;
-    the iteration cap raises instead.
-
-    Raises:
-        NonConvergence: the iteration cap was reached before convergence.
-    """
-    pts, lam = _check(space, pts, lam)
-    points, objs, iters = frechet_means(space, p, pts[None], lam)
-    point = int(points[0]) if isinstance(space, MetricMatrix) else points[0]
-    return FrechetResult(point, float(objs[0]), int(iters[0]), True)

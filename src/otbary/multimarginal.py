@@ -5,14 +5,17 @@ weighted d^p sum, i.e. the Fréchet-mean objective of the tuple's atoms; the
 minimizer itself is the barycenter-map image used by
 :func:`pushforward_barycenter`.  The LP needs every tuple's cost, but only
 the tuples of the optimal basis (at most sum_j n_j - J + 1) need a point.
-At Euclidean p = 2 and on a metric matrix the cost tensor comes from
-:func:`otbary.frechet.product_costs`, which builds no per-tuple array, and
-the batched pass :func:`otbary.frechet.frechet_means` then runs on the
-basic tuples alone.  Euclidean p != 2 has no closed form: one batched pass
-over the whole product gives the costs, and the basic tuples keep its
-points.  Either way the points and the objective come from the batched
-pass, and the coupling keeps the Fréchet means of its positive-mass
-tuples, so the pushforward solves no tuple a second time.
+Both :func:`otbary.frechet.product_costs` and the batched pass
+:func:`otbary.frechet.frechet_means` take the members' atoms; the pass
+also takes an (N, J) array of index tuples and gathers their points
+itself, a chunk at a time.  At Euclidean p = 2 and on a metric matrix the
+cost tensor comes from ``product_costs``, which builds no per-tuple array,
+and the pass then runs on the basic tuples alone.  Euclidean p != 2 has no
+closed form: one pass over the index grid of the whole product gives the
+costs, and the basic tuples keep its points.  Either way the points and
+the objective come from the pass, and the coupling keeps the Fréchet
+means of its positive-mass tuples, so the pushforward solves no tuple a
+second time.
 
 The production path (:func:`solve_multimarginal`) has two routes.  On the
 line with p = 2 it returns the comonotone (north-west-corner) coupling of
@@ -47,9 +50,9 @@ from .errors import (
     NumericalFailure,
     ProductSizeExceeded,
 )
-from .frechet import frechet_mean, frechet_means, product_costs
+from .frechet import frechet_means, product_costs
 from .measures import DiscreteMeasure, MeasureEnsemble
-from .spaces import Euclidean, MetricMatrix, Space
+from .spaces import Euclidean, Space, check_order
 from .staircase import MASS_CUT, _comonotone_entries, coupling_simplex
 
 DEFAULT_PRODUCT_CAP = 10**6
@@ -90,33 +93,9 @@ class MultiCoupling:
         ]
 
 
-def mm_cost(space: Space, p: float, lam, atoms: tuple) -> tuple[float, np.ndarray | int]:
-    """Cost inf_x sum_j lam_j d(atom_j, x)^p and its minimizing point."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    if len(atoms) != lam.shape[0]:
-        raise DimensionMismatch(f"{len(atoms)} atoms with {lam.shape[0]} weights")
-    if isinstance(space, MetricMatrix):
-        pts = list(atoms)
-    else:
-        pts = np.array([np.atleast_1d(np.asarray(a, dtype=float)) for a in atoms])
-    res = frechet_mean(space, p, pts, lam)
-    return res.objective, res.point
-
-
 def _index_grid(shape: tuple[int, ...]) -> np.ndarray:
     # (N, J) integer tuples in C order.
     return np.indices(shape).reshape(len(shape), -1).T
-
-
-def _frechet_pass(space, p, lam, measures, idx):
-    # Fréchet mean and cost of every index tuple (rows of idx), in one batch.
-    tuples = np.stack([m.atoms[idx[:, j]] for j, m in enumerate(measures)], axis=1)
-    points, costs, _ = frechet_means(space, p, tuples, lam)
-    return points, costs
-
-
-def _cost_vector(space, p, lam, measures, idx) -> np.ndarray:
-    return _frechet_pass(space, p, lam, measures, idx)[1]
 
 
 def solve_multimarginal(
@@ -139,6 +118,7 @@ def solve_multimarginal(
     entries kept, and the marginals are checked within ``MARGINAL_TOL``.
 
     Raises:
+        DimensionMismatch: p < 1.
         ProductSizeExceeded: off the line p = 2 route, product support
             larger than ``max_product_size``.
         NumericalFailure: the simplex failed, or the marginals miss the
@@ -146,6 +126,7 @@ def solve_multimarginal(
     """
     if ens.space != space:
         raise DimensionMismatch("ensemble does not live on the given space")
+    check_order(p)
     measures = ens.measures
     shape = tuple(m.n_atoms for m in measures)
     if abs(ens.lam.sum() - 1.0) > MARGINAL_TOL:
@@ -158,9 +139,10 @@ def solve_multimarginal(
         )
     pivots, min_reduced_cost = 0, None
     weights = [m.weights for m in measures]
+    atoms = [m.atoms for m in measures]
     if isinstance(space, Euclidean) and space.dim == 1 and p == 2:
         idx, x = _comonotone_entries(weights)
-        points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
+        points, costs, _ = frechet_means(space, p, ens.lam, atoms, idx)
     else:
         if np.prod([float(n) for n in shape]) > max_product_size:
             raise ProductSizeExceeded(
@@ -170,16 +152,16 @@ def solve_multimarginal(
         if isinstance(space, Euclidean) and p != 2:
             # No closed form: the costs come from one Fréchet pass over the
             # product, and the basic tuples keep its points.
-            full = _frechet_pass(space, p, ens.lam, measures, _index_grid(shape))
+            full = frechet_means(space, p, ens.lam, atoms, _index_grid(shape))
             C = full[1].reshape(shape)
         else:
-            C = product_costs(space, p, ens.lam, [m.atoms for m in measures])
+            C = product_costs(space, p, ens.lam, atoms)
         basis, x, pivots, min_reduced_cost, _ = coupling_simplex(C, weights)
         order = np.argsort(basis)
         basis, x = basis[order], x[order]
         idx = np.column_stack(np.unravel_index(basis, shape))
         if full is None:
-            points, costs = _frechet_pass(space, p, ens.lam, measures, idx)
+            points, costs, _ = frechet_means(space, p, ens.lam, atoms, idx)
         else:
             points, costs = full[0][basis], full[1][basis]
     keep = x > MASS_CUT

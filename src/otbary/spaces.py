@@ -97,6 +97,12 @@ def as_point(space: Space, x) -> np.ndarray | int:
     return i
 
 
+def check_order(p: float) -> None:
+    """Raise DimensionMismatch unless the order p of a distance is >= 1."""
+    if p < 1:
+        raise DimensionMismatch(f"order p must be >= 1, got {p}")
+
+
 def as_atoms(space: Space, atoms) -> np.ndarray:
     """Coerce an array of points: (n, d) floats or (n,) integer labels."""
     if isinstance(space, Euclidean):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleWeights, UnsupportedSpace
 from .measures import DiscreteMeasure
-from .spaces import Euclidean, Space, pairwise_distances
+from .spaces import Euclidean, Space, check_order, pairwise_distances
 from .staircase import MASS_CUT, _entries, _path, _refinement, coupling_simplex
 
 FEASIBILITY_TOL = 1e-9
@@ -140,8 +140,7 @@ def wasserstein(
     """
     if mu.space != space or nu.space != space:
         raise DimensionMismatch("measures do not live on the given space")
-    if p < 1:
-        raise DimensionMismatch(f"order p must be >= 1, got {p}")
+    check_order(p)
     if isinstance(space, Euclidean) and space.dim == 1:
         result = _line_transport(p, mu, nu)
     else:
@@ -157,8 +156,7 @@ def wasserstein_1d(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         raise UnsupportedSpace("wasserstein_1d requires Euclidean dimension 1")
     if nu.space != mu.space:
         raise DimensionMismatch("measures live on different spaces")
-    if p < 1:
-        raise DimensionMismatch(f"order p must be >= 1, got {p}")
+    check_order(p)
     xa = mu.atoms[:, 0]
     xb = nu.atoms[:, 0]
     ca = np.cumsum(mu.weights)

@@ -96,6 +96,15 @@ def line_measures(draw, max_atoms=30):
     return DiscreteMeasure(Euclidean(1), atoms[:, None], weights)
 
 
+def indexed(tuples):
+    """An (N, J, d) array of coordinate tuples, or (N, J) labels, as the
+    (atoms, idx) of frechet_means: member j's atoms are column j, and tuple
+    k takes atom k of every member."""
+    tuples = np.asarray(tuples)
+    N, J = tuples.shape[:2]
+    return [tuples[:, j] for j in range(J)], np.tile(np.arange(N)[:, None], (1, J))
+
+
 def embedded(m):
     """The measure m on the line as the same atoms (x, 0) in the plane."""
     return DiscreteMeasure(Euclidean(2), np.hstack([m.atoms, np.zeros_like(m.atoms)]),

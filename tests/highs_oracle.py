@@ -1,10 +1,10 @@
 """HiGHS oracles for multi-marginal and two-marginal transport, for the tests.
 
 :func:`brute_force_multimarginal` assembles the full
-(sum_j n_j x prod_j n_j) LP entry by entry, pricing every tuple with
-:func:`otbary.multimarginal.mm_cost` one at a time, and hands it to
-``scipy.optimize.linprog``: no LP code, batched Fréchet pass or constraint
-structure is shared with :func:`otbary.solve_multimarginal`.
+(sum_j n_j x prod_j n_j) LP entry by entry, takes every tuple's cost and
+point from one :func:`otbary.frechet_means` pass over the product, and
+hands the LP to ``scipy.optimize.linprog``: no LP code, cost tensor or
+constraint structure is shared with :func:`otbary.solve_multimarginal`.
 :func:`highs_transport` does the same for a given cost matrix, with every
 row of both marginals, for :func:`otbary.solve_transport`.
 """
@@ -16,7 +16,8 @@ import scipy.optimize
 
 from otbary.errors import InfeasibleWeights, ProductSizeExceeded
 from otbary.measures import MeasureEnsemble
-from otbary.multimarginal import MultiCoupling, mm_cost
+from otbary.frechet import frechet_means
+from otbary.multimarginal import MultiCoupling, _index_grid
 from otbary.spaces import Space
 from otbary.staircase import MASS_CUT
 
@@ -43,12 +44,9 @@ def brute_force_multimarginal(
             f"product support {shape} exceeds brute-force cap {max_product_size}"
         )
     tuples = list(np.ndindex(*shape))
-    costs, points = [], []
-    for tup in tuples:
-        atoms = tuple(measures[j].atoms[i] for j, i in enumerate(tup))
-        value, point = mm_cost(space, p, ens.lam, atoms)
-        costs.append(value)
-        points.append(point)
+    points, costs, _ = frechet_means(
+        space, p, ens.lam, [m.atoms for m in measures], _index_grid(shape)
+    )
     rows = sum(shape)
     A_eq = np.zeros((rows, len(tuples)))
     b_eq = []
@@ -61,7 +59,7 @@ def brute_force_multimarginal(
             b_eq.append(m.weights[i])
             r += 1
     res = scipy.optimize.linprog(
-        np.asarray(costs), A_eq=A_eq, b_eq=np.asarray(b_eq), method="highs",
+        costs, A_eq=A_eq, b_eq=np.asarray(b_eq), method="highs",
         options=HIGHS_OPTIONS,
     )
     if not res.success:
@@ -69,7 +67,7 @@ def brute_force_multimarginal(
     keep = np.flatnonzero(res.x > MASS_CUT)
     return MultiCoupling(
         index=np.array(tuples, dtype=np.intp)[keep], mass=res.x[keep],
-        points=np.array(points)[keep], objective=float(res.fun), shape=shape,
+        points=points[keep], objective=float(res.fun), shape=shape,
     )
 
 

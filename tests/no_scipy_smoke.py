@@ -105,7 +105,7 @@ def main() -> int:
             ["bary", "--in", f["plane"], "--out", out, "--p", "1"],
             ["bary", "--in", f["plane"], "--out", out, "--p", "2"],
             ["bary", "--in", f["graph"], "--out", out],
-            ["bary", "--in", f["plane"], "--out", out, "--method", "fixed", "--support", f["grid"]],
+            ["bary", "--in", f["plane"], "--out", out, "--support", f["grid"]],
             ["mmot", "--in", f["plane"], "--out", out],
             ["experiment", "--config", f["cfg"], "--out", str(tmp / "rows.csv")],
             ["experiment", "--config", f["line"], "--out", str(tmp / "line.csv")],

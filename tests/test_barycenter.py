@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otbary import (
+    DimensionMismatch,
     DiscreteMeasure,
     MeasureEnsemble,
     MetricMatrix,
@@ -21,7 +22,10 @@ from otbary import (
     wasserstein,
 )
 from otbary import barycenter as bary_module
+from otbary import multimarginal
 from otbary.barycenter import _dirac_start, _fixed_support_lp
+from otbary.cli import main
+from otbary.measures import save_ensemble, save_measure
 from otbary.spaces import as_atoms, pairwise_distances
 from conftest import GRID_GRAPH, random_ensemble, random_measure, space_points, tensor_ensembles
 from dense_simplex import solve_lp
@@ -140,6 +144,32 @@ def test_fixed_support_single_point(line):
     r = barycenter_fixed_support(line, 2, ens, z.atoms)
     assert measures_equal(r.measure, z)
     assert r.objective == pytest.approx(ensemble_objective(line, 2, ens, z))
+
+
+def test_order_below_one_is_rejected_on_entry(plane, tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    ens = random_ensemble(rng, plane, 3)
+    with pytest.raises(DimensionMismatch, match="order p must be >= 1"):
+        barycenter_fixed_support(plane, 0.5, ens, rng.normal(size=(4, 2)))
+
+    # On a metric matrix the check comes before the cost tensor is built.
+    def no_tensor(*args):
+        raise AssertionError("cost tensor built for p < 1")
+
+    monkeypatch.setattr(multimarginal, "product_costs", no_tensor)
+    graph = MeasureEnsemble(
+        [DiscreteMeasure(GRID_GRAPH, [0, 8, 40], [0.2, 0.3, 0.5]),
+         DiscreteMeasure(GRID_GRAPH, [3, 48], [0.5, 0.5])],
+        [0.5, 0.5],
+    )
+    with pytest.raises(DimensionMismatch, match="order p must be >= 1"):
+        barycenter_finite(GRID_GRAPH, 0.5, graph)
+    pe, ps = tmp_path / "ens.json", tmp_path / "grid.json"
+    save_ensemble(ens, pe)
+    save_measure(DiscreteMeasure(plane, [[0.0, 0.0]], [1.0]), ps)
+    argv = ["bary", "--in", str(pe), "--out", str(tmp_path / "b.json"), "--support", str(ps)]
+    assert main(argv + ["--p", "0.5"]) == 1
+    assert main(argv) == 0
 
 
 def test_fixed_support_identical_measures(line, rng):

@@ -67,6 +67,7 @@ def test_dist_diracs_p1(dirac_files, capsys):
         ["dist", "--in-a", "a.json", "--in-b", "b.json", "--max-product-size", "4"],
         ["quantize", "--in", "m.json", "--k", "1", "--out", "q.json", "--max-product-size", "4"],
         ["dist", "--tol", "1e-12", "--in-a", "a.json", "--in-b", "b.json"],
+        ["bary", "--in", "e.json", "--out", "b.json", "--method", "fixed"],
     ],
 )
 def test_flags_are_rejected_where_unread(argv, capsys):
@@ -110,8 +111,7 @@ def test_bary_fixed_single_point(tmp_path, ensemble_file):
     save_measure(DiscreteMeasure(LINE, [[0.7]], [1.0]), grid)
     out = tmp_path / "bary.json"
     rc = main([
-        "bary", "--in", str(ensemble_file), "--out", str(out),
-        "--method", "fixed", "--support", str(grid),
+        "bary", "--in", str(ensemble_file), "--out", str(out), "--support", str(grid),
     ])
     assert rc == 0
     assert measures_equal(load_measure(out), DiscreteMeasure(LINE, [[0.7]], [1.0]))

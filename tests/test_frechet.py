@@ -1,5 +1,4 @@
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,13 +12,13 @@ from otbary import (
     NonConvergence,
     UnsupportedSpace,
     frechet,
-    frechet_mean,
+    frechet_means,
     frechet_objective,
 )
-from otbary.frechet import CHUNK_ENTRIES, TIE_TOL, frechet_means, product_costs
-from otbary.multimarginal import _cost_vector, _index_grid
+from otbary.frechet import CHUNK_ENTRIES, TIE_TOL, product_costs
+from otbary.multimarginal import _index_grid
 from otbary.spaces import midpoint
-from conftest import GRID_GRAPH
+from conftest import GRID_GRAPH, indexed
 
 
 def test_objective_cases(line):
@@ -28,28 +27,34 @@ def test_objective_cases(line):
     assert frechet_objective(line, 1, [[0.0], [2.0]], [0.5, 0.5], [1.0]) == pytest.approx(1.0)
 
 
+def _mean(space, p, pts, lam):
+    # The point, objective and iterations of one tuple.
+    x, f, it = frechet_means(space, p, lam, *indexed([pts]))
+    return x[0], f[0], it[0]
+
+
 def test_p2_closed_form(plane):
-    r = frechet_mean(plane, 2, [[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5])
-    assert np.allclose(r.point, [1.0, 0.0])
-    assert r.iterations == 0
+    x, _, it = _mean(plane, 2, [[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5])
+    assert np.allclose(x, [1.0, 0.0])
+    assert it == 0
 
 
 def test_p2_weighted_line(line):
-    r = frechet_mean(line, 2, [[0.0], [1.0], [5.0]], [0.2, 0.3, 0.5])
-    assert r.point[0] == pytest.approx(2.8)
+    x, _, _ = _mean(line, 2, [[0.0], [1.0], [5.0]], [0.2, 0.3, 0.5])
+    assert x[0] == pytest.approx(2.8)
 
 
 def test_p1_equilateral_triangle(plane):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-    r = frechet_mean(plane, 1, pts, np.full(3, 1 / 3))
+    x, _, _ = _mean(plane, 1, pts, np.full(3, 1 / 3))
     centroid = pts.mean(axis=0)
-    assert np.allclose(r.point, centroid, atol=1e-8)
+    assert np.allclose(x, centroid, atol=1e-8)
 
 
 def test_p1_majority_anchor(line):
     # weight > 1/2 on one point makes it the median
-    r = frechet_mean(line, 1, [[0.0], [1.0], [2.0]], [0.6, 0.2, 0.2])
-    assert r.point[0] == pytest.approx(0.0, abs=1e-9)
+    x, _, _ = _mean(line, 1, [[0.0], [1.0], [2.0]], [0.6, 0.2, 0.2])
+    assert x[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_general_p_matches_probe_minimum(rng, plane):
@@ -57,20 +62,19 @@ def test_general_p_matches_probe_minimum(rng, plane):
         pts = rng.normal(size=(5, 2))
         lam = rng.random(5)
         lam /= lam.sum()
-        r = frechet_mean(plane, p, pts, lam)
-        assert r.converged
+        _, f, _ = _mean(plane, p, pts, lam)
         for probe in rng.normal(size=(100, 2)):
-            assert r.objective <= frechet_objective(plane, p, pts, lam, probe) + 1e-9
+            assert f <= frechet_objective(plane, p, pts, lam, probe) + 1e-9
         for x in pts:
-            assert r.objective <= frechet_objective(plane, p, pts, lam, x) + 1e-9
+            assert f <= frechet_objective(plane, p, pts, lam, x) + 1e-9
 
 
 def test_determinism(rng, plane):
     pts = rng.normal(size=(6, 2))
     lam = np.full(6, 1 / 6)
-    a = frechet_mean(plane, 1.7, pts, lam)
-    b = frechet_mean(plane, 1.7, pts, lam)
-    assert np.array_equal(a.point, b.point)
+    a, _, _ = _mean(plane, 1.7, pts, lam)
+    b, _, _ = _mean(plane, 1.7, pts, lam)
+    assert np.array_equal(a, b)
 
 
 def test_translation_equivariance(rng, plane):
@@ -78,15 +82,15 @@ def test_translation_equivariance(rng, plane):
     lam = np.array([0.1, 0.2, 0.3, 0.4])
     v = np.array([5.0, -2.0])
     for p in (1, 2, 2.5):
-        a = frechet_mean(plane, p, pts, lam)
-        b = frechet_mean(plane, p, pts + v, lam)
-        assert np.allclose(b.point, a.point + v, atol=1e-8)
+        a, _, _ = _mean(plane, p, pts, lam)
+        b, _, _ = _mean(plane, p, pts + v, lam)
+        assert np.allclose(b, a + v, atol=1e-8)
 
 
 def test_midpoint_consistency(rng, plane):
     a, b = rng.normal(size=(2, 2))
-    r = frechet_mean(plane, 2, [a, b], [0.5, 0.5])
-    assert np.allclose(r.point, midpoint(plane, a, b))
+    x, _, _ = _mean(plane, 2, [a, b], [0.5, 0.5])
+    assert np.allclose(x, midpoint(plane, a, b))
 
 
 def test_metric_matrix_argmin_and_tiebreak():
@@ -94,11 +98,11 @@ def test_metric_matrix_argmin_and_tiebreak():
         [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
     )
     s = MetricMatrix(d)
-    r = frechet_mean(s, 2, [0, 2], [0.5, 0.5])
-    assert r.point == 1  # middle point: objective 1 beats 2 at the ends
+    x, _, _ = _mean(s, 2, [0, 2], [0.5, 0.5])
+    assert x == 1  # middle point: objective 1 beats 2 at the ends
     # symmetric two-point tie breaks toward the smaller label
-    t = frechet_mean(s, 1, [0, 2], [0.5, 0.5])
-    assert t.point == 0
+    t, _, _ = _mean(s, 1, [0, 2], [0.5, 0.5])
+    assert t == 0
 
 
 def _column_gather_kernel(space, pts, lam, p):
@@ -123,8 +127,9 @@ def test_metric_tables_match_the_column_gather():
         lam = np.full(J, 1.0 / J) if trial % 3 == 0 else rng.dirichlet(np.ones(J))
         # A few labels per member, as in a multi-marginal product.
         labels = [rng.choice(49, size=int(rng.integers(1, 8)), replace=False) for _ in range(J)]
-        tuples = np.stack([rng.choice(a, size=300) for a in labels], axis=1)
-        points, objs, iters = frechet_means(graph, p, tuples, lam)
+        idx = np.stack([rng.integers(len(a), size=300) for a in labels], axis=1)
+        tuples = np.stack([a[idx[:, j]] for j, a in enumerate(labels)], axis=1)
+        points, objs, iters = frechet_means(graph, p, lam, labels, idx)
         label, cost = _column_gather_kernel(graph, tuples, lam, p)
         assert np.array_equal(points, label)
         assert np.array_equal(objs, cost)
@@ -136,11 +141,10 @@ def test_general_p_stops_at_float_resolution(line):
     # unchanged objective, so the descent cycled until its iteration cap.
     a, b = 1.3035283997533655, 0.2839822578345439
     lam = np.array([0.5963300444688094, 0.40366995553119056])
-    r = frechet_mean(line, 3, [[a], [b]], lam)
-    assert r.converged
-    assert r.iterations < 1000
+    x, _, it = _mean(line, 3, [[a], [b]], lam)
+    assert it < 1000
     s1, s2 = np.sqrt(lam)
-    assert abs(r.point[0] - (s1 * a + s2 * b) / (s1 + s2)) <= 1e-9
+    assert abs(x[0] - (s1 * a + s2 * b) / (s1 + s2)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +238,7 @@ def test_kernel_is_certified_and_batch_independent(case, others, where):
 
     p, pts, lam = case
     space = Euclidean(pts.shape[1])
-    x, f, _ = frechet_means(space, p, pts[None], lam)
+    x, f, _ = frechet_means(space, p, lam, *indexed(pts[None]))
     value, bound = _certificate(pts, lam, p, x[0])
     assert value <= bound
     nm = scipy.optimize.minimize(
@@ -249,8 +253,8 @@ def test_kernel_is_certified_and_batch_independent(case, others, where):
     batch = [np.resize(o[1], pts.shape) for o in others]
     where = min(where, len(batch))
     batch.insert(where, pts)
-    bx, bf, bit = frechet_means(space, p, np.array(batch), lam)
-    _, _, it = frechet_means(space, p, pts[None], lam)
+    bx, bf, bit = frechet_means(space, p, lam, *indexed(batch))
+    _, _, it = frechet_means(space, p, lam, *indexed(pts[None]))
     assert np.array_equal(bx[where], x[0]) and bf[where] == f[0] and bit[where] == it[0]
 
 
@@ -258,10 +262,10 @@ def test_anchor_returns_the_atom_exactly(plane):
     # Atom 0 carries 0.55 against a pull of |0.25 u_1 + 0.2 u_2| < 0.45.
     pts = np.array([[0.3, -1.7], [2.9, 0.4], [-1.1, 2.6]])
     lam = np.array([0.55, 0.25, 0.2])
-    r = frechet_mean(plane, 1, pts, lam)
-    assert np.array_equal(r.point, pts[0])
-    assert r.iterations < 10
-    assert r.objective == frechet_objective(plane, 1, pts, lam, pts[0])
+    x, f, it = _mean(plane, 1, pts, lam)
+    assert np.array_equal(x, pts[0])
+    assert it < 10
+    assert f == frechet_objective(plane, 1, pts, lam, pts[0])
 
 
 def test_iteration_cap_raises(plane, monkeypatch):
@@ -269,11 +273,11 @@ def test_iteration_cap_raises(plane, monkeypatch):
     pts = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
     lam = np.array([0.3, 0.3, 0.4])
     for p in (1, 3):
-        assert frechet_mean(plane, p, pts, lam).iterations > 2
+        assert _mean(plane, p, pts, lam)[2] > 2
     monkeypatch.setattr(frechet, "MAX_ITER", 2)
     for p in (1, 3):
         with pytest.raises(NonConvergence):
-            frechet_mean(plane, p, pts, lam)
+            _mean(plane, p, pts, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +286,7 @@ def test_iteration_cap_raises(plane, monkeypatch):
 
 def _pass_costs(space, p, lam, atoms):
     shape = tuple(len(a) for a in atoms)
-    members = [SimpleNamespace(atoms=np.asarray(a)) for a in atoms]
-    return _cost_vector(space, p, lam, members, _index_grid(shape)).reshape(shape)
+    return frechet_means(space, p, lam, atoms, _index_grid(shape))[1].reshape(shape)
 
 
 def _member_weights(draw, J):
@@ -378,6 +381,27 @@ def test_product_costs_memory_at_the_product_cap(plane):
     # with the product: the member tables (3 x 100 x 144 floats, 0.35 MB)
     # and a few floats per tuple of a block, well inside a second chunk.
     assert C.shape == (100, 100, 100) and used < tensor + 2 * 8 * CHUNK_ENTRIES
+
+
+def test_frechet_means_gather_a_chunk_at_a_time(plane):
+    # The pass over the whole 100^3 product in R^2 at p = 2.  Gathering the
+    # tuples a chunk at a time keeps it to the outputs (points, objectives,
+    # iterations: N (d + 2) floats) and the working set of one chunk: its
+    # tuples and about five more arrays of that size (the tuples relative to
+    # an atom, and the differences and squares that give the objectives).
+    # One (N, J, d) array of the tuples would take 48 MB on its own.
+    rng = np.random.default_rng(20150612)
+    atoms = [rng.normal(size=(100, 2)) for _ in range(3)]
+    idx = _index_grid((100, 100, 100))
+    N = idx.shape[0]
+    tracemalloc.start()
+    try:
+        x, f, _ = frechet_means(plane, 2, np.full(3, 1 / 3), atoms, idx)
+        used = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (N, 2) and f.shape == (N,)
+    assert used < N * (2 + 2) * 8 + 8 * 8 * CHUNK_ENTRIES
 
 
 def test_euclidean_product_costs_need_p_2(plane):

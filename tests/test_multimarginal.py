@@ -12,19 +12,26 @@ from otbary import (
     MeasureEnsemble,
     NumericalFailure,
     ProductSizeExceeded,
+    frechet_means,
     measures_equal,
-    mm_cost,
     pushforward_barycenter,
     solve_multimarginal,
     wasserstein,
 )
 from otbary import multimarginal, pivoting, staircase
-from otbary.multimarginal import _cost_vector, _index_grid
+from otbary.multimarginal import _index_grid
 from otbary.staircase import _comonotone_entries, _staircase, coupling_simplex
 from otbary.transport import solve_transport
 from dense_simplex import solve_lp
 from highs_oracle import HIGHS_OPTIONS, brute_force_multimarginal, highs_transport
-from conftest import GRID_GRAPH, QUARTERS, random_ensemble, random_measure, tensor_ensembles
+from conftest import (
+    GRID_GRAPH,
+    QUARTERS,
+    indexed,
+    random_ensemble,
+    random_measure,
+    tensor_ensembles,
+)
 
 
 def _marginal_system(measures, idx):
@@ -43,23 +50,23 @@ def _marginal_system(measures, idx):
     return A, b
 
 
-def test_mm_cost_coincident(plane):
+def test_tuple_cost_coincident(plane):
     a = np.array([1.0, 2.0])
-    cost, point = mm_cost(plane, 2, [0.5, 0.5], (a, a))
-    assert cost == pytest.approx(0.0)
-    assert np.allclose(point, a)
+    point, cost, _ = frechet_means(plane, 2, [0.5, 0.5], *indexed([[a, a]]))
+    assert cost[0] == pytest.approx(0.0)
+    assert np.allclose(point[0], a)
 
 
-def test_mm_cost_pair_midpoint(line):
-    cost, point = mm_cost(line, 2, [0.5, 0.5], ([0.0], [2.0]))
-    assert point[0] == pytest.approx(1.0)
-    assert cost == pytest.approx(1.0)
+def test_tuple_cost_pair_midpoint(line):
+    point, cost, _ = frechet_means(line, 2, [0.5, 0.5], *indexed([[[0.0], [2.0]]]))
+    assert point[0, 0] == pytest.approx(1.0)
+    assert cost[0] == pytest.approx(1.0)
 
 
-def test_mm_cost_triple_variance(line):
-    cost, point = mm_cost(line, 2, np.full(3, 1 / 3), ([0.0], [3.0], [6.0]))
-    assert point[0] == pytest.approx(3.0)
-    assert cost == pytest.approx(6.0)
+def test_tuple_cost_triple_variance(line):
+    point, cost, _ = frechet_means(line, 2, np.full(3, 1 / 3), *indexed([[[0.0], [3.0], [6.0]]]))
+    assert point[0, 0] == pytest.approx(3.0)
+    assert cost[0] == pytest.approx(6.0)
 
 
 def test_single_measure_coupling(line, rng):
@@ -78,8 +85,8 @@ def test_all_diracs_single_entry(plane):
     assert len(gamma.entries) == 1
     idx, mass = gamma.entries[0]
     assert mass == pytest.approx(1.0)
-    expected, _ = mm_cost(plane, 2, lam, tuple(m.atoms[0] for m in ms))
-    assert gamma.objective == pytest.approx(expected)
+    _, expected, _ = frechet_means(plane, 2, lam, [m.atoms for m in ms], np.zeros((1, 3), int))
+    assert gamma.objective == pytest.approx(expected[0])
 
 
 def test_j2_reduces_to_pairwise(rng):
@@ -90,10 +97,8 @@ def test_j2_reduces_to_pairwise(rng):
         p = (1, 2, 3)[t % 3]
         ens = random_ensemble(rng, s, 2, max_atoms=4)
         mu, nu = [m for m in ens.measures]
-        C = np.zeros((mu.n_atoms, nu.n_atoms))
-        for i in range(mu.n_atoms):
-            for k in range(nu.n_atoms):
-                C[i, k], _ = mm_cost(s, p, ens.lam, (mu.atoms[i], nu.atoms[k]))
+        shape = (mu.n_atoms, nu.n_atoms)
+        C = frechet_means(s, p, ens.lam, [mu.atoms, nu.atoms], _index_grid(shape))[1].reshape(shape)
         pairwise = highs_transport(C, mu.weights, nu.weights)
         gamma = solve_multimarginal(s, p, ens)
         assert abs(gamma.objective - pairwise) <= 1e-8
@@ -221,7 +226,7 @@ def _lp_objectives(ens, shape):
     # product LP that the line p = 2 route no longer builds.
     line = Euclidean(1)
     idx = _index_grid(shape)
-    costs = _cost_vector(line, 2, ens.lam, ens.measures, idx)
+    costs = frechet_means(line, 2, ens.lam, [m.atoms for m in ens.measures], idx)[1]
     dense = solve_lp(costs, *_marginal_system(ens.measures, idx)).objective
     return brute_force_multimarginal(line, 2, ens).objective, dense
 
@@ -267,7 +272,7 @@ def test_tensor_simplex_matches_both_lp_solvers(ens, p):
     highs = brute_force_multimarginal(space, p, ens).objective
     assert abs(gamma.objective - highs) <= 1e-12 * abs(highs)
     idx = _index_grid(gamma.shape)
-    costs = _cost_vector(space, p, ens.lam, ens.measures, idx)
+    costs = frechet_means(space, p, ens.lam, [m.atoms for m in ens.measures], idx)[1]
     dense = solve_lp(costs, *_marginal_system(ens.measures, idx)).objective
     assert gamma.objective <= dense + 1e-12
     for marg, m in zip(gamma.marginals(), ens.measures):
@@ -345,7 +350,7 @@ def test_tensor_simplex_returns_values_of_a_fresh_factorization(plane):
     ens = random_ensemble(rng, plane, 3, max_atoms=7)
     shape = tuple(m.n_atoms for m in ens.measures)
     idx = _index_grid(shape)
-    C = _cost_vector(plane, 2, ens.lam, ens.measures, idx).reshape(shape)
+    C = frechet_means(plane, 2, ens.lam, [m.atoms for m in ens.measures], idx)[1].reshape(shape)
     basis, x, pivots, _, _ = coupling_simplex(C, [m.weights for m in ens.measures])
     assert pivots > 0
     A, b = _marginal_system(ens.measures, idx)
