@@ -25,7 +25,7 @@ from .consistency import (
     generate_deformation_ensemble,
     run_experiment,
 )
-from .deformations import Deformation, DeformationSpec, draw_deformations
+from .deformations import DeformationSpec, draw_deformations
 from .errors import (
     DimensionMismatch,
     InfeasibleWeights,

@@ -19,10 +19,9 @@ s != s*; that basis is feasible and nonsingular on every space, so there is
 no phase one.  The pivots are the loop of :mod:`otbary.pivoting`, shared
 with the coupling LP of the multi-marginal route: it keeps the product
 form of the basis inverse, appending one update per pivot, and refactors
-every 64 pivots (more from m = 256 rows) and before it stops.  Plan levels of at
-most ``MASS_CUT`` (1e-15, round-off of the final solve) are set to 0, as
-the multi-coupling drops such masses.
-The plans' column sums and agreement are checked before returning.
+every 64 pivots (more from m = 256 rows) and before it stops; it returns
+round-off levels as 0.  The plans' column sums and agreement are checked
+before returning.
 
 Per-measure costs are read off the solution, with no transport solve after
 the LP.  The coupling's projection onto (member j, barycenter atom) is a
@@ -48,9 +47,8 @@ from .multimarginal import (
     pushforward_barycenter,
     solve_multimarginal,
 )
-from .pivoting import primal_simplex
+from .pivoting import check_rows, primal_simplex
 from .spaces import MetricMatrix, Space, as_atoms, check_order, pairwise_distances
-from .staircase import MASS_CUT
 from .transport import wasserstein
 
 
@@ -193,7 +191,7 @@ def _fixed_support_lp(costs, weights):
     c = np.concatenate([C_j.ravel() for C_j in costs])
     basis, xB, pivots, min_reduced_cost, _ = primal_simplex(c, b, basis, column, price)
     x = np.zeros(offsets[-1])
-    x[basis] = np.where(xB > MASS_CUT, xB, 0.0)
+    x[basis] = xB
     plans = [x[offsets[j] : offsets[j + 1]].reshape(S, n) for j, n in enumerate(sizes)]
     return plans, pivots, min_reduced_cost
 
@@ -206,6 +204,7 @@ def barycenter_fixed_support(
 
     Raises:
         DimensionMismatch: p < 1, or an empty support.
+        ProductSizeExceeded: an LP of more than ``pivoting.MAX_ROWS`` rows.
         NumericalFailure: the simplex failed, or the plans miss the weights
             or disagree on the support by more than ``MARGINAL_TOL``.
     """
@@ -214,6 +213,8 @@ def barycenter_fixed_support(
     if support.shape[0] == 0:
         raise DimensionMismatch("support must be nonempty")
     measures = ens.measures
+    S, J = support.shape[0], len(measures)
+    check_rows(sum(m.n_atoms for m in measures) + (J - 1) * (S - 1))
     C = [pairwise_distances(space, support, m.atoms) ** p for m in measures]
     plans, pivots, min_reduced_cost = _fixed_support_lp(
         [lam_j * C_j for lam_j, C_j in zip(ens.lam, C)], [m.weights for m in measures]
@@ -224,9 +225,6 @@ def barycenter_fixed_support(
             raise NumericalFailure("fixed-support plans miss the weights")
         if np.max(np.abs(pi.sum(axis=1) - w)) > MARGINAL_TOL:
             raise NumericalFailure("fixed-support plans disagree on the support")
-    w = np.clip(w, 0.0, None)
-    if w.sum() <= 0:
-        raise NumericalFailure("fixed-support LP returned zero total mass")
     nu = DiscreteMeasure(space, support, w / w.sum())
     costs = [float(C_j.ravel() @ pi.ravel()) for C_j, pi in zip(C, plans)]
     costs = _with_unweighted(space, p, ens, nu, costs)

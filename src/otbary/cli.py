@@ -146,13 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     # Each shared flag goes only on the commands that read it.
     order = argparse.ArgumentParser(add_help=False)
     order.add_argument("--p", type=float, default=2.0, help="order of the distance")
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument(
-        "--max-product-size",
-        type=int,
-        default=DEFAULT_PRODUCT_CAP,
-        help="cap on the multi-marginal product support",
+    cap_flag = ("--max-product-size",)
+    cap_kwargs = dict(
+        type=int, default=DEFAULT_PRODUCT_CAP, help="cap on the multi-marginal product support"
     )
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(*cap_flag, **cap_kwargs)
 
     parser = argparse.ArgumentParser(
         prog="otbary",
@@ -166,10 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--plan", default=None, help="write optimal plan JSON here")
     sp.set_defaults(fn=cmd_dist)
 
-    sp = sub.add_parser("bary", parents=[order, cap], help="ensemble barycenter")
+    sp = sub.add_parser("bary", parents=[order], help="ensemble barycenter")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--support", default=None, help="fix the support to this measure's atoms")
+    # The fixed-support LP has no product to cap.
+    route = sp.add_mutually_exclusive_group()
+    route.add_argument("--support", default=None, help="fix the support to this measure's atoms")
+    route.add_argument(*cap_flag, **cap_kwargs)
     sp.set_defaults(fn=cmd_bary)
 
     sp = sub.add_parser("mmot", parents=[order, cap], help="multi-marginal coupling")

@@ -30,7 +30,8 @@ class NumericalFailure(OTBaryError):
 
 
 class ProductSizeExceeded(OTBaryError):
-    """The multi-marginal product support exceeds the configured cap."""
+    """The multi-marginal product support exceeds the configured cap, or an
+    LP has more rows than ``otbary.pivoting.MAX_ROWS``."""
 
 
 class NonConvergence(OTBaryError):

@@ -44,16 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InfeasibleWeights,
-    NumericalFailure,
-    ProductSizeExceeded,
-)
+from .errors import DimensionMismatch, NumericalFailure, ProductSizeExceeded
 from .frechet import frechet_means, product_costs
 from .measures import DiscreteMeasure, MeasureEnsemble
+from .pivoting import check_rows
 from .spaces import Euclidean, Space, check_order
-from .staircase import MASS_CUT, _comonotone_entries, coupling_simplex
+from .staircase import _comonotone_entries, coupling_simplex
 
 DEFAULT_PRODUCT_CAP = 10**6
 MARGINAL_TOL = 1e-9
@@ -113,14 +109,15 @@ def solve_multimarginal(
     optimal coupling is supported on a monotone chain of index tuples.
     Other inputs run the coupling LP over the whole product, and the
     Fréchet means of its basic tuples give the points and the objective.
-    Either way the entries come in increasing lexicographic order, masses
-    <= 1e-15 (round-off of zero levels) are dropped, the objective sums the
-    entries kept, and the marginals are checked within ``MARGINAL_TOL``.
+    Either way the entries come in increasing lexicographic order, zero
+    masses (the pivot loop returns round-off levels as 0) are dropped, the
+    objective sums the entries kept, and the marginals are checked within
+    ``MARGINAL_TOL``.
 
     Raises:
         DimensionMismatch: p < 1.
         ProductSizeExceeded: off the line p = 2 route, product support
-            larger than ``max_product_size``.
+            past ``max_product_size`` or rows past ``pivoting.MAX_ROWS``.
         NumericalFailure: the simplex failed, or the marginals miss the
             weights.
     """
@@ -129,8 +126,6 @@ def solve_multimarginal(
     check_order(p)
     measures = ens.measures
     shape = tuple(m.n_atoms for m in measures)
-    if abs(ens.lam.sum() - 1.0) > MARGINAL_TOL:
-        raise InfeasibleWeights("ensemble weights are not a probability vector")
     if len(measures) == 1:
         m = measures[0]
         return MultiCoupling(
@@ -148,6 +143,7 @@ def solve_multimarginal(
             raise ProductSizeExceeded(
                 f"product support {shape} exceeds cap {max_product_size}"
             )
+        check_rows(sum(shape) - len(shape) + 1)
         full = None
         if isinstance(space, Euclidean) and p != 2:
             # No closed form: the costs come from one Fréchet pass over the
@@ -164,8 +160,7 @@ def solve_multimarginal(
             points, costs, _ = frechet_means(space, p, ens.lam, atoms, idx)
         else:
             points, costs = full[0][basis], full[1][basis]
-    keep = x > MASS_CUT
-    x = np.where(keep, x, 0.0)
+    keep = x > 0
     gamma = MultiCoupling(
         index=idx[keep], mass=x[keep], points=points[keep], objective=float(costs @ x),
         shape=shape, pivots=pivots, min_reduced_cost=min_reduced_cost,

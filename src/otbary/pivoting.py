@@ -43,8 +43,13 @@ constraint column of variable k.  Everything else lives here:
   drift.  When updated duals price nothing in, it first solves
   B^T y = c_B alone, and factors for B_0^-1 only if those duals price a
   variable in.  The basic values it returns come from an LU solve on the
-  final basis, so a zero-level basic variable comes out as 0 rather than
-  as the round-off of a product with the inverse.
+  final basis, and levels of at most ``MASS_CUT`` (1e-15, the round-off of
+  a zero level in that solve) come out as exactly 0: the LPs' plans,
+  couplings and objectives take them as they are.
+- The loop holds about (4m + 2 min(period, m)) m floats (B, [b | I],
+  B_0^-1 and the product form), so each LP setup calls :func:`check_rows`
+  before it builds its costs: past ``MAX_ROWS`` rows (0.67 GB of arrays at
+  4 096) it raises ``ProductSizeExceeded`` instead of exhausting memory.
 
 The loop runs on numpy alone.  A singular factorization (numpy's
 ``LinAlgError``) raises ``NumericalFailure("singular basis")``.
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, ProductSizeExceeded
 
 PIVOT_TOL = 1e-11
 REDUCED_COST_TOL = 1e-9
@@ -64,6 +69,8 @@ REFACTOR_EVERY = 64
 PERTURBATION = 1e-7  # scale of the right-hand side's perturbation, of max b
 PERTURBATION_SEED = 20150612
 LEVEL_TOL = 1e-13  # least true basic level that counts as feasible
+MASS_CUT = 1e-15  # basic levels at most this are round-off of 0
+MAX_ROWS = 4096  # rows of the largest LP the loop takes on
 
 # The perturbation's r, drawn once and regrown only for a larger m: the
 # first m values of a longer draw from the same seed are the draw of m.
@@ -75,6 +82,13 @@ def _perturbation_draws(m):
     if _draws.shape[0] < m:
         _draws = np.random.Generator(np.random.PCG64(PERTURBATION_SEED)).uniform(0.5, 1.0, m)
     return _draws[:m]
+
+
+def check_rows(m):
+    """Raise ``ProductSizeExceeded`` for an LP of more than ``MAX_ROWS``
+    rows, whose pivot loop would not fit in memory."""
+    if m > MAX_ROWS:
+        raise ProductSizeExceeded(f"LP of {m} rows exceeds the bound of {MAX_ROWS} rows")
 
 
 def primal_simplex(c, b, basis, column, price):
@@ -96,9 +110,10 @@ def primal_simplex(c, b, basis, column, price):
     itself, with B_0 built again from ``column``, and the pivot count covers
     both runs.
 
-    Returns the optimal basis, its values (clipped at 0), the pivot count,
-    the least reduced cost of the final pricing pass, with basic variables
-    counted as 0, and the duals y of that pass, solved from fresh factors.
+    Returns the optimal basis, its values (those at most ``MASS_CUT`` set
+    to 0), the pivot count, the least reduced cost of the final pricing
+    pass, with basic variables counted as 0, and the duals y of that pass,
+    solved from fresh factors.
 
     Raises:
         NumericalFailure: singular basis, no pivot row, or pivot cap hit.
@@ -113,7 +128,7 @@ def primal_simplex(c, b, basis, column, price):
         basis, more, min_reduced_cost, y = _pivot_loop(c, b, start, B, column, price)
         pivots += more
         xB = _solve(B, b)
-    return basis, np.maximum(xB, 0.0), pivots, min_reduced_cost, y
+    return basis, np.where(xB > MASS_CUT, xB, 0.0), pivots, min_reduced_cost, y
 
 
 def _basis_matrix(basis, column):

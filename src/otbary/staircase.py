@@ -32,9 +32,8 @@ from math import prod
 
 import numpy as np
 
-from .pivoting import primal_simplex
+from .pivoting import MASS_CUT, primal_simplex
 
-MASS_CUT = 1e-15
 _BOUNDS = np.array([0.0, 1.0, -np.inf])
 
 
@@ -124,9 +123,10 @@ def coupling_simplex(C, weights):
     An entering column is read off its cell's indices, found from the flat
     index by the strides; no constraint matrix is built.
 
-    Returns the basis as flat C-order indices, its masses (clipped at 0),
-    the pivot count, the least reduced cost of the last pricing pass and
-    the duals of all sum_j n_j rows, member by member, 0 on dropped rows.
+    Returns the basis as flat C-order indices, its masses (round-off set to
+    0 by the pivot loop), the pivot count, the least reduced cost of the
+    last pricing pass and the duals of all sum_j n_j rows, member by
+    member, 0 on dropped rows.
 
     Raises:
         NumericalFailure: singular basis, no pivot row, or pivot cap hit.

@@ -28,11 +28,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleWeights, UnsupportedSpace
 from .measures import DiscreteMeasure
+from .pivoting import check_rows
 from .spaces import Euclidean, Space, check_order, pairwise_distances
-from .staircase import MASS_CUT, _entries, _path, _refinement, coupling_simplex
+from .staircase import _entries, _path, _refinement, coupling_simplex
 
 FEASIBILITY_TOL = 1e-9
-MAX_COST_ENTRIES = 10**8
 
 
 @dataclass
@@ -60,13 +60,14 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
     vectors: the source rows and all but the last target row (that row is
     implied by the others), n + m - 1 rows and one variable per cell, in C
     order, from the north-west-corner basis.  The marginal totals need not
-    be 1; the target weights are scaled to the source total.  Plan levels
-    of at most ``MASS_CUT`` (1e-15, round-off of 0) are set to 0, as on the
-    line, and the duals are shifted so that u_0 = 0.  With one source or
-    one target the plan is forced and no LP is run.
+    be 1; the target weights are scaled to the source total.  The plan
+    holds the loop's levels, round-off already 0, and the duals are shifted
+    so that u_0 = 0.  With one source or one target the plan is forced and
+    no LP is run.
 
     Raises:
         InfeasibleWeights: marginal totals differ by more than 1e-9.
+        ProductSizeExceeded: more than ``pivoting.MAX_ROWS`` rows.
         NumericalFailure: singular basis, no pivot row, or pivot cap hit.
     """
     C = np.asarray(cost, dtype=float)
@@ -75,8 +76,6 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
     if not 0.0 <= C.min() <= C.max() < np.inf:  # NaN entries fail here
         raise DimensionMismatch("cost entries must be finite and nonnegative")
     n, m = C.shape
-    if n * m > MAX_COST_ENTRIES:
-        raise DimensionMismatch(f"cost matrix too large: {n}x{m}")
     a = np.asarray(w_src, dtype=float).ravel()
     b = np.asarray(w_tgt, dtype=float).ravel()
     if a.shape[0] != n or b.shape[0] != m:
@@ -97,9 +96,10 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
         return TransportPlan(
             plan=plan, cost=float((plan * C).sum()), u=C[:, 0] - C[0, 0], v=C[0].copy()
         )
+    check_rows(n + m - 1)
     basis, x, pivots, _, y = coupling_simplex(C, [a, b])
     plan = np.zeros((n, m))
-    plan.reshape(-1)[basis] = np.where(x > MASS_CUT, x, 0.0)
+    plan.reshape(-1)[basis] = x
     return TransportPlan(
         plan=plan, cost=float((plan * C).sum()), u=y[:n] - y[0], v=y[n:] + y[0], pivots=pivots
     )
@@ -144,6 +144,8 @@ def wasserstein(
     if isinstance(space, Euclidean) and space.dim == 1:
         result = _line_transport(p, mu, nu)
     else:
+        if min(mu.n_atoms, nu.n_atoms) > 1:
+            check_rows(mu.n_atoms + nu.n_atoms - 1)
         C = pairwise_distances(space, mu.atoms, nu.atoms) ** p
         result = solve_transport(C, mu.weights, nu.weights)
     return max(result.cost, 0.0) ** (1.0 / p), result

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from otbary import DiscreteMeasure, Euclidean, MeasureEnsemble, measures_equal
+from otbary import barycenter, multimarginal, pivoting, transport
 from otbary.cli import main
 from otbary.measures import (
     load_measure,
@@ -68,6 +70,8 @@ def test_dist_diracs_p1(dirac_files, capsys):
         ["quantize", "--in", "m.json", "--k", "1", "--out", "q.json", "--max-product-size", "4"],
         ["dist", "--tol", "1e-12", "--in-a", "a.json", "--in-b", "b.json"],
         ["bary", "--in", "e.json", "--out", "b.json", "--method", "fixed"],
+        ["bary", "--in", "e.json", "--out", "b.json", "--support", "g.json",
+         "--max-product-size", "4"],
     ],
 )
 def test_flags_are_rejected_where_unread(argv, capsys):
@@ -130,6 +134,43 @@ def test_bary_oversized_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "4" in capsys.readouterr().err  # message names the cap
+
+
+def _plane_cloud(n):
+    atoms = np.arange(2.0 * n).reshape(n, 2) ** 1.5
+    return DiscreteMeasure(Euclidean(2), atoms, np.full(n, 1 / n))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("costs built for an LP past the row bound")
+
+
+def test_lps_past_the_row_bound_exit_2(tmp_path, monkeypatch, capsys):
+    # With the bound at 4 rows, each command below sets up an LP of 5 to 8
+    # rows.  It must raise before it builds any cost, and the cost builders
+    # fail if reached, so a missing check cannot allocate.
+    monkeypatch.setattr(pivoting, "MAX_ROWS", 4)
+    for module, name in [
+        (transport, "pairwise_distances"),
+        (multimarginal, "product_costs"),
+        (multimarginal, "frechet_means"),
+        (barycenter, "pairwise_distances"),
+    ]:
+        monkeypatch.setattr(module, name, _refuse)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_measure(_plane_cloud(2), a)
+    save_measure(_plane_cloud(4), b)
+    pair, triple = tmp_path / "pair.json", tmp_path / "triple.json"
+    save_ensemble(MeasureEnsemble([_plane_cloud(2), _plane_cloud(4)], [0.5, 0.5]), pair)
+    save_ensemble(MeasureEnsemble([_plane_cloud(2)] * 3, np.full(3, 1 / 3)), triple)
+    out = str(tmp_path / "out.json")
+    for argv, rows in [
+        (["dist", "--in-a", str(a), "--in-b", str(b)], 5),
+        (["mmot", "--in", str(pair), "--out", out], 5),
+        (["bary", "--in", str(triple), "--out", out, "--support", str(a)], 8),
+    ]:
+        assert main(argv) == 2
+        assert f"ProductSizeExceeded: LP of {rows} rows" in capsys.readouterr().err
 
 
 def test_mmot_writes_coupling_and_bary(tmp_path, ensemble_file, capsys):
@@ -195,6 +236,61 @@ def test_experiment_runs_and_is_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header.startswith("framework,size,replication,dist_to_ref,ensemble_dist,objective,wall_ms")
+
+
+def _experiment_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_experiment_timing_fills_wall_ms(tmp_path, capsys):
+    cfg = experiment_config(tmp_path)
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(plain)]) == 0
+    assert main(["experiment", "--config", str(cfg), "--out", str(timed), "--timing"]) == 0
+    rows, timed_rows = _experiment_rows(plain), _experiment_rows(timed)
+    assert len(rows) == len(timed_rows) == 4
+    assert all(r["wall_ms"] == "" for r in rows)
+    assert all(float(r["wall_ms"]) > 0 for r in timed_rows)
+    for r, t in zip(rows, timed_rows):
+        assert {**t, "wall_ms": ""} == r
+
+
+@pytest.mark.parametrize(
+    "framework, sizes, label",
+    [("empirical_sampling", [5, 10], "n"), ("growing_ensemble", [1, 2], "J")],
+)
+def test_experiment_keeps_artifacts(tmp_path, capsys, framework, sizes, label):
+    # One barycenter per row and, when sampling, every member's sample;
+    # a rerun writes the same bytes.
+    cfg = experiment_config(tmp_path)
+    write_json(cfg, {**json.loads(cfg.read_text()), "framework": framework, "sizes": sizes})
+    barys = {(s, r): f"bary_{label}{s}_rep{r}.json" for s in sizes for r in (0, 1)}
+    samples = {
+        (s, r, j): f"sample_n{s}_rep{r}_j{j}.json"
+        for s, r in barys
+        for j in (0, 1)
+        if label == "n"
+    }
+    runs = []
+    for k in range(2):
+        keep = tmp_path / f"artifacts{k}"
+        keep.mkdir()
+        out = tmp_path / f"r{k}.csv"
+        argv = ["experiment", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--keep-artifacts", str(keep)]) == 0
+        written = sorted(f.name for f in keep.iterdir())
+        assert written == sorted([*barys.values(), *samples.values()])
+        runs.append({f.name: f.read_bytes() for f in keep.iterdir()})
+    assert runs[0] == runs[1]
+    keep = tmp_path / "artifacts0"
+    for row in _experiment_rows(tmp_path / "r0.csv"):
+        assert row["error"] == ""
+        bary = load_measure(keep / barys[int(row["size"]), int(row["replication"])])
+        assert bary.weights.sum() == pytest.approx(1.0)
+    for (n, _, _), name in samples.items():
+        counts = load_measure(keep / name).weights * n
+        assert np.allclose(counts, np.round(counts))
 
 
 def test_experiment_bad_sizes_exit_3(tmp_path):

@@ -407,3 +407,35 @@ def test_frechet_means_gather_a_chunk_at_a_time(plane):
 def test_euclidean_product_costs_need_p_2(plane):
     with pytest.raises(UnsupportedSpace):
         product_costs(plane, 1, [0.5, 0.5], [np.zeros((1, 2)), np.ones((2, 2))])
+
+
+def test_p3_start_on_an_atom_takes_a_gradient_step(plane):
+    # The weighted mean of (0, 0), (2, 0), (-1, 0) with lam = (1/2, 1/6, 1/3)
+    # is the first atom, where f has no Hessian, so the iteration's first
+    # step is a gradient step.  On (0, 2), f'(x) = 2x^2 + 4x - 1,
+    # whose root is sqrt(6) / 2 - 1.
+    x, _, it = _mean(plane, 3, [[0.0, 0.0], [2.0, 0.0], [-1.0, 0.0]], [1 / 2, 1 / 6, 1 / 3])
+    assert it > 1
+    assert abs(x[0] - (np.sqrt(6) / 2 - 1)) <= 1e-12 and x[1] == 0.0
+
+
+def test_p1_start_on_an_atom_takes_a_weiszfeld_step(plane, monkeypatch):
+    # The weighted mean is the first atom, whose pull exceeds its weight by
+    # 1e-10 only, past the anchor test's slack: the Vardi-Zhang step off it
+    # lowers f by about 1e-20, below f's resolution, so the row starts on
+    # the atom and its first step is the iteration's Weiszfeld step.  On the
+    # x axis near 0, f'(x) = -eps + 2 u x / sqrt(1 + x^2) with
+    # eps = w - lam_0, so the median is (t / sqrt(1 - t^2), 0), t = eps / 2u.
+    # The atom tests take one Weiszfeld step per atom; any more come from
+    # the iteration.
+    calls = []
+    steps = frechet._weiszfeld_steps
+    monkeypatch.setattr(frechet, "_weiszfeld_steps", lambda *a: calls.append(1) or steps(*a))
+    w, u = 0.25, 0.125
+    lam = [w - 1e-10, 2 * w, w, u, u]
+    pts = [[0.0, 0.0], [1.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    x, _, _ = _mean(plane, 1, pts, lam)
+    assert len(calls) > len(pts)
+    t = (w - lam[0]) / (2 * u)
+    median = t / np.sqrt(1 - t * t)
+    assert abs(x[0] - median) <= 1e-9 * median and x[1] == 0.0

@@ -572,3 +572,43 @@ def test_infeasible_perturbed_optimum_restarts_on_the_true_lp(plane, monkeypatch
     assert abs(gamma.objective - expected.objective) <= 1e-12 * expected.objective
     for marg, m in zip(gamma.marginals(), ens.measures):
         assert np.max(np.abs(marg - m.weights)) <= 1e-9
+
+
+def test_unperturbed_uniform_clouds_reach_blands_rule(plane, monkeypatch):
+    # Without the perturbation, uniform weights tie in the ratio test on
+    # most pivots, and on this draw 3(m + 1) degenerate pivots in a row
+    # switch Dantzig's rule to Bland's.  A spy on the callbacks tells the
+    # two apart: Bland's rule enters the first variable priced below the
+    # tolerance, where it is not the least reduced cost.  The optimum must
+    # still be HiGHS's.
+    monkeypatch.setattr(pivoting, "PERTURBATION", 0.0)
+    bland = []
+    simplex = staircase.primal_simplex
+
+    def watched(c, b, basis, column, price):
+        priced = []
+
+        def spied_price(y):
+            flat = price(y)
+            priced[:] = [flat.copy()]
+            return flat
+
+        def spied_column(k):
+            if priced:
+                flat = priced.pop()
+                first = int(np.argmax(flat < -pivoting.REDUCED_COST_TOL))
+                bland.append(k == first != int(flat.argmin()))
+            return column(k)
+
+        return simplex(c, b, basis, spied_column, spied_price)
+
+    monkeypatch.setattr(staircase, "primal_simplex", watched)
+    rng = np.random.default_rng([30, 26])
+    ms = [DiscreteMeasure(plane, rng.normal(size=(30, 2)), np.full(30, 1 / 30)) for _ in range(3)]
+    lam = np.full(3, 1.0 / 3)
+    gamma = solve_multimarginal(plane, 2, MeasureEnsemble(ms, lam))
+    assert any(bland)
+    reference = _sparse_highs_objective(ms, lam)
+    assert abs(gamma.objective - reference) <= 1e-12 * reference
+    for marg, m in zip(gamma.marginals(), ms):
+        assert np.max(np.abs(marg - m.weights)) <= 1e-9

@@ -7,6 +7,7 @@ from otbary import (
     DiscreteMeasure,
     Euclidean,
     InfeasibleWeights,
+    ProductSizeExceeded,
     UnsupportedSpace,
     measures_equal,
     pushforward,
@@ -14,7 +15,7 @@ from otbary import (
     wasserstein,
     wasserstein_1d,
 )
-from otbary import transport
+from otbary import pivoting, transport
 from conftest import embedded, line_measures, random_measure
 from highs_oracle import highs_transport
 
@@ -52,6 +53,21 @@ def test_unbalanced_rejected():
 def test_nan_weight_rejected():
     with pytest.raises(InfeasibleWeights):
         solve_transport([[1.0, 2.0], [3.0, 0.5]], [0.5, np.nan], [0.5, 0.5])
+
+
+def test_lp_past_the_row_bound_raises(monkeypatch):
+    # 2 + 4 - 1 = 5 rows against a bound of 4.  With one source or one
+    # target the plan is forced and no LP runs, so any size passes.
+    monkeypatch.setattr(pivoting, "MAX_ROWS", 4)
+    with pytest.raises(ProductSizeExceeded, match="LP of 5 rows"):
+        solve_transport(np.ones((2, 4)), [0.5, 0.5], np.full(4, 0.25))
+    assert solve_transport(np.ones((1, 8)), [1.0], np.full(8, 0.125)).cost == 1.0
+    plane = Euclidean(2)
+    dirac = DiscreteMeasure(plane, [[0.0, 0.0]], [1.0])
+    atoms = np.arange(1.0, 17.0).reshape(8, 2)
+    cloud = DiscreteMeasure(plane, atoms, np.full(8, 0.125))
+    w1, _ = wasserstein(plane, 1, dirac, cloud)
+    assert w1 == pytest.approx(np.linalg.norm(atoms, axis=1).mean(), rel=1e-12)
 
 
 def test_plan_feasibility_random(rng):
