@@ -20,7 +20,11 @@ p = 2 and metric matrices, without a per-tuple array or point.
   tuple's objectives are the sum of one gathered row per member.
 - A Euclidean tuple of one repeated point is its own mean.  The others are
   solved relative to one of their atoms, so coordinates the atoms share
-  stay exact; a solution on an atom returns that atom exactly.
+  stay exact; a solution on an atom returns that atom exactly.  Where
+  adding that atom back rounds x further than the iteration's tolerance (a
+  mean within a few ulps of an atom far from the origin), the rounded
+  coordinates are held and the others solved again, and the lowest atom
+  wins if it is lower still.
 - Euclidean p = 2 is the weighted mean.
 - Euclidean p = 1 first tests every atom with the anchor (subgradient)
   condition |sum_{a_j != a} lam_j u_j| <= sum_{a_j = a} lam_j + 1e-12 sum(lam),
@@ -126,10 +130,12 @@ def _local(x, pts, lam, p):
     return _power_sum(lam, d, p), g, diff, d, on, c
 
 
-def _newton(g, diff, d, on, c, p):
+def _newton(g, diff, d, on, c, p, free=None):
     # Newton displacements -H^-1 g with the Hessian
     # H = sum_j c_j (I + (p - 2) u_j u_j^T) plus a small ridge; zero where x
     # is on an atom, which has no Hessian.  Also the rows that got one.
+    # With a 0/1 mask `free` (g already 0 off it), H keeps only its free
+    # block and the identity on the held coordinates, so they do not move.
     s = np.zeros_like(g)
     rows = np.flatnonzero(~on.any(axis=1))
     if rows.size:
@@ -139,6 +145,9 @@ def _newton(g, diff, d, on, c, p):
         H = (c.sum(axis=1) * (1.0 + NEWTON_DAMPING))[:, None, None] * eye + (p - 2) * (
             (c[:, :, None, None] * u[:, :, :, None]) * u[:, :, None, :]
         ).sum(axis=1)
+        if free is not None:
+            m = free[rows]
+            H = H * m[:, :, None] * m[:, None, :] + (1.0 - m)[:, :, None] * eye
         s[rows] = -np.linalg.solve(H, g[rows][:, :, None])[:, :, 0]
     return s, rows
 
@@ -215,7 +224,9 @@ def _backtrack(x, f, g, s, rows, pts, lam, p, armijo):
     return x_new, f_new, taken
 
 
-def _iterate_rows(pts, x, lam, p):
+def _iterate_rows(pts, x, lam, p, free=None):
+    # Minimizes each row's f from x; with a 0/1 mask `free` of x's shape,
+    # only over the coordinates it marks, the others held where x has them.
     n = pts.shape[0]
     iters = np.zeros(n, dtype=np.int64)
     f = _power_sum(lam, _dists(x, pts), p)
@@ -226,7 +237,9 @@ def _iterate_rows(pts, x, lam, p):
             break
         P, xl, fl = pts[live], x[live], f[live]
         _, g, diff, d, on, c = _local(xl, P, lam, p)
-        s, newton = _newton(g, diff, d, on, c, p)
+        if free is not None:
+            g = g * free[live]
+        s, newton = _newton(g, diff, d, on, c, p, None if free is None else free[live])
         step = _norm(s)
         near = step[newton] <= NEWTON_TRUST * d[newton].min(axis=1)
         trusted = newton[near]
@@ -288,6 +301,57 @@ def _metric_chunk(tables, idx):
     return label, objs[np.arange(idx.shape[0]), label], np.zeros(idx.shape[0], dtype=np.int64)
 
 
+def _rounded_far(x, base, local, x_local):
+    # The rows whose float x lies further from base + x_local than the
+    # iteration's tolerance.
+    limit = STEP_TOL * _dists(x_local, local).min(axis=1) + RESOLUTION * np.abs(x_local).max(axis=1)
+    return np.flatnonzero(_norm(x - base - x_local) > limit)
+
+
+def _to_floats(P, base, local, x_local, lam, p):
+    # The points base + x_local of rows with atoms P (local = P - base),
+    # their offsets from base and the iterations this took.
+    #
+    # The sum drops any displacement below half an ulp of base.  Next to an
+    # atom far from the origin that moves x by more than the iteration's
+    # tolerance, and the coordinates kept are no longer optimal given the
+    # rounded ones.  Such a row holds the coordinate that rounding moved
+    # furthest at its offset x - base (exact by Fast2Sum, as
+    # |x_local| < |base| wherever a coordinate rounds this far) and solves
+    # again over the others, one coordinate per pass, until no solved
+    # coordinate rounds that far.  Rounding to nearest need not find the
+    # best float either, and next to an atom that is often the atom itself,
+    # so a held row ends on its lowest atom where that is lower.
+    x = base + x_local
+    iters = np.zeros(x.shape[0], dtype=np.int64)
+    held = _rounded_far(x, base, local, x_local)
+    if not held.size:
+        return x, x_local, iters
+    B, L, xh, xl = base[held], local[held], x[held], x_local[held]
+    free = np.ones(xl.shape, dtype=bool)
+    redo = np.arange(held.size)
+    for _ in range(x.shape[1]):
+        off = xh[redo] - B[redo]
+        worst = np.where(free[redo], np.abs(off - xl[redo]), -1.0).argmax(axis=1)
+        free[redo, worst] = False
+        xl[redo] = np.where(free[redo], xl[redo], off)
+        redo = redo[free[redo].any(axis=1)]
+        if not redo.size:
+            break
+        xl[redo], more = _iterate_rows(L[redo], xl[redo], lam, p, free[redo].astype(float))
+        iters[held[redo]] += more
+        xh[redo] = B[redo] + xl[redo]
+        redo = redo[_rounded_far(xh[redo], B[redo], L[redo], xl[redo])]
+    Ph = P[held]
+    f_atoms = np.stack([_power_sum(lam, _dists(Ph[:, k], Ph), p) for k in range(Ph.shape[1])], axis=1)
+    k = f_atoms.argmin(axis=1)
+    lower = np.flatnonzero(f_atoms[np.arange(held.size), k] < _power_sum(lam, _dists(xh, Ph), p))
+    xh[lower], xl[lower] = Ph[lower, k[lower]], L[lower, k[lower]]
+    x_local = x_local.copy()
+    x[held], x_local[held] = xh, xl
+    return x, x_local, iters
+
+
 def _euclidean_chunk(pts, lam, p):
     x = np.empty((pts.shape[0], pts.shape[2]))
     iters = np.zeros(pts.shape[0], dtype=np.int64)
@@ -311,7 +375,8 @@ def _euclidean_chunk(pts, lam, p):
     # Iterate relative to an atom: coordinates the atoms share stay exact,
     # and the resolution of x is that of the tuple's own extent.
     base = pts[rest, origin]
-    local = pts[rest] - base[:, None, :]
+    P = pts[rest]
+    local = P - base[:, None, :]
     start = (lam[:, None] * local).sum(axis=1) / lam.sum()
     if p == 2:
         x[rest] = base + start
@@ -319,11 +384,12 @@ def _euclidean_chunk(pts, lam, p):
         if p == 1:
             start[lower] = offset[lower]
         x_local, iters[rest] = _iterate_rows(local, start, lam, p)
-        x[rest] = base + x_local
+        x[rest], x_local, more = _to_floats(P, base, local, x_local, lam, p)
+        iters[rest] += more
         # A solution on an atom is that atom, exactly.
         on = (x_local[:, None, :] == local).all(axis=2)
         at = np.flatnonzero(on.any(axis=1))
-        x[rest[at]] = pts[rest[at], on[at].argmax(axis=1)]
+        x[rest[at]] = P[at, on[at].argmax(axis=1)]
     return x, _power_sum(lam, _dists(x, pts), p), iters
 
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otbary import (
@@ -231,8 +231,26 @@ def _certificate(pts, lam, p, x):
     return np.linalg.norm(g), 1e-8 + max(moved)
 
 
+# A median about 1e-16 from an atom far from the origin, at p = 1.5: rounding
+# to the absolute coordinates drops part of the step.  In the first the
+# kept coordinate must be solved again given the dropped one; in the second
+# the best float is the atom itself.
+NEAR_ATOM_ROUNDING = [
+    (
+        np.array([[1.0, 0.0, 0.0], [1.0000000000009486, 0.0, 3.1622776601683792e-13]]),
+        np.array([0.9900990099009901, 0.009900990099009901]),
+    ),
+    (
+        np.array([[2.0, 0.0, 1.0], [2.0000000000008, 0.0, 1.0000000000006]]),
+        np.array([0.984251968503937, 0.015748031496062992]),
+    ),
+]
+
+
 @given(case=frechet_tuples(), others=st.lists(frechet_tuples(), max_size=6), where=st.integers(0, 6))
 @settings(max_examples=200, deadline=None)
+@example(case=(1.5, *NEAR_ATOM_ROUNDING[0]), others=[], where=0)
+@example(case=(1.5, *NEAR_ATOM_ROUNDING[1]), others=[], where=0)
 def test_kernel_is_certified_and_batch_independent(case, others, where):
     import scipy.optimize
 
