@@ -4,14 +4,24 @@ One runner, :func:`run_experiment`, covers both frameworks of an
 :class:`ExperimentConfig`: replace each member measure by an n-sample
 empirical version (empirical_sampling), or grow the ensemble one member at
 a time toward a reference ensemble (growing_ensemble / deformation).  Every
-row of the report records the distance from the recomputed barycenter to
-the reference barycenter; the ensemble-level distance is the exact nested
-transport problem (outer LP over member measures, inner costs W_p^p).  On
-the line both need no inner solver: the distance to the reference is the
-north-west-corner plan of :func:`otbary.transport.wasserstein`, and all
-inner costs of the ensemble distance come from one pass over the common
-refinement of every member's cumulative weights, leaving one transport
-solve (the outer one) per row.
+row of the report records the barycenter's objective, its distance to the
+reference barycenter and the ensemble-level distance, the exact nested
+transport problem (outer LP over member measures, inner costs W_p^p).
+
+On the line at p = 2 all three come from one common refinement of the
+cumulative weights of the row's members and the reference's members
+(:func:`_line_quantiles`): on each of its intervals every quantile
+function Q_k is constant, the barycenter's quantile function is the
+lam-weighted average of the members' (the comonotone coupling of
+:func:`otbary.multimarginal.solve_multimarginal`'s line route), and
+W_2^2 between two measures is the width-weighted sum of their squared
+quantile gaps.  Such a row computes no barycenter and no reference
+barycenter, and runs one transport solve, the outer one of the ensemble
+distance.  Every other space and order recomputes the barycenter with
+:func:`otbary.barycenter.barycenter_finite` and compares it with the
+reference barycenter by :func:`otbary.transport.wasserstein`.
+:func:`ensemble_distance` prices member pairs on the line from the same
+refinement at any p.
 
 All randomness is derived from the single master seed through
 ``numpy.random.SeedSequence`` keyed by (seed, size, member, replication), so
@@ -29,7 +39,7 @@ import numpy as np
 
 from .barycenter import barycenter_finite
 from .deformations import DeformationSpec, draw_deformations
-from .errors import DimensionMismatch, InvalidConfig, OTBaryError
+from .errors import DimensionMismatch, InvalidConfig, NumericalFailure, OTBaryError
 from .measures import (
     DiscreteMeasure,
     MeasureEnsemble,
@@ -39,7 +49,7 @@ from .measures import (
     sample_empirical,
     save_measure,
 )
-from .multimarginal import DEFAULT_PRODUCT_CAP
+from .multimarginal import DEFAULT_PRODUCT_CAP, MARGINAL_TOL
 from .spaces import Euclidean, Space, check_order
 from .staircase import _comonotone_entries
 from .transport import solve_transport, wasserstein
@@ -148,36 +158,72 @@ def ensemble_distance(
     """Exact W_p between two finite ensembles: outer transportation LP over
     member measures with inner costs W_p^p.
 
-    On the line every inner cost comes from one pass over the common
-    refinement of all members' cumulative weights; elsewhere each pair is
-    its own transport solve.
+    On the line every inner cost comes from the quantile functions of
+    :func:`_line_quantiles`, one refinement of all members' cumulative
+    weights; elsewhere each pair is its own transport solve.
+
+    Raises:
+        NumericalFailure: on the line, the refinement misses a member's
+            weights by more than ``MARGINAL_TOL``.
     """
     if ens_a.space != space or ens_b.space != space:
         raise DimensionMismatch("ensembles do not live on the given space")
     check_order(p)
     if isinstance(space, Euclidean) and space.dim == 1:
-        cost = _line_member_costs(p, ens_a.measures, ens_b.measures)
+        Q, width = _line_quantiles([*ens_a.measures, *ens_b.measures])
+        cost = _quantile_costs(p, Q[: ens_a.size], Q[ens_a.size :], width)
     else:
         cost = np.zeros((ens_a.size, ens_b.size))
         for j, mu in enumerate(ens_a.measures):
             for k, nu in enumerate(ens_b.measures):
                 w, _ = wasserstein(space, p, mu, nu)
                 cost[j, k] = w**p
-    res = solve_transport(cost, ens_a.lam, ens_b.lam)
-    return max(res.cost, 0.0) ** (1.0 / p)
+    return _outer_distance(p, cost, ens_a.lam, ens_b.lam)
 
 
-def _line_member_costs(p: float, measures_a, measures_b) -> np.ndarray:
+def _line_quantiles(measures) -> tuple[np.ndarray, np.ndarray]:
+    # The quantile functions of measures on the line over the common
+    # refinement of their cumulative weights: Q[k] holds member k's atom on
+    # each interval, and width the intervals' lengths.  Each member's
+    # weights must be the summed widths of its atoms' intervals, within
+    # MARGINAL_TOL, as solve_multimarginal checks of its coupling; one
+    # bincount over the members' atoms, numbered in turn, checks them all.
+    idx, width = _comonotone_entries([m.weights for m in measures])
+    first = np.cumsum([0] + [m.n_atoms for m in measures[:-1]])
+    flat = (idx + first).T
+    weights = np.concatenate([m.weights for m in measures])
+    marginals = np.bincount(flat.ravel(), np.tile(width, len(measures)), weights.shape[0])
+    if np.max(np.abs(marginals - weights)) > MARGINAL_TOL:
+        raise NumericalFailure("quantile refinement misses the weights")
+    return np.concatenate([m.atoms[:, 0] for m in measures])[flat], width
+
+
+def _quantile_costs(p: float, Qa, Qb, width) -> np.ndarray:
     # W_p^p of every pair (a, b) on the line is the integral of
-    # |Q_a - Q_b|^p over quantile levels.  On each interval of the common
-    # refinement of every member's cumulative weights each quantile
-    # function Q is constant, so row a of the matrix is
+    # |Q_a - Q_b|^p over quantile levels, so row a of the matrix is
     # |Q_a - Q_b|^p @ width; one row at a time keeps memory at J_b x K.
-    members = [*measures_a, *measures_b]
-    idx, width = _comonotone_entries([m.weights for m in members])
-    Q = np.stack([m.atoms[idx[:, k], 0] for k, m in enumerate(members)])
-    Qa, Qb = Q[: len(measures_a)], Q[len(measures_a) :]
     return np.stack([(np.abs(q - Qb) ** p) @ width for q in Qa])
+
+
+def _outer_distance(p: float, cost, lam_a, lam_b) -> float:
+    return max(solve_transport(cost, lam_a, lam_b).cost, 0.0) ** (1.0 / p)
+
+
+def _line_row(ens: MeasureEnsemble, ref: MeasureEnsemble, artifacts: bool):
+    # One experiment row on the line at p = 2, from one refinement over the
+    # row's members and the reference's: the barycenter's quantile function
+    # is mean = lam @ Q, its objective the lam-weighted W_2^2 to the members
+    # and dist_to_ref its W_2 to the reference's.  Returns dist_to_ref,
+    # ensemble_dist, the objective and, when artifacts are asked for, the
+    # barycenter itself.
+    Q, width = _line_quantiles([*ens.measures, *ref.measures])
+    Qa, Qb = Q[: ens.size], Q[ens.size :]
+    mean = ens.lam @ Qa
+    objective = float(width @ (ens.lam @ (Qa - mean) ** 2))
+    dist = float(width @ (mean - ref.lam @ Qb) ** 2) ** 0.5
+    ens_dist = _outer_distance(2, _quantile_costs(2, Qa, Qb, width), ens.lam, ref.lam)
+    bary = DiscreteMeasure(ens.space, mean[:, None], width / width.sum()) if artifacts else None
+    return dist, ens_dist, objective, bary
 
 
 def generate_deformation_ensemble(
@@ -207,16 +253,32 @@ def run_experiment(
     the size-n ensemble replaces each member by an n-draw empirical version,
     seeded by (seed, n, member, replication); otherwise the size-J ensemble
     keeps the first J members of the reference with renormalized weights.
-    Each row records the distance from that ensemble's barycenter to the
-    reference barycenter and the ensemble's distance to the reference; an
-    :class:`OTBaryError` becomes that row's ``error``.  Artifacts are named
-    ``bary_n{size}_rep{rep}.json`` (``J`` in place of ``n`` when not
-    sampling) and, when sampling, ``sample_n{size}_rep{rep}_j{j}.json``.
+    Each row records the objective of that ensemble's barycenter, its
+    distance to the reference barycenter and the ensemble's distance to
+    the reference; an :class:`OTBaryError` becomes that row's ``error``.
+
+    On the line at p = 2 (the condition of the line route of
+    :func:`otbary.multimarginal.solve_multimarginal`) a row reads all three
+    off one refinement of its members' and the reference's quantile
+    functions: no barycenter is computed, neither the row's nor the
+    reference's, and the refinement's widths are checked against every
+    member's weights within ``MARGINAL_TOL`` (``NumericalFailure``
+    otherwise).  Elsewhere the reference barycenter is computed once and
+    each row runs :func:`otbary.barycenter.barycenter_finite`,
+    :func:`otbary.transport.wasserstein` and :func:`ensemble_distance`.
+
+    Artifacts are named ``bary_n{size}_rep{rep}.json`` (``J`` in place of
+    ``n`` when not sampling) and, when sampling,
+    ``sample_n{size}_rep{rep}_j{j}.json``; on the line at p = 2 the
+    barycenter is built from its quantile function only when they are
+    kept.
     """
     sampling = cfg.framework == "empirical_sampling"
     label = "n" if sampling else "J"
     space = cfg.ensemble.space
-    ref = barycenter_finite(space, cfg.p, cfg.ensemble, max_product_size=max_product_size)
+    line = isinstance(space, Euclidean) and space.dim == 1 and cfg.p == 2
+    if not line:
+        ref = barycenter_finite(space, cfg.p, cfg.ensemble, max_product_size=max_product_size)
     report = ConsistencyReport()
     for size in cfg.sizes:
         for rep in range(cfg.replications):
@@ -231,22 +293,24 @@ def run_experiment(
                 else:
                     lam = cfg.ensemble.lam[:size]
                     ens = MeasureEnsemble(cfg.ensemble.measures[:size], lam / lam.sum())
-                bary = barycenter_finite(
-                    space, cfg.p, ens, max_product_size=max_product_size
-                )
-                dist, _ = wasserstein(space, cfg.p, bary.measure, ref.measure)
-                ens_dist = ensemble_distance(space, cfg.p, ens, cfg.ensemble)
+                if line:
+                    dist, ens_dist, objective, bary = _line_row(
+                        ens, cfg.ensemble, bool(keep_artifacts)
+                    )
+                else:
+                    result = barycenter_finite(
+                        space, cfg.p, ens, max_product_size=max_product_size
+                    )
+                    bary, objective = result.measure, result.objective
+                    dist, _ = wasserstein(space, cfg.p, bary, ref.measure)
+                    ens_dist = ensemble_distance(space, cfg.p, ens, cfg.ensemble)
                 wall = (time.perf_counter() - t0) * 1e3
                 report.rows.append(
-                    ReportRow(
-                        cfg.framework, size, rep, dist, ens_dist, bary.objective, wall
-                    )
+                    ReportRow(cfg.framework, size, rep, dist, ens_dist, objective, wall)
                 )
                 if keep_artifacts:
                     stem = f"{label}{size}_rep{rep}"
-                    save_measure(
-                        bary.measure, os.path.join(keep_artifacts, f"bary_{stem}.json")
-                    )
+                    save_measure(bary, os.path.join(keep_artifacts, f"bary_{stem}.json"))
                     if sampling:
                         for j, m in enumerate(ens.measures):
                             save_measure(

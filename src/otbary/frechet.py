@@ -23,8 +23,9 @@ p = 2 and metric matrices, without a per-tuple array or point.
   stay exact; a solution on an atom returns that atom exactly.  Where
   adding that atom back rounds x further than the iteration's tolerance (a
   mean within a few ulps of an atom far from the origin), the rounded
-  coordinates are held and the others solved again, and the lowest atom
-  wins if it is lower still.
+  coordinates are held and the others solved again, and at p != 1 the
+  lowest atom wins if it is lower still (at p = 1 such a row failed the
+  anchor test below, so no atom is its median).
 - Euclidean p = 2 is the weighted mean.
 - Euclidean p = 1 first tests every atom with the anchor (subgradient)
   condition |sum_{a_j != a} lam_j u_j| <= sum_{a_j = a} lam_j + 1e-12 sum(lam),
@@ -342,11 +343,14 @@ def _to_floats(P, base, local, x_local, lam, p):
         iters[held[redo]] += more
         xh[redo] = B[redo] + xl[redo]
         redo = redo[_rounded_far(xh[redo], B[redo], L[redo], xl[redo])]
-    Ph = P[held]
-    f_atoms = np.stack([_power_sum(lam, _dists(Ph[:, k], Ph), p) for k in range(Ph.shape[1])], axis=1)
-    k = f_atoms.argmin(axis=1)
-    lower = np.flatnonzero(f_atoms[np.arange(held.size), k] < _power_sum(lam, _dists(xh, Ph), p))
-    xh[lower], xl[lower] = Ph[lower, k[lower]], L[lower, k[lower]]
+    if p != 1:
+        # At p = 1 every row here failed the anchor test: no atom is its
+        # median, and one that looks lower does so by round-off in f.
+        Ph = P[held]
+        f_atoms = np.stack([_power_sum(lam, _dists(Ph[:, k], Ph), p) for k in range(Ph.shape[1])], axis=1)
+        k = f_atoms.argmin(axis=1)
+        lower = np.flatnonzero(f_atoms[np.arange(held.size), k] < _power_sum(lam, _dists(xh, Ph), p))
+        xh[lower], xl[lower] = Ph[lower, k[lower]], L[lower, k[lower]]
     x_local = x_local.copy()
     x[held], x_local[held] = xh, xl
     return x, x_local, iters

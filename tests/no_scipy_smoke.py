@@ -5,12 +5,14 @@
 Sets ``sys.modules["scipy"] = None``, so any ``import scipy...`` raises,
 imports ``otbary`` and ``otbary.cli``, and runs through ``cli.main``, in a
 temporary directory: ``dist`` in 2D, ``bary`` in 2D at p = 1 and p = 2, on
-a grid graph and on a fixed support, ``mmot``, a small 2D ``experiment``
-and a growing-ensemble ``experiment`` on the line up to J = 6 members of 15
-atoms, whose product of 1.1e7 tuples is past the default cap, which the
-line route does not need.  Exits 1 if a command fails, if a row of the line
-experiment records an error, or if a scipy module was loaded.  The library
-needs numpy alone; scipy is for the tests' oracles.
+a grid graph and on a fixed support, ``mmot`` and three ``experiment``
+runs: empirical sampling in 2D, which takes the barycenter route, and two
+on the line at p = 2, which take the quantile route, empirical sampling
+and a growing ensemble up to J = 6 members of 15 atoms, whose product of
+1.1e7 tuples is past the default cap, which the line route does not need.
+Exits 1 if a command fails, if a row of an experiment records an error,
+or if a scipy module was loaded.  The library needs numpy alone; scipy is
+for the tests' oracles.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ def _inputs(tmp: Path) -> dict:
     axis = np.linspace(-1.5, 1.5, 4)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     paths = {name: tmp / f"{name}.json"
-             for name in ("a", "b", "plane", "graph", "grid", "cfg", "line")}
+             for name in ("a", "b", "plane", "graph", "grid", "sampled_2d", "sampled_1d", "growing_1d")}
     save_measure(clouds[0], paths["a"])
     save_measure(clouds[1], paths["b"])
     save_ensemble(ot.MeasureEnsemble(clouds, [0.5, 0.3, 0.2]), paths["plane"])
     save_ensemble(ot.MeasureEnsemble(nodes, np.full(3, 1 / 3)), paths["graph"])
     save_measure(ot.DiscreteMeasure(plane, grid, np.full(16, 1 / 16)), paths["grid"])
-    paths["cfg"].write_text(json.dumps({
+    paths["sampled_2d"].write_text(json.dumps({
         "framework": "empirical_sampling",
         "p": 2,
         "seed": 0,
@@ -75,7 +77,25 @@ def _inputs(tmp: Path) -> dict:
             "params": {"offset": {"dist": "uniform", "low": -0.2, "high": 0.2}},
         },
     }))
-    paths["line"].write_text(json.dumps({
+    paths["sampled_1d"].write_text(json.dumps({
+        "framework": "empirical_sampling",
+        "p": 2,
+        "seed": 0,
+        "sizes": [5, 50],
+        "replications": 2,
+        "template": {
+            "space": {"type": "euclidean", "dim": 1},
+            "atoms": rng.normal(size=(10, 1)).tolist(),
+            "weights": rng.dirichlet(np.ones(10)).tolist(),
+        },
+        "deformation": {
+            "kind": "scaling",
+            "seed": 5,
+            "count": 3,
+            "params": {"factor": {"dist": "uniform", "low": 0.5, "high": 2.0}},
+        },
+    }))
+    paths["growing_1d"].write_text(json.dumps({
         "framework": "growing_ensemble",
         "p": 2,
         "seed": 0,
@@ -107,22 +127,24 @@ def main() -> int:
             ["bary", "--in", f["graph"], "--out", out],
             ["bary", "--in", f["plane"], "--out", out, "--support", f["grid"]],
             ["mmot", "--in", f["plane"], "--out", out],
-            ["experiment", "--config", f["cfg"], "--out", str(tmp / "rows.csv")],
-            ["experiment", "--config", f["line"], "--out", str(tmp / "line.csv")],
         ]
+        reports = {name: tmp / f"{name}.csv" for name in ("sampled_2d", "sampled_1d", "growing_1d")}
+        runs += [["experiment", "--config", f[name], "--out", str(csv_path)]
+                 for name, csv_path in reports.items()]
         failed = 0
         for argv in runs:
             with redirect_stdout(StringIO()):
                 code = otbary.cli.main(argv)
             print(f"otbary {argv[0]}: exit {code}")
             failed += code != 0
-        rows = []
-        if (tmp / "line.csv").exists():
-            with open(tmp / "line.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-        errors = [row["error"] for row in rows if row["error"]]
-        print(f"line experiment: {len(rows)} rows, {len(errors)} with an error")
-        failed += not rows or bool(errors)
+        for name, csv_path in reports.items():
+            rows = []
+            if csv_path.exists():
+                with open(csv_path, newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+            errors = [row["error"] for row in rows if row["error"]]
+            print(f"{name} experiment: {len(rows)} rows, {len(errors)} with an error")
+            failed += not rows or bool(errors)
     loaded = sorted(name for name, mod in sys.modules.items()
                     if name.startswith("scipy") and mod is not None)
     if loaded:

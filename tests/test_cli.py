@@ -349,9 +349,10 @@ def test_import_does_not_load_scipy_optimize():
 
 def test_cli_runs_without_scipy():
     # The library needs numpy alone.  The smoke script blocks scipy, runs
-    # dist, bary (p = 1, p = 2, graph, fixed support), mmot and two
-    # experiments (2D, and the line past the product cap) through the CLI,
-    # and fails if any of them does or a scipy module loads.
+    # dist, bary (p = 1, p = 2, graph, fixed support), mmot and three
+    # experiments (sampling in 2D and on the line, and a growing ensemble
+    # on the line past the product cap) through the CLI, and fails if any
+    # of them does, a row records an error or a scipy module loads.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -361,4 +362,5 @@ def test_cli_runs_without_scipy():
         text=True,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.count(": exit 0") == 8
+    assert out.stdout.count(": exit 0") == 9
+    assert out.stdout.count(" rows, 0 with an error") == 3

@@ -13,8 +13,11 @@ from otbary import (
     barycenter_finite,
     ensemble_distance,
     generate_deformation_ensemble,
+    load_measure,
     measures_equal,
     run_experiment,
+    sample_empirical,
+    wasserstein,
 )
 from otbary import consistency
 from otbary.consistency import config_from_dict
@@ -211,3 +214,113 @@ def test_config_from_dict_template_route(line):
         config_from_dict({**d, "sizes": [10, 5]})
     with pytest.raises(InvalidConfig):
         config_from_dict({k: v for k, v in d.items() if k not in ("template", "deformation")})
+
+
+@st.composite
+def line_experiments(draw):
+    """An experiment config on the line at p = 2: a reference of 1-4
+    members drawn by ``line_measures`` and either framework, with random
+    sizes, replications and seed."""
+    J = draw(st.integers(1, 4))
+    measures = [draw(line_measures(max_atoms=10)) for _ in range(J)]
+    lam = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=J, max_size=J)))
+    ref = MeasureEnsemble(measures, lam / lam.sum())
+    framework = draw(st.sampled_from(["empirical_sampling", "growing_ensemble"]))
+    top = 30 if framework == "empirical_sampling" else J
+    sizes = sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=3)))
+    return ExperimentConfig(framework, 2, draw(st.integers(0, 2**31)), sizes, ref,
+                            replications=draw(st.integers(1, 2)))
+
+
+def row_ensemble(cfg, size, rep):
+    """The ensemble of the experiment row (size, rep), drawn as run_experiment
+    draws it."""
+    if cfg.framework == "empirical_sampling":
+        members = [
+            sample_empirical(mu, size, consistency._child_seed(cfg.seed, size, j, rep))
+            for j, mu in enumerate(cfg.ensemble.measures)
+        ]
+        return MeasureEnsemble(members, cfg.ensemble.lam)
+    lam = cfg.ensemble.lam[:size]
+    return MeasureEnsemble(cfg.ensemble.measures[:size], lam / lam.sum())
+
+
+@given(cfg=line_experiments())
+@settings(max_examples=50, deadline=None)
+def test_line_rows_match_per_row_barycenters(cfg):
+    # Each row against the barycenter of its ensemble and of the reference,
+    # their W_2 and the ensemble distance, computed here one call each.
+    line = Euclidean(1)
+    ref = barycenter_finite(line, 2, cfg.ensemble).measure
+    for row in run_experiment(cfg).rows:
+        assert row.error == ""
+        ens = row_ensemble(cfg, row.size, row.replication)
+        bary = barycenter_finite(line, 2, ens)
+        assert abs(row.objective - bary.objective) <= 1e-12
+        assert abs(row.dist_to_ref - wasserstein(line, 2, bary.measure, ref)[0]) <= 1e-12
+        assert abs(row.ensemble_dist - ensemble_distance(line, 2, ens, cfg.ensemble)) <= 1e-12
+        # On the line at p = 2 the barycenter's quantile function is the
+        # lam-weighted average of the members', a 1-Lipschitz map.
+        assert row.dist_to_ref <= row.ensemble_dist * (1 + 1e-9) + 1e-15
+
+
+@pytest.mark.parametrize("space, p, line_route", [
+    (Euclidean(1), 2, True), (Euclidean(1), 1, False), (Euclidean(2), 2, False),
+])
+def test_experiment_route(rng, monkeypatch, space, p, line_route):
+    # On the line at p = 2 a row runs one transport solve, the outer one of
+    # the ensemble distance, and no barycenter; elsewhere the reference
+    # barycenter is computed once and each row computes its own.
+    calls = {"barycenter_finite": 0, "wasserstein": 0, "solve_transport": 0}
+
+    def counted(name):
+        inner = getattr(consistency, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(consistency, name, counted(name))
+    ens = random_ensemble(rng, space, 3, max_atoms=6)
+    rows = run_experiment(ExperimentConfig("growing_ensemble", p, 0, [1, 2, 3], ens)).rows
+    assert [r.error for r in rows] == ["", "", ""]
+    if line_route:
+        assert calls == {"barycenter_finite": 0, "wasserstein": 0, "solve_transport": 3}
+    else:
+        assert calls["barycenter_finite"] == 4
+        assert calls["wasserstein"] >= 3
+
+
+def test_line_row_checks_the_refinement(rng, line, monkeypatch):
+    # A refinement whose widths miss a member's weights fails the row, as a
+    # coupling off its marginals fails solve_multimarginal.
+    entries = consistency._comonotone_entries
+
+    def short(weights):
+        idx, width = entries(weights)
+        return idx, width - np.eye(1, width.shape[0]).ravel() * 1e-8
+
+    monkeypatch.setattr(consistency, "_comonotone_entries", short)
+    ens = random_ensemble(rng, line, 3, max_atoms=6)
+    rows = run_experiment(ExperimentConfig("empirical_sampling", 2, 0, [5, 10], ens)).rows
+    assert all(r.error.startswith("NumericalFailure") for r in rows)
+    assert all(r.dist_to_ref is None for r in rows)
+
+
+@pytest.mark.parametrize("framework, sizes", [
+    ("empirical_sampling", [3, 10, 40]), ("growing_ensemble", [1, 2, 4]),
+])
+def test_line_artifacts_are_the_barycenters(rng, line, tmp_path, framework, sizes):
+    # The barycenter a line row writes, built from its quantile function,
+    # is barycenter_finite's measure.
+    ens = random_ensemble(rng, line, 4, max_atoms=8)
+    cfg = ExperimentConfig(framework, 2, 3, sizes, ens, replications=2)
+    label = "n" if framework == "empirical_sampling" else "J"
+    for row in run_experiment(cfg, keep_artifacts=str(tmp_path)).rows:
+        assert row.error == ""
+        written = load_measure(tmp_path / f"bary_{label}{row.size}_rep{row.replication}.json")
+        expected = barycenter_finite(line, 2, row_ensemble(cfg, row.size, row.replication))
+        assert measures_equal(written, expected.measure, tol=1e-12)

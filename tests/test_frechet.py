@@ -247,10 +247,20 @@ NEAR_ATOM_ROUNDING = [
 ]
 
 
+# A p = 1 median about 3e-8 from an atom that fails the anchor test by
+# 4.9e-10: the atom's objective rounds below the median's, yet it is not
+# a median.
+NEAR_ATOM_P1 = (
+    np.array([[1.5, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+    np.array([0.4930951844931983, 0.40552385240544137, 0.10138096310136034]),
+)
+
+
 @given(case=frechet_tuples(), others=st.lists(frechet_tuples(), max_size=6), where=st.integers(0, 6))
 @settings(max_examples=200, deadline=None)
 @example(case=(1.5, *NEAR_ATOM_ROUNDING[0]), others=[], where=0)
 @example(case=(1.5, *NEAR_ATOM_ROUNDING[1]), others=[], where=0)
+@example(case=(1.0, *NEAR_ATOM_P1), others=[], where=0)
 def test_kernel_is_certified_and_batch_independent(case, others, where):
     import scipy.optimize
 
