@@ -50,7 +50,6 @@ from .measures import (
     sample_empirical,
     save_ensemble,
     save_measure,
-    validate_measure,
 )
 from .multimarginal import (
     MultiCoupling,

@@ -31,6 +31,11 @@ sum_j lam_j W_p^p(nu, mu_j); so c_j = W_p^p(nu, mu_j) wherever lam_j > 0.
 The same holds for the joint LP's plans, c_j = <C_j, pi_j>.  A member of
 weight 0 does not enter either LP, so its cost is the one transport solve
 left.
+
+Neither route has a size option.  The multi-marginal one stops at
+``multimarginal.MAX_PRODUCT`` tuples (except on the line at p = 2), the
+fixed-support one at :func:`otbary.pivoting.check_rows`, and both raise
+``ProductSizeExceeded`` before they build any cost.
 """
 
 from __future__ import annotations
@@ -41,12 +46,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
 from .measures import DiscreteMeasure, MeasureEnsemble
-from .multimarginal import (
-    DEFAULT_PRODUCT_CAP,
-    MARGINAL_TOL,
-    pushforward_barycenter,
-    solve_multimarginal,
-)
+from .multimarginal import MARGINAL_TOL, pushforward_barycenter, solve_multimarginal
 from .pivoting import check_rows, primal_simplex
 from .spaces import MetricMatrix, Space, as_atoms, check_order, pairwise_distances
 from .transport import wasserstein
@@ -89,16 +89,10 @@ def _paired_distances(space, xs, ys) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=1))
 
 
-def barycenter_finite(
-    space: Space,
-    p: float,
-    ens: MeasureEnsemble,
-    *,
-    max_product_size: int = DEFAULT_PRODUCT_CAP,
-) -> BarycenterResult:
+def barycenter_finite(space: Space, p: float, ens: MeasureEnsemble) -> BarycenterResult:
     """Exact barycenter via the multi-marginal coupling pushforward;
     c_j = sum_k mass_k d(x_k, a_{j, i_kj})^p over the coupling's entries."""
-    gamma = solve_multimarginal(space, p, ens, max_product_size=max_product_size)
+    gamma = solve_multimarginal(space, p, ens)
     nu = pushforward_barycenter(space, p, ens, gamma)
     mass = gamma.mass / gamma.mass.sum()
     costs = [
@@ -204,7 +198,10 @@ def barycenter_fixed_support(
 
     Raises:
         DimensionMismatch: p < 1, or an empty support.
-        ProductSizeExceeded: an LP of more than ``pivoting.MAX_ROWS`` rows.
+        ProductSizeExceeded: an LP past ``pivoting.check_rows``, of
+            sum_j n_j + (J - 1)(S - 1) rows and S sum_j n_j variables.
+            At J >= 2 the rows bound it first; one member, whose LP has
+            n_1 rows whatever S is, is bounded by its variables.
         NumericalFailure: the simplex failed, or the plans miss the weights
             or disagree on the support by more than ``MARGINAL_TOL``.
     """
@@ -214,7 +211,8 @@ def barycenter_fixed_support(
         raise DimensionMismatch("support must be nonempty")
     measures = ens.measures
     S, J = support.shape[0], len(measures)
-    check_rows(sum(m.n_atoms for m in measures) + (J - 1) * (S - 1))
+    n = sum(m.n_atoms for m in measures)
+    check_rows(n + (J - 1) * (S - 1), S * n)
     C = [pairwise_distances(space, support, m.atoms) ** p for m in measures]
     plans, pivots, min_reduced_cost = _fixed_support_lp(
         [lam_j * C_j for lam_j, C_j in zip(ens.lam, C)], [m.weights for m in measures]
@@ -238,18 +236,10 @@ def barycenter_fixed_support(
     )
 
 
-def variance(
-    space: Space,
-    p: float,
-    ens: MeasureEnsemble,
-    *,
-    max_product_size: int = DEFAULT_PRODUCT_CAP,
-) -> float:
+def variance(space: Space, p: float, ens: MeasureEnsemble) -> float:
     """Spread of the ensemble around its barycenter:
     inf_nu sum_j lam_j W_p^p(nu, mu_j)."""
-    return barycenter_finite(
-        space, p, ens, max_product_size=max_product_size
-    ).objective
+    return barycenter_finite(space, p, ens).objective
 
 
 def quantize(m: DiscreteMeasure, k: int) -> DiscreteMeasure:

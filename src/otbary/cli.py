@@ -1,8 +1,11 @@
 """Command-line surface: dist, bary, mmot, variance, quantize, experiment.
 
 Exit codes: 0 success, 1 validation error (bad files or measures), 2 solver
-error, 3 config error.  Structured results go to stdout as JSON; output
-files are deterministic for fixed flags and seed.
+error, 3 config error.  A solver error includes ``ProductSizeExceeded``: a
+product past ``multimarginal.MAX_PRODUCT`` tuples or an LP past
+``pivoting.check_rows``, fixed bounds that no flag sets.  Structured
+results go to stdout as JSON; output files are deterministic for fixed
+flags and seed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .measures import (
     measure_to_dict,
     save_measure,
 )
-from .multimarginal import DEFAULT_PRODUCT_CAP, pushforward_barycenter, solve_multimarginal
+from .multimarginal import pushforward_barycenter, solve_multimarginal
 from .transport import wasserstein
 
 EXIT_OK = 0
@@ -80,9 +83,7 @@ def cmd_bary(args) -> int:
         grid = load_measure(args.support)
         result = barycenter_fixed_support(ens.space, args.p, ens, grid.atoms)
     else:
-        result = barycenter_finite(
-            ens.space, args.p, ens, max_product_size=args.max_product_size
-        )
+        result = barycenter_finite(ens.space, args.p, ens)
     print(
         "note: barycenters of discrete ensembles need not be unique; "
         "this is the deterministic one picked by the solver's tie-breaking.",
@@ -95,9 +96,7 @@ def cmd_bary(args) -> int:
 
 def cmd_mmot(args) -> int:
     ens = load_ensemble(args.in_path)
-    gamma = solve_multimarginal(
-        ens.space, args.p, ens, max_product_size=args.max_product_size
-    )
+    gamma = solve_multimarginal(ens.space, args.p, ens)
     _write_json(_coupling_dict(gamma), args.out)
     if args.bary:
         nu = pushforward_barycenter(ens.space, args.p, ens, gamma)
@@ -108,7 +107,7 @@ def cmd_mmot(args) -> int:
 
 def cmd_variance(args) -> int:
     ens = load_ensemble(args.in_path)
-    v = variance(ens.space, args.p, ens, max_product_size=args.max_product_size)
+    v = variance(ens.space, args.p, ens)
     _emit({"variance": v, "p": args.p})
     return EXIT_OK
 
@@ -130,11 +129,7 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     cfg = config_from_dict(raw)
-    report = run_experiment(
-        cfg,
-        max_product_size=args.max_product_size,
-        keep_artifacts=args.keep_artifacts,
-    )
+    report = run_experiment(cfg, keep_artifacts=args.keep_artifacts)
     report.to_csv(args.out, timing=args.timing)
     _emit({"rows": len(report.rows), "medians": report.summary()})
     return EXIT_OK
@@ -146,12 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Each shared flag goes only on the commands that read it.
     order = argparse.ArgumentParser(add_help=False)
     order.add_argument("--p", type=float, default=2.0, help="order of the distance")
-    cap_flag = ("--max-product-size",)
-    cap_kwargs = dict(
-        type=int, default=DEFAULT_PRODUCT_CAP, help="cap on the multi-marginal product support"
-    )
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument(*cap_flag, **cap_kwargs)
 
     parser = argparse.ArgumentParser(
         prog="otbary",
@@ -168,19 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bary", parents=[order], help="ensemble barycenter")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.add_argument("--out", required=True)
-    # The fixed-support LP has no product to cap.
-    route = sp.add_mutually_exclusive_group()
-    route.add_argument("--support", default=None, help="fix the support to this measure's atoms")
-    route.add_argument(*cap_flag, **cap_kwargs)
+    sp.add_argument("--support", default=None, help="fix the support to this measure's atoms")
     sp.set_defaults(fn=cmd_bary)
 
-    sp = sub.add_parser("mmot", parents=[order, cap], help="multi-marginal coupling")
+    sp = sub.add_parser("mmot", parents=[order], help="multi-marginal coupling")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.add_argument("--out", required=True)
     sp.add_argument("--bary", default=None, help="also write the pushforward barycenter")
     sp.set_defaults(fn=cmd_mmot)
 
-    sp = sub.add_parser("variance", parents=[order, cap], help="ensemble variance")
+    sp = sub.add_parser("variance", parents=[order], help="ensemble variance")
     sp.add_argument("--in", required=True, dest="in_path")
     sp.set_defaults(fn=cmd_variance)
 
@@ -190,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_quantize)
 
-    sp = sub.add_parser("experiment", parents=[cap], help="consistency experiment")
+    sp = sub.add_parser("experiment", help="consistency experiment")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--keep-artifacts", default=None, dest="keep_artifacts")

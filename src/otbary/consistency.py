@@ -49,7 +49,7 @@ from .measures import (
     sample_empirical,
     save_measure,
 )
-from .multimarginal import DEFAULT_PRODUCT_CAP, MARGINAL_TOL
+from .multimarginal import MARGINAL_TOL
 from .spaces import Euclidean, Space, check_order
 from .staircase import _comonotone_entries
 from .transport import solve_transport, wasserstein
@@ -242,10 +242,7 @@ def _child_seed(master: int, *key: int) -> int:
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    *,
-    max_product_size: int = DEFAULT_PRODUCT_CAP,
-    keep_artifacts: str | None = None,
+    cfg: ExperimentConfig, *, keep_artifacts: str | None = None
 ) -> ConsistencyReport:
     """Run the experiment ``cfg`` describes: one row per (size, replication).
 
@@ -266,6 +263,9 @@ def run_experiment(
     otherwise).  Elsewhere the reference barycenter is computed once and
     each row runs :func:`otbary.barycenter.barycenter_finite`,
     :func:`otbary.transport.wasserstein` and :func:`ensemble_distance`.
+    There the product of the reference's sizes must be within
+    ``multimarginal.MAX_PRODUCT`` (``ProductSizeExceeded`` before any row
+    otherwise), and a row past it records the error.
 
     Artifacts are named ``bary_n{size}_rep{rep}.json`` (``J`` in place of
     ``n`` when not sampling) and, when sampling,
@@ -278,7 +278,7 @@ def run_experiment(
     space = cfg.ensemble.space
     line = isinstance(space, Euclidean) and space.dim == 1 and cfg.p == 2
     if not line:
-        ref = barycenter_finite(space, cfg.p, cfg.ensemble, max_product_size=max_product_size)
+        ref = barycenter_finite(space, cfg.p, cfg.ensemble)
     report = ConsistencyReport()
     for size in cfg.sizes:
         for rep in range(cfg.replications):
@@ -298,9 +298,7 @@ def run_experiment(
                         ens, cfg.ensemble, bool(keep_artifacts)
                     )
                 else:
-                    result = barycenter_finite(
-                        space, cfg.p, ens, max_product_size=max_product_size
-                    )
+                    result = barycenter_finite(space, cfg.p, ens)
                     bary, objective = result.measure, result.objective
                     dist, _ = wasserstein(space, cfg.p, bary, ref.measure)
                     ens_dist = ensemble_distance(space, cfg.p, ens, cfg.ensemble)

@@ -30,8 +30,9 @@ class NumericalFailure(OTBaryError):
 
 
 class ProductSizeExceeded(OTBaryError):
-    """The multi-marginal product support exceeds the configured cap, or an
-    LP has more rows than ``otbary.pivoting.MAX_ROWS``."""
+    """The multi-marginal product support has more tuples than
+    ``otbary.multimarginal.MAX_PRODUCT``, or an LP more rows or variables
+    than ``otbary.pivoting.check_rows`` allows."""
 
 
 class NonConvergence(OTBaryError):

@@ -116,13 +116,6 @@ class DiscreteMeasure:
         return self.atoms.shape[0]
 
 
-def validate_measure(m: DiscreteMeasure, space: Space) -> DiscreteMeasure:
-    """Re-validate ``m`` against ``space``; weights come back renormalized."""
-    if m.space != space:
-        raise DimensionMismatch("measure was built over a different space")
-    return DiscreteMeasure(space, m.atoms, m.weights)
-
-
 def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-9) -> bool:
     """Equality of canonical forms up to ``tol``."""
     if a.space != b.space or a.n_atoms != b.n_atoms:

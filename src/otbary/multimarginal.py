@@ -25,14 +25,14 @@ of :func:`otbary.transport.wasserstein`): the cost
 sum_j lam_j |x_j - mean|^2 is submodular, so that coupling is optimal
 (Carlier, J. Convex Anal. 2003) and needs no LP at all.  It has at most
 sum_j n_j - J + 1 entries and builds nothing over the product, so the
-product cap does not apply to it.  Every other input builds the cost
-tensor C of shape (n_1, ..., n_J), whose size the cap bounds, and runs the
-one coupling LP, :func:`otbary.staircase.coupling_simplex`, the setup
-:func:`otbary.transport.solve_transport` runs at J = 2: the staircase
-start, sum_j n_j - J + 1 rows, pricing in two passes over the tensor and
-no constraint matrix, on the pivot loop of :mod:`otbary.pivoting`.
-Before returning, the coupling's marginals are checked against the
-weights.
+product bound does not apply to it.  Every other input builds the cost
+tensor C of shape (n_1, ..., n_J), of at most ``MAX_PRODUCT`` tuples, and
+runs the one coupling LP, :func:`otbary.staircase.coupling_simplex`, the
+setup :func:`otbary.transport.solve_transport` runs at J = 2: the
+staircase start, sum_j n_j - J + 1 rows, pricing in two passes over the
+tensor and no constraint matrix, on the pivot loop of
+:mod:`otbary.pivoting`.  Before returning, the coupling's marginals are
+checked against the weights.
 
 The independent oracles live with the tests: a HiGHS LP assembled entry by
 entry, and a dense two-phase simplex.
@@ -40,6 +40,7 @@ entry, and a dense two-phase simplex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ from .pivoting import check_rows
 from .spaces import Euclidean, Space, check_order
 from .staircase import _comonotone_entries, coupling_simplex
 
-DEFAULT_PRODUCT_CAP = 10**6
+MAX_PRODUCT = 10**6  # tuples of the largest product the coupling LP takes on
 MARGINAL_TOL = 1e-9
 
 
@@ -94,13 +95,7 @@ def _index_grid(shape: tuple[int, ...]) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T
 
 
-def solve_multimarginal(
-    space: Space,
-    p: float,
-    ens: MeasureEnsemble,
-    *,
-    max_product_size: int = DEFAULT_PRODUCT_CAP,
-) -> MultiCoupling:
+def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCoupling:
     """Optimal vertex of the multi-marginal transportation polytope.
 
     On the line with p = 2 (J >= 2) the answer is the comonotone coupling,
@@ -116,8 +111,9 @@ def solve_multimarginal(
 
     Raises:
         DimensionMismatch: p < 1.
-        ProductSizeExceeded: off the line p = 2 route, product support
-            past ``max_product_size`` or rows past ``pivoting.MAX_ROWS``.
+        ProductSizeExceeded: off the line p = 2 route, a product support
+            of more than ``MAX_PRODUCT`` tuples or an LP past
+            ``pivoting.check_rows``; raised before any cost is built.
         NumericalFailure: the simplex failed, or the marginals miss the
             weights.
     """
@@ -139,11 +135,12 @@ def solve_multimarginal(
         idx, x = _comonotone_entries(weights)
         points, costs, _ = frechet_means(space, p, ens.lam, atoms, idx)
     else:
-        if np.prod([float(n) for n in shape]) > max_product_size:
+        size = math.prod(shape)
+        if size > MAX_PRODUCT:
             raise ProductSizeExceeded(
-                f"product support {shape} exceeds cap {max_product_size}"
+                f"product support {shape} exceeds the bound of {MAX_PRODUCT} tuples"
             )
-        check_rows(sum(shape) - len(shape) + 1)
+        check_rows(sum(shape) - len(shape) + 1, size)
         full = None
         if isinstance(space, Euclidean) and p != 2:
             # No closed form: the costs come from one Fréchet pass over the

@@ -47,9 +47,12 @@ constraint column of variable k.  Everything else lives here:
   a zero level in that solve) come out as exactly 0: the LPs' plans,
   couplings and objectives take them as they are.
 - The loop holds about (4m + 2 min(period, m)) m floats (B, [b | I],
-  B_0^-1 and the product form), so each LP setup calls :func:`check_rows`
-  before it builds its costs: past ``MAX_ROWS`` rows (0.67 GB of arrays at
-  4 096) it raises ``ProductSizeExceeded`` instead of exhausting memory.
+  B_0^-1 and the product form), and the setup a few floats per variable
+  (costs, reduced costs), so each LP setup calls :func:`check_rows` with
+  its rows and variables before it builds its costs: past ``MAX_ROWS``
+  rows (0.67 GB of arrays at 4 096), or past the cells of the largest
+  two-marginal LP within that many rows, it raises
+  ``ProductSizeExceeded`` instead of exhausting memory.
 
 The loop runs on numpy alone.  A singular factorization (numpy's
 ``LinAlgError``) raises ``NumericalFailure("singular basis")``.
@@ -84,11 +87,17 @@ def _perturbation_draws(m):
     return _draws[:m]
 
 
-def check_rows(m):
+def check_rows(m, n):
     """Raise ``ProductSizeExceeded`` for an LP of more than ``MAX_ROWS``
-    rows, whose pivot loop would not fit in memory."""
+    rows, whose pivot loop would not fit in memory, or of more variables
+    than the largest two-marginal LP within ``MAX_ROWS`` rows has cells
+    (n_1 + n_2 - 1 rows bound n_1 n_2 by 2 048 x 2 049 at 4 096), whose
+    costs and reduced costs the setup holds as dense arrays."""
     if m > MAX_ROWS:
         raise ProductSizeExceeded(f"LP of {m} rows exceeds the bound of {MAX_ROWS} rows")
+    most = (MAX_ROWS + 1) // 2 * ((MAX_ROWS + 2) // 2)
+    if n > most:
+        raise ProductSizeExceeded(f"LP of {n} variables exceeds the bound of {most} variables")
 
 
 def primal_simplex(c, b, basis, column, price):

@@ -96,7 +96,7 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
         return TransportPlan(
             plan=plan, cost=float((plan * C).sum()), u=C[:, 0] - C[0, 0], v=C[0].copy()
         )
-    check_rows(n + m - 1)
+    check_rows(n + m - 1, n * m)
     basis, x, pivots, _, y = coupling_simplex(C, [a, b])
     plan = np.zeros((n, m))
     plan.reshape(-1)[basis] = x
@@ -145,7 +145,7 @@ def wasserstein(
         result = _line_transport(p, mu, nu)
     else:
         if min(mu.n_atoms, nu.n_atoms) > 1:
-            check_rows(mu.n_atoms + nu.n_atoms - 1)
+            check_rows(mu.n_atoms + nu.n_atoms - 1, mu.n_atoms * nu.n_atoms)
         C = pairwise_distances(space, mu.atoms, nu.atoms) ** p
         result = solve_transport(C, mu.weights, nu.weights)
     return max(result.cost, 0.0) ** (1.0 / p), result

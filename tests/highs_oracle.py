@@ -29,19 +29,13 @@ BRUTE_FORCE_CAP = 10**4
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
-def brute_force_multimarginal(
-    space: Space,
-    p: float,
-    ens: MeasureEnsemble,
-    *,
-    max_product_size: int = BRUTE_FORCE_CAP,
-) -> MultiCoupling:
+def brute_force_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCoupling:
     """Optimal coupling of the multi-marginal LP, solved by HiGHS."""
     measures = ens.measures
     shape = tuple(m.n_atoms for m in measures)
-    if np.prod([float(n) for n in shape]) > max_product_size:
+    if np.prod([float(n) for n in shape]) > BRUTE_FORCE_CAP:
         raise ProductSizeExceeded(
-            f"product support {shape} exceeds brute-force cap {max_product_size}"
+            f"product support {shape} exceeds brute-force cap {BRUTE_FORCE_CAP}"
         )
     tuples = list(np.ndindex(*shape))
     points, costs, _ = frechet_means(

@@ -9,9 +9,11 @@ a grid graph and on a fixed support, ``mmot`` and three ``experiment``
 runs: empirical sampling in 2D, which takes the barycenter route, and two
 on the line at p = 2, which take the quantile route, empirical sampling
 and a growing ensemble up to J = 6 members of 15 atoms, whose product of
-1.1e7 tuples is past the default cap, which the line route does not need.
-Exits 1 if a command fails, if a row of an experiment records an error,
-or if a scipy module was loaded.  The library needs numpy alone; scipy is
+1.1e7 tuples is past ``multimarginal.MAX_PRODUCT``, which the line route
+does not need.  One more ``mmot`` run, on 3 plane members of 101 atoms
+(a product of 1.03e6 tuples), must exit 2 with ``ProductSizeExceeded``.
+Exits 1 if a command exits with another code than it should, if a row of
+an experiment records an error, or if a scipy module was loaded.  The library needs numpy alone; scipy is
 for the tests' oracles.
 """
 
@@ -53,10 +55,16 @@ def _inputs(tmp: Path) -> dict:
     axis = np.linspace(-1.5, 1.5, 4)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     paths = {name: tmp / f"{name}.json"
-             for name in ("a", "b", "plane", "graph", "grid", "sampled_2d", "sampled_1d", "growing_1d")}
+             for name in ("a", "b", "plane", "big_plane", "graph", "grid", "sampled_2d",
+                          "sampled_1d", "growing_1d")}
     save_measure(clouds[0], paths["a"])
     save_measure(clouds[1], paths["b"])
     save_ensemble(ot.MeasureEnsemble(clouds, [0.5, 0.3, 0.2]), paths["plane"])
+    # Its own generator, so the other inputs are drawn as before.
+    big_rng = np.random.default_rng(101)
+    big = [ot.DiscreteMeasure(plane, big_rng.normal(size=(101, 2)), np.full(101, 1 / 101))
+           for _ in range(3)]
+    save_ensemble(ot.MeasureEnsemble(big, np.full(3, 1 / 3)), paths["big_plane"])
     save_ensemble(ot.MeasureEnsemble(nodes, np.full(3, 1 / 3)), paths["graph"])
     save_measure(ot.DiscreteMeasure(plane, grid, np.full(16, 1 / 16)), paths["grid"])
     paths["sampled_2d"].write_text(json.dumps({
@@ -121,22 +129,23 @@ def main() -> int:
         f = _inputs(tmp)
         out = str(tmp / "out.json")
         runs = [
-            ["dist", "--in-a", f["a"], "--in-b", f["b"], "--plan", out],
-            ["bary", "--in", f["plane"], "--out", out, "--p", "1"],
-            ["bary", "--in", f["plane"], "--out", out, "--p", "2"],
-            ["bary", "--in", f["graph"], "--out", out],
-            ["bary", "--in", f["plane"], "--out", out, "--support", f["grid"]],
-            ["mmot", "--in", f["plane"], "--out", out],
+            (["dist", "--in-a", f["a"], "--in-b", f["b"], "--plan", out], 0),
+            (["bary", "--in", f["plane"], "--out", out, "--p", "1"], 0),
+            (["bary", "--in", f["plane"], "--out", out, "--p", "2"], 0),
+            (["bary", "--in", f["graph"], "--out", out], 0),
+            (["bary", "--in", f["plane"], "--out", out, "--support", f["grid"]], 0),
+            (["mmot", "--in", f["plane"], "--out", out], 0),
+            (["mmot", "--in", f["big_plane"], "--out", out], 2),
         ]
         reports = {name: tmp / f"{name}.csv" for name in ("sampled_2d", "sampled_1d", "growing_1d")}
-        runs += [["experiment", "--config", f[name], "--out", str(csv_path)]
+        runs += [(["experiment", "--config", f[name], "--out", str(csv_path)], 0)
                  for name, csv_path in reports.items()]
         failed = 0
-        for argv in runs:
+        for argv, expected in runs:
             with redirect_stdout(StringIO()):
                 code = otbary.cli.main(argv)
             print(f"otbary {argv[0]}: exit {code}")
-            failed += code != 0
+            failed += code != expected
         for name, csv_path in reports.items():
             rows = []
             if csv_path.exists():

@@ -12,6 +12,7 @@ from otbary import (
     MeasureEnsemble,
     MetricMatrix,
     NumericalFailure,
+    ProductSizeExceeded,
     barycenter_finite,
     barycenter_fixed_support,
     ensemble_objective,
@@ -411,6 +412,21 @@ def test_fixed_support_singular_basis_is_a_numerical_failure(plane, monkeypatch)
     monkeypatch.setattr(bary_module, "_dirac_start", repeated)
     with pytest.raises(NumericalFailure, match="singular basis"):
         barycenter_fixed_support(plane, 2, ens, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def test_one_member_fixed_support_is_bounded_by_its_variables(plane, monkeypatch):
+    # J = 1: the LP has n_1 = 1 000 rows for any support, so only its
+    # S n_1 = 2e7 variables bound it; a 20 000 x 1 000 cost matrix would
+    # take 160 MB.  It raises before any cost is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("costs built for an LP past its bound")
+
+    monkeypatch.setattr(bary_module, "pairwise_distances", refuse)
+    rng = np.random.default_rng(20150612)
+    member = DiscreteMeasure(plane, rng.normal(size=(1000, 2)), np.full(1000, 1e-3))
+    ens = MeasureEnsemble([member], [1.0])
+    with pytest.raises(ProductSizeExceeded, match="LP of 20000000 variables"):
+        barycenter_fixed_support(plane, 2, ens, rng.normal(size=(20000, 2)))
 
 
 def test_fixed_support_memory_on_a_10_by_10_grid(plane):

@@ -72,6 +72,10 @@ def test_dist_diracs_p1(dirac_files, capsys):
         ["bary", "--in", "e.json", "--out", "b.json", "--method", "fixed"],
         ["bary", "--in", "e.json", "--out", "b.json", "--support", "g.json",
          "--max-product-size", "4"],
+        ["bary", "--in", "e.json", "--out", "b.json", "--max-product-size", "4"],
+        ["mmot", "--in", "e.json", "--out", "c.json", "--max-product-size", "4"],
+        ["variance", "--in", "e.json", "--max-product-size", "4"],
+        ["experiment", "--config", "c.json", "--out", "r.csv", "--max-product-size", "4"],
     ],
 )
 def test_flags_are_rejected_where_unread(argv, capsys):
@@ -121,34 +125,39 @@ def test_bary_fixed_single_point(tmp_path, ensemble_file):
     assert measures_equal(load_measure(out), DiscreteMeasure(LINE, [[0.7]], [1.0]))
 
 
-def test_bary_oversized_exits_2(tmp_path, capsys):
-    # In the plane: the line route at p = 2 builds no product, so the cap
-    # does not apply there.
-    ms = [DiscreteMeasure(Euclidean(2), [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]) for _ in range(3)]
-    ens = MeasureEnsemble(ms, np.full(3, 1 / 3))
-    pe = tmp_path / "big.json"
-    save_ensemble(ens, pe)
-    out = tmp_path / "bary.json"
-    rc = main([
-        "bary", "--in", str(pe), "--out", str(out), "--max-product-size", "4",
-    ])
-    assert rc == 2
-    assert "4" in capsys.readouterr().err  # message names the cap
-
-
 def _plane_cloud(n):
     atoms = np.arange(2.0 * n).reshape(n, 2) ** 1.5
     return DiscreteMeasure(Euclidean(2), atoms, np.full(n, 1 / n))
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("costs built for an LP past the row bound")
+    raise AssertionError("costs built for an LP past its bound")
+
+
+def test_bary_oversized_exits_2(tmp_path, monkeypatch, capsys):
+    # In the plane: the line route at p = 2 builds no product, so the cap
+    # does not apply there.  With the bound at 4 tuples, a product of 8
+    # exits 2 before any cost is built.
+    monkeypatch.setattr(multimarginal, "MAX_PRODUCT", 4)
+    monkeypatch.setattr(multimarginal, "product_costs", _refuse)
+    monkeypatch.setattr(multimarginal, "frechet_means", _refuse)
+    ms = [DiscreteMeasure(Euclidean(2), [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]) for _ in range(3)]
+    ens = MeasureEnsemble(ms, np.full(3, 1 / 3))
+    pe = tmp_path / "big.json"
+    save_ensemble(ens, pe)
+    out = tmp_path / "bary.json"
+    rc = main(["bary", "--in", str(pe), "--out", str(out)])
+    assert rc == 2
+    assert "4" in capsys.readouterr().err  # message names the cap
 
 
 def test_lps_past_the_row_bound_exit_2(tmp_path, monkeypatch, capsys):
-    # With the bound at 4 rows, each command below sets up an LP of 5 to 8
-    # rows.  It must raise before it builds any cost, and the cost builders
-    # fail if reached, so a missing check cannot allocate.
+    # With the bound at 4 rows, each of the first three commands sets up an
+    # LP of 5 to 8 rows.  The last one, on a single member, has 2 rows for
+    # any support, so its 4 x 2 = 8 variables are what bound it: the
+    # largest two-marginal LP within 4 rows has 2 x 3 = 6 cells.  Each must
+    # raise before it builds any cost, and the cost builders fail if
+    # reached, so a missing check cannot allocate.
     monkeypatch.setattr(pivoting, "MAX_ROWS", 4)
     for module, name in [
         (transport, "pairwise_distances"),
@@ -161,16 +170,19 @@ def test_lps_past_the_row_bound_exit_2(tmp_path, monkeypatch, capsys):
     save_measure(_plane_cloud(2), a)
     save_measure(_plane_cloud(4), b)
     pair, triple = tmp_path / "pair.json", tmp_path / "triple.json"
+    one = tmp_path / "one.json"
     save_ensemble(MeasureEnsemble([_plane_cloud(2), _plane_cloud(4)], [0.5, 0.5]), pair)
     save_ensemble(MeasureEnsemble([_plane_cloud(2)] * 3, np.full(3, 1 / 3)), triple)
+    save_ensemble(MeasureEnsemble([_plane_cloud(2)], [1.0]), one)
     out = str(tmp_path / "out.json")
-    for argv, rows in [
-        (["dist", "--in-a", str(a), "--in-b", str(b)], 5),
-        (["mmot", "--in", str(pair), "--out", out], 5),
-        (["bary", "--in", str(triple), "--out", out, "--support", str(a)], 8),
+    for argv, size in [
+        (["dist", "--in-a", str(a), "--in-b", str(b)], "5 rows"),
+        (["mmot", "--in", str(pair), "--out", out], "5 rows"),
+        (["bary", "--in", str(triple), "--out", out, "--support", str(a)], "8 rows"),
+        (["bary", "--in", str(one), "--out", out, "--support", str(b)], "8 variables"),
     ]:
         assert main(argv) == 2
-        assert f"ProductSizeExceeded: LP of {rows} rows" in capsys.readouterr().err
+        assert f"ProductSizeExceeded: LP of {size}" in capsys.readouterr().err
 
 
 def test_mmot_writes_coupling_and_bary(tmp_path, ensemble_file, capsys):
@@ -352,7 +364,8 @@ def test_cli_runs_without_scipy():
     # dist, bary (p = 1, p = 2, graph, fixed support), mmot and three
     # experiments (sampling in 2D and on the line, and a growing ensemble
     # on the line past the product cap) through the CLI, and fails if any
-    # of them does, a row records an error or a scipy module loads.
+    # of them does, a row records an error or a scipy module loads.  One
+    # more mmot, on a product past the cap, must exit 2.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -363,4 +376,5 @@ def test_cli_runs_without_scipy():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     assert out.stdout.count(": exit 0") == 9
+    assert out.stdout.count("otbary mmot: exit 2") == 1
     assert out.stdout.count(" rows, 0 with an error") == 3

@@ -175,13 +175,21 @@ def test_optimality_inequalities(rng):
             assert value >= gamma.objective - 1e-8
 
 
-def test_product_size_cap(plane):
+def _refuse(*args, **kwargs):
+    raise AssertionError("costs built for a product past the bound")
+
+
+def test_product_size_cap(plane, monkeypatch):
     # In the plane: the line route at p = 2 builds no product, so the cap
-    # does not apply there.
+    # does not apply there.  With the bound at 4 tuples, a product of 8
+    # raises before any cost is built: the cost builders fail if reached.
+    monkeypatch.setattr(multimarginal, "MAX_PRODUCT", 4)
+    monkeypatch.setattr(multimarginal, "product_costs", _refuse)
+    monkeypatch.setattr(multimarginal, "frechet_means", _refuse)
     ms = [DiscreteMeasure(plane, [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]) for _ in range(3)]
     ens = MeasureEnsemble(ms, np.full(3, 1 / 3))
     with pytest.raises(ProductSizeExceeded):
-        solve_multimarginal(plane, 2, ens, max_product_size=4)
+        solve_multimarginal(plane, 2, ens)
 
 
 def test_line_route_ignores_the_product_cap(line):

@@ -70,6 +70,20 @@ def test_lp_past_the_row_bound_raises(monkeypatch):
     assert w1 == pytest.approx(np.linalg.norm(atoms, axis=1).mean(), rel=1e-12)
 
 
+@pytest.mark.parametrize("rows", [4, 5, 4096])
+def test_variable_bound_is_the_largest_transport_within_the_rows(monkeypatch, rows):
+    # Every n x m transport LP within the row bound (n + m - 1 rows) passes
+    # the variable bound, and one variable more than its largest does not.
+    monkeypatch.setattr(pivoting, "MAX_ROWS", rows)
+    most = max(n * (rows + 1 - n) for n in range(1, rows + 1))
+    for n in range(1, rows + 1):
+        pivoting.check_rows(rows, n * (rows + 1 - n))
+    with pytest.raises(ProductSizeExceeded, match=f"LP of {most + 1} variables"):
+        pivoting.check_rows(rows, most + 1)
+    with pytest.raises(ProductSizeExceeded, match=f"LP of {rows + 1} rows"):
+        pivoting.check_rows(rows + 1, 1)
+
+
 def test_plan_feasibility_random(rng):
     for _ in range(30):
         n, m = rng.integers(1, 12, 2)
