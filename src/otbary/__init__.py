@@ -38,14 +38,12 @@ from .errors import (
     UnsupportedSpace,
     WeightSumOutOfTolerance,
 )
-from .frechet import frechet_means, frechet_objective
+from .frechet import frechet_means
 from .measures import (
     DiscreteMeasure,
     MeasureEnsemble,
     load_ensemble,
     load_measure,
-    measures_equal,
-    pth_moment,
     pushforward,
     sample_empirical,
     save_ensemble,
@@ -56,7 +54,7 @@ from .multimarginal import (
     pushforward_barycenter,
     solve_multimarginal,
 )
-from .spaces import Euclidean, MetricMatrix, distance, midpoint, pairwise_distances
+from .spaces import Euclidean, MetricMatrix, pairwise_distances
 from .transport import TransportPlan, solve_transport, wasserstein, wasserstein_1d
 
 __version__ = "0.1.0"

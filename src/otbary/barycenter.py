@@ -46,9 +46,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
 from .measures import DiscreteMeasure, MeasureEnsemble
-from .multimarginal import MARGINAL_TOL, pushforward_barycenter, solve_multimarginal
+from .multimarginal import pushforward_barycenter, solve_multimarginal
 from .pivoting import check_rows, primal_simplex
-from .spaces import MetricMatrix, Space, as_atoms, check_order, pairwise_distances
+from .spaces import Space, as_atoms, check_order, paired_distances, pairwise_distances
+from .staircase import MARGINAL_TOL, check_marginals
 from .transport import wasserstein
 
 
@@ -82,21 +83,14 @@ def _with_unweighted(space, p, ens, nu, costs) -> list[float]:
     return costs
 
 
-def _paired_distances(space, xs, ys) -> np.ndarray:
-    if isinstance(space, MetricMatrix):
-        return space.dist[xs, ys]
-    diff = xs - ys
-    return np.sqrt((diff * diff).sum(axis=1))
-
-
 def barycenter_finite(space: Space, p: float, ens: MeasureEnsemble) -> BarycenterResult:
     """Exact barycenter via the multi-marginal coupling pushforward;
     c_j = sum_k mass_k d(x_k, a_{j, i_kj})^p over the coupling's entries."""
     gamma = solve_multimarginal(space, p, ens)
-    nu = pushforward_barycenter(space, p, ens, gamma)
+    nu = pushforward_barycenter(ens, gamma)
     mass = gamma.mass / gamma.mass.sum()
     costs = [
-        mass @ _paired_distances(space, gamma.points, m.atoms[gamma.index[:, j]]) ** p
+        mass @ paired_distances(space, gamma.points, m.atoms[gamma.index[:, j]]) ** p
         for j, m in enumerate(ens.measures)
     ]
     costs = _with_unweighted(space, p, ens, nu, costs)
@@ -219,8 +213,7 @@ def barycenter_fixed_support(
     )
     w = plans[0].sum(axis=1)
     for pi, m in zip(plans, measures):
-        if np.max(np.abs(pi.sum(axis=0) - m.weights)) > MARGINAL_TOL:
-            raise NumericalFailure("fixed-support plans miss the weights")
+        check_marginals([pi.sum(axis=0)], [m.weights], "fixed-support plan")
         if np.max(np.abs(pi.sum(axis=1) - w)) > MARGINAL_TOL:
             raise NumericalFailure("fixed-support plans disagree on the support")
     nu = DiscreteMeasure(space, support, w / w.sum())

@@ -25,12 +25,7 @@ from .errors import (
     OTBaryError,
     ProductSizeExceeded,
 )
-from .measures import (
-    load_ensemble,
-    load_measure,
-    measure_to_dict,
-    save_measure,
-)
+from .measures import load_ensemble, load_measure, measure_to_dict, save_measure
 from .multimarginal import pushforward_barycenter, solve_multimarginal
 from .transport import wasserstein
 
@@ -99,7 +94,7 @@ def cmd_mmot(args) -> int:
     gamma = solve_multimarginal(ens.space, args.p, ens)
     _write_json(_coupling_dict(gamma), args.out)
     if args.bary:
-        nu = pushforward_barycenter(ens.space, args.p, ens, gamma)
+        nu = pushforward_barycenter(ens, gamma)
         save_measure(nu, args.bary)
     _emit({"objective": gamma.objective, "entries": len(gamma.entries)})
     return EXIT_OK
@@ -126,8 +121,6 @@ def cmd_experiment(args) -> int:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
-    if args.seed is not None:
-        raw["seed"] = args.seed
     cfg = config_from_dict(raw)
     report = run_experiment(cfg, keep_artifacts=args.keep_artifacts)
     report.to_csv(args.out, timing=args.timing)
@@ -180,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--keep-artifacts", default=None, dest="keep_artifacts")
-    sp.add_argument("--seed", type=int, default=None, help="master seed (overrides the config's)")
     sp.add_argument(
         "--timing",
         action="store_true",

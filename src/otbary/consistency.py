@@ -15,13 +15,14 @@ function Q_k is constant, the barycenter's quantile function is the
 lam-weighted average of the members' (the comonotone coupling of
 :func:`otbary.multimarginal.solve_multimarginal`'s line route), and
 W_2^2 between two measures is the width-weighted sum of their squared
-quantile gaps.  Such a row computes no barycenter and no reference
-barycenter, and runs one transport solve, the outer one of the ensemble
-distance.  Every other space and order recomputes the barycenter with
+quantile gaps.  Such a row (:func:`otbary.multimarginal.comonotone_route`)
+computes no barycenter and no reference barycenter, and runs one
+transport solve, the outer one of the ensemble distance.  Every other
+space and order recomputes the barycenter with
 :func:`otbary.barycenter.barycenter_finite` and compares it with the
 reference barycenter by :func:`otbary.transport.wasserstein`.
-:func:`ensemble_distance` prices member pairs on the line from the same
-refinement at any p.
+:func:`ensemble_distance` prices member pairs on the line
+(:func:`otbary.spaces.is_line`) from the same refinement at any p.
 
 All randomness is derived from the single master seed through
 ``numpy.random.SeedSequence`` keyed by (seed, size, member, replication), so
@@ -39,7 +40,7 @@ import numpy as np
 
 from .barycenter import barycenter_finite
 from .deformations import DeformationSpec, draw_deformations
-from .errors import DimensionMismatch, InvalidConfig, NumericalFailure, OTBaryError
+from .errors import DimensionMismatch, InvalidConfig, OTBaryError
 from .measures import (
     DiscreteMeasure,
     MeasureEnsemble,
@@ -49,9 +50,9 @@ from .measures import (
     sample_empirical,
     save_measure,
 )
-from .multimarginal import MARGINAL_TOL
-from .spaces import Euclidean, Space, check_order
-from .staircase import _comonotone_entries
+from .multimarginal import comonotone_route
+from .spaces import Euclidean, Space, check_order, is_line
+from .staircase import _comonotone_entries, check_marginals
 from .transport import solve_transport, wasserstein
 
 FRAMEWORKS = ("growing_ensemble", "empirical_sampling", "deformation")
@@ -164,12 +165,12 @@ def ensemble_distance(
 
     Raises:
         NumericalFailure: on the line, the refinement misses a member's
-            weights by more than ``MARGINAL_TOL``.
+            weights by more than ``staircase.MARGINAL_TOL``.
     """
     if ens_a.space != space or ens_b.space != space:
         raise DimensionMismatch("ensembles do not live on the given space")
     check_order(p)
-    if isinstance(space, Euclidean) and space.dim == 1:
+    if is_line(space):
         Q, width = _line_quantiles([*ens_a.measures, *ens_b.measures])
         cost = _quantile_costs(p, Q[: ens_a.size], Q[ens_a.size :], width)
     else:
@@ -193,8 +194,7 @@ def _line_quantiles(measures) -> tuple[np.ndarray, np.ndarray]:
     flat = (idx + first).T
     weights = np.concatenate([m.weights for m in measures])
     marginals = np.bincount(flat.ravel(), np.tile(width, len(measures)), weights.shape[0])
-    if np.max(np.abs(marginals - weights)) > MARGINAL_TOL:
-        raise NumericalFailure("quantile refinement misses the weights")
+    check_marginals([marginals], [weights], "quantile refinement")
     return np.concatenate([m.atoms[:, 0] for m in measures])[flat], width
 
 
@@ -254,14 +254,14 @@ def run_experiment(
     distance to the reference barycenter and the ensemble's distance to
     the reference; an :class:`OTBaryError` becomes that row's ``error``.
 
-    On the line at p = 2 (the condition of the line route of
-    :func:`otbary.multimarginal.solve_multimarginal`) a row reads all three
-    off one refinement of its members' and the reference's quantile
-    functions: no barycenter is computed, neither the row's nor the
-    reference's, and the refinement's widths are checked against every
-    member's weights within ``MARGINAL_TOL`` (``NumericalFailure``
-    otherwise).  Elsewhere the reference barycenter is computed once and
-    each row runs :func:`otbary.barycenter.barycenter_finite`,
+    On the line at p = 2 (where :func:`otbary.multimarginal.comonotone_route`
+    holds) a row reads all three off one refinement of its members' and the
+    reference's quantile functions: no barycenter is computed, neither the
+    row's nor the reference's, and the refinement's widths are checked
+    against every member's weights within ``staircase.MARGINAL_TOL``
+    (``NumericalFailure`` otherwise).  Elsewhere the reference barycenter
+    is computed once and each row runs
+    :func:`otbary.barycenter.barycenter_finite`,
     :func:`otbary.transport.wasserstein` and :func:`ensemble_distance`.
     There the product of the reference's sizes must be within
     ``multimarginal.MAX_PRODUCT`` (``ProductSizeExceeded`` before any row
@@ -276,7 +276,7 @@ def run_experiment(
     sampling = cfg.framework == "empirical_sampling"
     label = "n" if sampling else "J"
     space = cfg.ensemble.space
-    line = isinstance(space, Euclidean) and space.dim == 1 and cfg.p == 2
+    line = comonotone_route(space, cfg.p)
     if not line:
         ref = barycenter_finite(space, cfg.p, cfg.ensemble)
     report = ConsistencyReport()

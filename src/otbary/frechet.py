@@ -12,7 +12,9 @@ step is elementwise across the rows of a batch, so a tuple gets
 bit-identical results alone or inside any batch.  :func:`product_costs`
 takes the same atoms and gives the objectives alone of their whole product
 (the multi-marginal cost tensor) where they have a closed form, Euclidean
-p = 2 and metric matrices, without a per-tuple array or point.
+p = 2 and metric matrices, without a per-tuple array or point;
+:func:`has_product_costs` says where, for the multi-marginal route.  Besides
+:mod:`otbary.spaces`, only this module picks code by the space's type.
 
 - Metric-matrix spaces minimize over the listed points exhaustively and
   break objective ties (within 1e-12) toward the smallest label.  Each
@@ -66,7 +68,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence, UnsupportedSpace
-from .spaces import MetricMatrix, Space, as_atoms, check_order
+from .spaces import MetricMatrix, Space, check_order
 
 STEP_TOL = 1e-10  # Newton step, relative to the nearest atom
 RESOLUTION = 4 * np.finfo(float).eps  # steps below this times |x| cannot move x
@@ -79,29 +81,6 @@ ARMIJO = 1e-4  # sufficient decrease of a gradient step
 NEWTON_DECREASE = 0.25  # sufficient decrease of a Newton step
 MIN_STEP = 1e-18  # smallest backtracking factor
 CHUNK_ENTRIES = 2**18  # floats in one (rows, J, d) or (n_points, rows) block
-
-
-def _check(space, pts, lam):
-    pts = as_atoms(space, pts)
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape[0] != pts.shape[0] or lam.shape[0] == 0:
-        raise DimensionMismatch(
-            f"{pts.shape[0]} points with {lam.shape[0]} weights"
-        )
-    return pts, lam
-
-
-def frechet_objective(space: Space, p: float, pts, lam, x) -> float:
-    """sum_j lam_j d(x, pts_j)^p."""
-    pts, lam = _check(space, pts, lam)
-    if isinstance(space, MetricMatrix):
-        d = space.dist[pts, int(x)]
-    else:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (space.dim,):
-            raise DimensionMismatch(f"query point has shape {x.shape}")
-        d = np.linalg.norm(pts - x[None, :], axis=1)
-    return float(np.dot(lam, d**p))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +478,12 @@ def _metric_product(space, p, lam, atoms, shape):
     return C
 
 
+def has_product_costs(space: Space, p: float) -> bool:
+    """Whether :func:`product_costs` has a form for ``space`` at order p:
+    on a metric matrix at any p, in Euclidean space at p = 2."""
+    return isinstance(space, MetricMatrix) or p == 2
+
+
 def product_costs(space: Space, p: float, lam, atoms) -> np.ndarray:
     """Cost tensor of the multi-marginal LP, shape (n_1, ..., n_J): entry
     (i_1, ..., i_J) is min_x sum_j lam_j d(x, atoms[j][i_j])^p, the objective
@@ -521,11 +506,11 @@ def product_costs(space: Space, p: float, lam, atoms) -> np.ndarray:
         UnsupportedSpace: a Euclidean space with p != 2, which has no such
             form (its costs come from :func:`frechet_means`).
     """
+    if not has_product_costs(space, p):
+        raise UnsupportedSpace(f"no product-cost form for Euclidean p = {p:g}")
     lam = np.asarray(lam, dtype=float).ravel()
     shape = tuple(len(a) for a in atoms)
     if isinstance(space, MetricMatrix):
         return _metric_product(space, p, lam, [np.asarray(a, dtype=np.intp) for a in atoms], shape)
-    if p != 2:
-        raise UnsupportedSpace(f"no product-cost form for Euclidean p = {p:g}")
     return _squared_distance_sum(lam, [np.asarray(a, dtype=float) for a in atoms], shape)
 

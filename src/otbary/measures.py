@@ -8,6 +8,9 @@ atoms dropped, the rest sorted lexicographically, and atoms within
 ``MERGE_TOL`` of a group's first atom merged into it.  The exact solvers
 index their plans by these atoms.
 
+The space's JSON form is :mod:`otbary.spaces`'s; the input check of
+:func:`pushforward` is the one test of a space's type here.
+
 All randomness uses numpy's PCG64 generator, so results are reproducible
 from the integer seed alone.
 """
@@ -24,7 +27,7 @@ from .errors import (
     NegativeWeight,
     WeightSumOutOfTolerance,
 )
-from .spaces import Euclidean, MetricMatrix, Space, as_atoms, as_point
+from .spaces import MetricMatrix, Space, as_atoms, space_from_dict, space_to_dict
 
 WEIGHT_SUM_TOL = 1e-9
 MERGE_TOL = 1e-12
@@ -116,17 +119,6 @@ class DiscreteMeasure:
         return self.atoms.shape[0]
 
 
-def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure, tol: float = 1e-9) -> bool:
-    """Equality of canonical forms up to ``tol``."""
-    if a.space != b.space or a.n_atoms != b.n_atoms:
-        return False
-    if isinstance(a.space, MetricMatrix):
-        same_atoms = np.array_equal(a.atoms, b.atoms)
-    else:
-        same_atoms = np.max(np.abs(a.atoms - b.atoms)) <= tol
-    return bool(same_atoms and np.max(np.abs(a.weights - b.weights)) <= tol)
-
-
 def pushforward(m: DiscreteMeasure, mapping) -> DiscreteMeasure:
     """Image measure: atoms mapped pointwise, each keeping its weight, then
     put in canonical form (atoms the map sends together merge).
@@ -160,16 +152,6 @@ def sample_empirical(m: DiscreteMeasure, n: int, seed: int) -> DiscreteMeasure:
     return DiscreteMeasure(m.space, m.atoms[drawn], counts[drawn] / n)
 
 
-def pth_moment(m: DiscreteMeasure, x0, p: float) -> float:
-    """Sum_i w_i d(atom_i, x0)^p."""
-    x0 = as_point(m.space, x0)
-    if isinstance(m.space, MetricMatrix):
-        d = m.space.dist[m.atoms, x0]
-    else:
-        d = np.linalg.norm(m.atoms - x0[None, :], axis=1)
-    return float(np.dot(m.weights, d**p))
-
-
 @dataclass(frozen=True)
 class MeasureEnsemble:
     """Finitely supported law on measure space: sum_j lambda_j delta_{mu_j}."""
@@ -199,25 +181,6 @@ class MeasureEnsemble:
 # ---------------------------------------------------------------------------
 # JSON formats
 # ---------------------------------------------------------------------------
-
-def space_to_dict(space: Space) -> dict:
-    if isinstance(space, Euclidean):
-        return {"type": "euclidean", "dim": space.dim}
-    return {
-        "type": "metric_matrix",
-        "dist": space.dist.tolist(),
-        "labels": space.labels,
-    }
-
-
-def space_from_dict(d: dict) -> Space:
-    kind = d.get("type")
-    if kind == "euclidean":
-        return Euclidean(int(d["dim"]))
-    if kind == "metric_matrix":
-        return MetricMatrix(d["dist"], d.get("labels"))
-    raise DimensionMismatch(f"unknown space type {kind!r}")
-
 
 def measure_to_dict(m: DiscreteMeasure) -> dict:
     return {

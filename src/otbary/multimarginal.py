@@ -8,31 +8,34 @@ the tuples of the optimal basis (at most sum_j n_j - J + 1) need a point.
 Both :func:`otbary.frechet.product_costs` and the batched pass
 :func:`otbary.frechet.frechet_means` take the members' atoms; the pass
 also takes an (N, J) array of index tuples and gathers their points
-itself, a chunk at a time.  At Euclidean p = 2 and on a metric matrix the
-cost tensor comes from ``product_costs``, which builds no per-tuple array,
-and the pass then runs on the basic tuples alone.  Euclidean p != 2 has no
-closed form: one pass over the index grid of the whole product gives the
-costs, and the basic tuples keep its points.  Either way the points and
-the objective come from the pass, and the coupling keeps the Fréchet
-means of its positive-mass tuples, so the pushforward solves no tuple a
-second time.
+itself, a chunk at a time.  Where the costs have a closed form
+(:func:`otbary.frechet.has_product_costs`: Euclidean p = 2 and metric
+matrices) the tensor comes from ``product_costs``, which builds no
+per-tuple array, and the pass then runs on the basic tuples alone.
+Elsewhere (Euclidean p != 2) one pass over the index grid of the whole
+product gives the costs, and the basic tuples keep its points.  Either
+way the points and the objective come from the pass, and the coupling
+keeps the Fréchet means of its positive-mass tuples, so the pushforward
+solves no tuple a second time.
 
 The production path (:func:`solve_multimarginal`) has two routes.  On the
-line with p = 2 it returns the comonotone (north-west-corner) coupling of
-the sorted marginals, built from the common refinement of their cumulative
-weights (:mod:`otbary.staircase`, shared with the two-marginal line route
-of :func:`otbary.transport.wasserstein`): the cost
-sum_j lam_j |x_j - mean|^2 is submodular, so that coupling is optimal
-(Carlier, J. Convex Anal. 2003) and needs no LP at all.  It has at most
-sum_j n_j - J + 1 entries and builds nothing over the product, so the
-product bound does not apply to it.  Every other input builds the cost
+line with p = 2 (:func:`comonotone_route`, which
+:func:`otbary.consistency.run_experiment` asks too) it returns the
+comonotone (north-west-corner) coupling of the sorted marginals, built
+from the common refinement of their cumulative weights
+(:mod:`otbary.staircase`, shared with the two-marginal line route of
+:func:`otbary.transport.wasserstein`): the cost sum_j lam_j |x_j - mean|^2
+is submodular, so that coupling is optimal (Carlier, J. Convex Anal. 2003)
+and needs no LP at all.  It has at most sum_j n_j - J + 1 entries and
+builds nothing over the product, so the product bound does not apply to
+it.  Every other input builds the cost
 tensor C of shape (n_1, ..., n_J), of at most ``MAX_PRODUCT`` tuples, and
 runs the one coupling LP, :func:`otbary.staircase.coupling_simplex`, the
 setup :func:`otbary.transport.solve_transport` runs at J = 2: the
 staircase start, sum_j n_j - J + 1 rows, pricing in two passes over the
 tensor and no constraint matrix, on the pivot loop of
 :mod:`otbary.pivoting`.  Before returning, the coupling's marginals are
-checked against the weights.
+checked against the weights (:func:`otbary.staircase.check_marginals`).
 
 The independent oracles live with the tests: a HiGHS LP assembled entry by
 entry, and a dense two-phase simplex.
@@ -45,15 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalFailure, ProductSizeExceeded
-from .frechet import frechet_means, product_costs
+from .errors import DimensionMismatch, ProductSizeExceeded
+from .frechet import frechet_means, has_product_costs, product_costs
 from .measures import DiscreteMeasure, MeasureEnsemble
 from .pivoting import check_rows
-from .spaces import Euclidean, Space, check_order
-from .staircase import _comonotone_entries, coupling_simplex
+from .spaces import Space, check_order, is_line
+from .staircase import _comonotone_entries, check_marginals, coupling_simplex
 
 MAX_PRODUCT = 10**6  # tuples of the largest product the coupling LP takes on
-MARGINAL_TOL = 1e-9
 
 
 @dataclass
@@ -95,6 +97,12 @@ def _index_grid(shape: tuple[int, ...]) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T
 
 
+def comonotone_route(space: Space, p: float) -> bool:
+    """Whether :func:`solve_multimarginal` takes the comonotone route, with
+    no LP: on the line at p = 2."""
+    return is_line(space) and p == 2
+
+
 def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCoupling:
     """Optimal vertex of the multi-marginal transportation polytope.
 
@@ -107,7 +115,7 @@ def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCo
     Either way the entries come in increasing lexicographic order, zero
     masses (the pivot loop returns round-off levels as 0) are dropped, the
     objective sums the entries kept, and the marginals are checked within
-    ``MARGINAL_TOL``.
+    ``staircase.MARGINAL_TOL``.
 
     Raises:
         DimensionMismatch: p < 1.
@@ -131,7 +139,7 @@ def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCo
     pivots, min_reduced_cost = 0, None
     weights = [m.weights for m in measures]
     atoms = [m.atoms for m in measures]
-    if isinstance(space, Euclidean) and space.dim == 1 and p == 2:
+    if comonotone_route(space, p):
         idx, x = _comonotone_entries(weights)
         points, costs, _ = frechet_means(space, p, ens.lam, atoms, idx)
     else:
@@ -142,13 +150,13 @@ def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCo
             )
         check_rows(sum(shape) - len(shape) + 1, size)
         full = None
-        if isinstance(space, Euclidean) and p != 2:
+        if has_product_costs(space, p):
+            C = product_costs(space, p, ens.lam, atoms)
+        else:
             # No closed form: the costs come from one Fréchet pass over the
             # product, and the basic tuples keep its points.
             full = frechet_means(space, p, ens.lam, atoms, _index_grid(shape))
             C = full[1].reshape(shape)
-        else:
-            C = product_costs(space, p, ens.lam, atoms)
         basis, x, pivots, min_reduced_cost, _ = coupling_simplex(C, weights)
         order = np.argsort(basis)
         basis, x = basis[order], x[order]
@@ -162,20 +170,16 @@ def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCo
         index=idx[keep], mass=x[keep], points=points[keep], objective=float(costs @ x),
         shape=shape, pivots=pivots, min_reduced_cost=min_reduced_cost,
     )
-    for marg, m in zip(gamma.marginals(), measures):
-        if np.max(np.abs(marg - m.weights)) > MARGINAL_TOL:
-            raise NumericalFailure("coupling marginals miss the weights")
+    check_marginals(gamma.marginals(), weights, "coupling")
     return gamma
 
 
-def pushforward_barycenter(
-    space: Space, p: float, ens: MeasureEnsemble, gamma: MultiCoupling
-) -> DiscreteMeasure:
+def pushforward_barycenter(ens: MeasureEnsemble, gamma: MultiCoupling) -> DiscreteMeasure:
     """Image of the coupling under the barycenter map: one atom per
     positive-mass entry, located at the tuple's Fréchet mean (computed once,
-    by the solve that produced ``gamma``)."""
+    by the solve that produced ``gamma``), on the ensemble's space."""
     if gamma.shape != tuple(m.n_atoms for m in ens.measures):
         raise DimensionMismatch("coupling shape does not match the ensemble")
     keep = gamma.mass > 0
     masses = gamma.mass[keep]
-    return DiscreteMeasure(space, gamma.points[keep], masses / masses.sum())
+    return DiscreteMeasure(ens.space, gamma.points[keep], masses / masses.sum())

@@ -4,6 +4,11 @@ Points in a :class:`Euclidean` space are real coordinate vectors; points in a
 :class:`MetricMatrix` space are integer labels into the matrix.  A metric
 matrix is validated at construction (zero diagonal, symmetry, triangle
 inequality over every triple).
+
+Every choice that depends on the space's type, but the Fréchet kernels of
+:mod:`otbary.frechet`, is made here: atom coercion, distances (all pairs or
+row by row), the line test of the staircase routes (:func:`is_line`) and the
+JSON form.  The routes ask these functions instead of testing types.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedSpace
+from .errors import DimensionMismatch
 
 TRIANGLE_TOL = 1e-9
 TRIANGLE_BLOCK_ENTRIES = 2**18  # (rows, n, n) sums per triangle-check block, 2 MiB
@@ -80,23 +85,6 @@ class MetricMatrix:
 Space = Euclidean | MetricMatrix
 
 
-def as_point(space: Space, x) -> np.ndarray | int:
-    """Coerce and validate a single point of ``space``."""
-    if isinstance(space, Euclidean):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim != 1 or x.shape[0] != space.dim:
-            raise DimensionMismatch(
-                f"point has shape {x.shape}, expected ({space.dim},)"
-            )
-        if not np.all(np.isfinite(x)):
-            raise DimensionMismatch("point has non-finite coordinates")
-        return x
-    i = int(x)
-    if not 0 <= i < space.n_points:
-        raise DimensionMismatch(f"label {i} out of range [0, {space.n_points})")
-    return i
-
-
 def check_order(p: float) -> None:
     """Raise DimensionMismatch unless the order p of a distance is >= 1."""
     if p < 1:
@@ -127,15 +115,6 @@ def as_atoms(space: Space, atoms) -> np.ndarray:
     return a
 
 
-def distance(space: Space, a, b) -> float:
-    """Ground distance d(a, b)."""
-    if isinstance(space, Euclidean):
-        a = as_point(space, a)
-        b = as_point(space, b)
-        return float(np.linalg.norm(a - b))
-    return float(space.dist[as_point(space, a), as_point(space, b)])
-
-
 def pairwise_distances(space: Space, xs, ys) -> np.ndarray:
     """Matrix of distances between two atom arrays."""
     xs = as_atoms(space, xs)
@@ -146,12 +125,29 @@ def pairwise_distances(space: Space, xs, ys) -> np.ndarray:
     return space.dist[np.ix_(xs, ys)]
 
 
-def midpoint(space: Space, a, b) -> np.ndarray:
-    """Euclidean mid-point (a + b) / 2.
+def paired_distances(space: Space, xs, ys) -> np.ndarray:
+    """Distances d(xs[k], ys[k]) of two coerced atom arrays, row by row."""
+    if isinstance(space, MetricMatrix):
+        return space.dist[xs, ys]
+    diff = xs - ys
+    return np.sqrt((diff * diff).sum(axis=1))
 
-    Raises:
-        UnsupportedSpace: metric-matrix spaces expose no interpolation.
-    """
-    if not isinstance(space, Euclidean):
-        raise UnsupportedSpace("midpoint requires a Euclidean space")
-    return (as_point(space, a) + as_point(space, b)) / 2.0
+
+def is_line(space: Space) -> bool:
+    """Whether ``space`` is the real line, ``Euclidean(1)``."""
+    return isinstance(space, Euclidean) and space.dim == 1
+
+
+def space_to_dict(space: Space) -> dict:
+    if isinstance(space, Euclidean):
+        return {"type": "euclidean", "dim": space.dim}
+    return {"type": "metric_matrix", "dist": space.dist.tolist(), "labels": space.labels}
+
+
+def space_from_dict(d: dict) -> Space:
+    kind = d.get("type")
+    if kind == "euclidean":
+        return Euclidean(int(d["dim"]))
+    if kind == "metric_matrix":
+        return MetricMatrix(d["dist"], d.get("labels"))
+    raise DimensionMismatch(f"unknown space type {kind!r}")

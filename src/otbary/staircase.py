@@ -23,6 +23,9 @@ refinement.
 vectors, for :func:`otbary.transport.solve_transport` (J = 2) and
 :func:`otbary.multimarginal.solve_multimarginal`.  It starts at the
 staircase and pivots in :func:`otbary.pivoting.primal_simplex`.
+
+:func:`check_marginals` compares the marginals of every plan or coupling
+the package returns with their weights, within ``MARGINAL_TOL``.
 """
 
 from __future__ import annotations
@@ -32,9 +35,19 @@ from math import prod
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .pivoting import MASS_CUT, primal_simplex
 
+MARGINAL_TOL = 1e-9
 _BOUNDS = np.array([0.0, 1.0, -np.inf])
+
+
+def check_marginals(marginals, weights, what: str) -> None:
+    """Raise NumericalFailure where a marginal misses its weights by more
+    than ``MARGINAL_TOL``: one comparison per marginal."""
+    for got, want in zip(marginals, weights):
+        if not (abs(got - want) <= MARGINAL_TOL).all():  # NaN fails too
+            raise NumericalFailure(f"{what} marginals miss the weights")
 
 
 def _refinement(weights):

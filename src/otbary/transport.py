@@ -8,6 +8,8 @@ read off the common refinement of the two cumulative weights
 cost is summed over its at most n + m - 1 cells and the duals follow along
 the staircase basis in O(n + m), so no n x m cost matrix is built.  Every
 other space builds the cost matrix and runs :func:`solve_transport`.
+The line is :func:`otbary.spaces.is_line`.  Both routes check their plan's
+marginals against the weights within ``staircase.MARGINAL_TOL``.
 
 :func:`solve_transport` is the J = 2 case of the one coupling LP,
 :func:`otbary.staircase.coupling_simplex`, whose setup the multi-marginal
@@ -29,8 +31,8 @@ import numpy as np
 from .errors import DimensionMismatch, InfeasibleWeights, UnsupportedSpace
 from .measures import DiscreteMeasure
 from .pivoting import check_rows
-from .spaces import Euclidean, Space, check_order, pairwise_distances
-from .staircase import _entries, _path, _refinement, coupling_simplex
+from .spaces import Space, check_order, is_line, pairwise_distances
+from .staircase import _entries, _path, _refinement, check_marginals, coupling_simplex
 
 FEASIBILITY_TOL = 1e-9
 
@@ -68,7 +70,8 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
     Raises:
         InfeasibleWeights: marginal totals differ by more than 1e-9.
         ProductSizeExceeded: more than ``pivoting.MAX_ROWS`` rows.
-        NumericalFailure: singular basis, no pivot row, or pivot cap hit.
+        NumericalFailure: singular basis, no pivot row, or pivot cap hit,
+            or the plan's marginals miss the weights.
     """
     C = np.asarray(cost, dtype=float)
     if C.ndim != 2:
@@ -93,16 +96,15 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
         # One source or one target: the plan is forced, and u_i + v_j = C_ij
         # on every cell.
         plan = b[None, :] if n == 1 else a[:, None]
-        return TransportPlan(
-            plan=plan, cost=float((plan * C).sum()), u=C[:, 0] - C[0, 0], v=C[0].copy()
-        )
-    check_rows(n + m - 1, n * m)
-    basis, x, pivots, _, y = coupling_simplex(C, [a, b])
-    plan = np.zeros((n, m))
-    plan.reshape(-1)[basis] = x
-    return TransportPlan(
-        plan=plan, cost=float((plan * C).sum()), u=y[:n] - y[0], v=y[n:] + y[0], pivots=pivots
-    )
+        u, v, pivots = C[:, 0] - C[0, 0], C[0].copy(), 0
+    else:
+        check_rows(n + m - 1, n * m)
+        basis, x, pivots, _, y = coupling_simplex(C, [a, b])
+        plan = np.zeros((n, m))
+        plan.reshape(-1)[basis] = x
+        u, v = y[:n] - y[0], y[n:] + y[0]
+    check_marginals([plan.sum(axis=1), plan.sum(axis=0)], [a, b], "transport plan")
+    return TransportPlan(plan=plan, cost=float((plan * C).sum()), u=u, v=v, pivots=pivots)
 
 
 def _line_transport(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
@@ -120,6 +122,9 @@ def _line_transport(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Trans
     row_step = in_row[1:]
     u = np.concatenate([[0.0], np.cumsum(gain[row_step])])
     v = c[0] + np.concatenate([[0.0], np.cumsum(gain[~row_step])])
+    # The plan's marginals, summed over its cells alone: O(n + m).
+    marginals = [np.bincount(idx[:, k], mass, n) for k, n in enumerate((mu.n_atoms, nu.n_atoms))]
+    check_marginals(marginals, [mu.weights, nu.weights], "transport plan")
     plan = np.zeros((mu.n_atoms, nu.n_atoms))
     plan[idx[:, 0], idx[:, 1]] = mass
     cost = float(mass @ (np.abs(x[idx[:, 0]] - y[idx[:, 1]]) ** p))
@@ -141,7 +146,7 @@ def wasserstein(
     if mu.space != space or nu.space != space:
         raise DimensionMismatch("measures do not live on the given space")
     check_order(p)
-    if isinstance(space, Euclidean) and space.dim == 1:
+    if is_line(space):
         result = _line_transport(p, mu, nu)
     else:
         if min(mu.n_atoms, nu.n_atoms) > 1:
@@ -154,7 +159,7 @@ def wasserstein(
 def wasserstein_1d(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Closed-form W_p on the line via quantile functions; exact for
     discrete inputs.  Independent of the LP path."""
-    if not (isinstance(mu.space, Euclidean) and mu.space.dim == 1):
+    if not is_line(mu.space):
         raise UnsupportedSpace("wasserstein_1d requires Euclidean dimension 1")
     if nu.space != mu.space:
         raise DimensionMismatch("measures live on different spaces")

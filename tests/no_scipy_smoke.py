@@ -3,18 +3,20 @@
     PYTHONPATH=src python tests/no_scipy_smoke.py
 
 Sets ``sys.modules["scipy"] = None``, so any ``import scipy...`` raises,
-imports ``otbary`` and ``otbary.cli``, and runs through ``cli.main``, in a
-temporary directory: ``dist`` in 2D, ``bary`` in 2D at p = 1 and p = 2, on
-a grid graph and on a fixed support, ``mmot`` and three ``experiment``
-runs: empirical sampling in 2D, which takes the barycenter route, and two
-on the line at p = 2, which take the quantile route, empirical sampling
-and a growing ensemble up to J = 6 members of 15 atoms, whose product of
-1.1e7 tuples is past ``multimarginal.MAX_PRODUCT``, which the line route
-does not need.  One more ``mmot`` run, on 3 plane members of 101 atoms
-(a product of 1.03e6 tuples), must exit 2 with ``ProductSizeExceeded``.
-Exits 1 if a command exits with another code than it should, if a row of
-an experiment records an error, or if a scipy module was loaded.  The library needs numpy alone; scipy is
-for the tests' oracles.
+imports ``otbary`` and ``otbary.cli``, and runs through ``cli.main``, in
+a temporary directory: ``dist`` in 2D and, writing its plan, on the line
+(``Euclidean(1)``, the north-west-corner route), ``bary`` in 2D at p = 1
+and p = 2, on a grid graph and on a fixed support, ``mmot`` and three
+``experiment`` runs: empirical sampling in 2D, which takes the
+barycenter route, and two on the line at p = 2, which take the quantile
+route, empirical sampling and a growing ensemble up to J = 6 members of
+15 atoms, whose product of 1.1e7 tuples is past
+``multimarginal.MAX_PRODUCT``, which the line route does not need.  One
+more ``mmot`` run, on 3 plane members of 101 atoms (a product of 1.03e6
+tuples), must exit 2 with ``ProductSizeExceeded``.  Exits 1 if a command
+exits with another code than it should, if a row of an experiment
+records an error, or if a scipy module was loaded.  The library needs
+numpy alone; scipy is for the tests' oracles.
 """
 
 from __future__ import annotations
@@ -55,11 +57,16 @@ def _inputs(tmp: Path) -> dict:
     axis = np.linspace(-1.5, 1.5, 4)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     paths = {name: tmp / f"{name}.json"
-             for name in ("a", "b", "plane", "big_plane", "graph", "grid", "sampled_2d",
+             for name in ("a", "b", "line_a", "line_b", "plane", "big_plane", "graph", "grid", "sampled_2d",
                           "sampled_1d", "growing_1d")}
     save_measure(clouds[0], paths["a"])
     save_measure(clouds[1], paths["b"])
     save_ensemble(ot.MeasureEnsemble(clouds, [0.5, 0.3, 0.2]), paths["plane"])
+    # Their own generator, so the other inputs are drawn as before.
+    line_rng = np.random.default_rng(1)
+    for name, n in (("line_a", 7), ("line_b", 5)):
+        save_measure(ot.DiscreteMeasure(ot.Euclidean(1), line_rng.normal(size=(n, 1)),
+                                        line_rng.dirichlet(np.ones(n))), paths[name])
     # Its own generator, so the other inputs are drawn as before.
     big_rng = np.random.default_rng(101)
     big = [ot.DiscreteMeasure(plane, big_rng.normal(size=(101, 2)), np.full(101, 1 / 101))
@@ -130,6 +137,7 @@ def main() -> int:
         out = str(tmp / "out.json")
         runs = [
             (["dist", "--in-a", f["a"], "--in-b", f["b"], "--plan", out], 0),
+            (["dist", "--in-a", f["line_a"], "--in-b", f["line_b"], "--plan", out], 0),
             (["bary", "--in", f["plane"], "--out", out, "--p", "1"], 0),
             (["bary", "--in", f["plane"], "--out", out, "--p", "2"], 0),
             (["bary", "--in", f["graph"], "--out", out], 0),

@@ -131,7 +131,7 @@ def test_criterion_4_pushforward_inequalities():
         p = (1, 2, 3)[t % 3]
         ens = _random_ensemble(rng, s, 2 + t % 2, 3)
         gamma = solve_multimarginal(s, p, ens)
-        nu = pushforward_barycenter(s, p, ens, gamma)
+        nu = pushforward_barycenter(ens, gamma)
         upper = ensemble_objective(s, p, ens, nu)
         worst_upper = max(worst_upper, upper - gamma.objective)
         for _ in range(100):

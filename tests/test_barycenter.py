@@ -16,7 +16,6 @@ from otbary import (
     barycenter_finite,
     barycenter_fixed_support,
     ensemble_objective,
-    measures_equal,
     pushforward,
     quantize,
     variance,
@@ -31,6 +30,7 @@ from otbary.spaces import as_atoms, pairwise_distances
 from conftest import GRID_GRAPH, random_ensemble, random_measure, space_points, tensor_ensembles
 from dense_simplex import solve_lp
 from highs_oracle import HIGHS_OPTIONS
+from oracles import measures_equal
 
 
 def quantile_average_1d(space, measures, lam, n):

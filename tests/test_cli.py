@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otbary import DiscreteMeasure, Euclidean, MeasureEnsemble, measures_equal
+from otbary import DiscreteMeasure, Euclidean, MeasureEnsemble
 from otbary import barycenter, multimarginal, pivoting, transport
 from otbary.cli import main
 from otbary.measures import (
@@ -16,6 +16,7 @@ from otbary.measures import (
     save_ensemble,
     save_measure,
 )
+from oracles import measures_equal
 
 LINE = Euclidean(1)
 
@@ -76,6 +77,7 @@ def test_dist_diracs_p1(dirac_files, capsys):
         ["mmot", "--in", "e.json", "--out", "c.json", "--max-product-size", "4"],
         ["variance", "--in", "e.json", "--max-product-size", "4"],
         ["experiment", "--config", "c.json", "--out", "r.csv", "--max-product-size", "4"],
+        ["experiment", "--config", "c.json", "--out", "r.csv", "--seed", "4"],
     ],
 )
 def test_flags_are_rejected_where_unread(argv, capsys):
@@ -85,10 +87,14 @@ def test_flags_are_rejected_where_unread(argv, capsys):
 
 
 def test_experiment_seed_flag(tmp_path, capsys):
+    # The master seed is the config's "seed"; `experiment` has no --seed
+    # flag (test_flags_are_rejected_where_unread).
     cfg = experiment_config(tmp_path)
+    raw = json.loads(cfg.read_text())
     outs = [tmp_path / f"r{k}.csv" for k in range(3)]
-    for out, seed in zip(outs, ["4", "4", "5"]):
-        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 0
+    for out, seed in zip(outs, [4, 4, 5]):
+        write_json(cfg, {**raw, "seed": seed})
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert outs[0].read_bytes() != outs[2].read_bytes()
 
@@ -361,11 +367,12 @@ def test_import_does_not_load_scipy_optimize():
 
 def test_cli_runs_without_scipy():
     # The library needs numpy alone.  The smoke script blocks scipy, runs
-    # dist, bary (p = 1, p = 2, graph, fixed support), mmot and three
-    # experiments (sampling in 2D and on the line, and a growing ensemble
-    # on the line past the product cap) through the CLI, and fails if any
-    # of them does, a row records an error or a scipy module loads.  One
-    # more mmot, on a product past the cap, must exit 2.
+    # dist (in 2D and, with a plan, on the line), bary (p = 1, p = 2,
+    # graph, fixed support), mmot and three experiments (sampling in 2D and
+    # on the line, and a growing ensemble on the line past the product cap)
+    # through the CLI, and fails if any of them does, a row records an
+    # error or a scipy module loads.  One more mmot, on a product past the
+    # cap, must exit 2.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -375,6 +382,6 @@ def test_cli_runs_without_scipy():
         text=True,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.count(": exit 0") == 9
+    assert out.stdout.count(": exit 0") == 10
     assert out.stdout.count("otbary mmot: exit 2") == 1
     assert out.stdout.count(" rows, 0 with an error") == 3

@@ -14,7 +14,6 @@ from otbary import (
     ensemble_distance,
     generate_deformation_ensemble,
     load_measure,
-    measures_equal,
     run_experiment,
     sample_empirical,
     wasserstein,
@@ -22,6 +21,7 @@ from otbary import (
 from otbary import consistency
 from otbary.consistency import config_from_dict
 from conftest import embedded, line_measures, random_ensemble
+from oracles import measures_equal
 
 
 def uniform_template(line, n=8):

@@ -12,8 +12,6 @@ from otbary import (
     MetricMatrix,
     NegativeWeight,
     WeightSumOutOfTolerance,
-    measures_equal,
-    pth_moment,
     pushforward,
     sample_empirical,
     wasserstein,
@@ -25,6 +23,7 @@ from otbary.measures import (
     measure_from_dict,
     measure_to_dict,
 )
+from oracles import measures_equal
 
 
 def test_validate_identity(line):
@@ -133,22 +132,6 @@ def test_sample_stays_on_support(line, rng):
     m = DiscreteMeasure(line, [[0.0], [1.5], [7.0]], [0.1, 0.4, 0.5])
     s = sample_empirical(m, 500, seed=3)
     assert set(s.atoms.ravel()) <= set(m.atoms.ravel())
-
-
-def test_pth_moment_cases(line):
-    assert pth_moment(DiscreteMeasure(line, [[2.0]], [1.0]), [2.0], 3) == 0.0
-    m = DiscreteMeasure(line, [[0.0], [2.0]], [0.5, 0.5])
-    assert pth_moment(m, [1.0], 2) == pytest.approx(1.0)
-    u = DiscreteMeasure(line, [[0.0], [1.0], [2.0]], np.full(3, 1 / 3))
-    assert pth_moment(u, [0.0], 1) == pytest.approx(1.0)
-
-
-def test_pth_moment_translation_identity(plane, rng):
-    m = DiscreteMeasure(plane, rng.normal(size=(6, 2)), np.full(6, 1 / 6))
-    v = np.array([0.3, -1.2])
-    x0 = rng.normal(size=2)
-    moved = pushforward(m, lambda a: a + v)
-    assert pth_moment(moved, x0 + v, 2) == pytest.approx(pth_moment(m, x0, 2), abs=1e-12)
 
 
 def test_ensemble_requires_common_space(line, plane):

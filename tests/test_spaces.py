@@ -1,28 +1,28 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from otbary import DimensionMismatch, Euclidean, MetricMatrix, UnsupportedSpace
-from otbary.spaces import TRIANGLE_BLOCK_ENTRIES, distance, midpoint, pairwise_distances
+from otbary import DimensionMismatch, Euclidean, MetricMatrix
+from otbary.spaces import TRIANGLE_BLOCK_ENTRIES, pairwise_distances
 
 
 def test_euclidean_345():
     s = Euclidean(2)
-    assert distance(s, (0, 0), (3, 4)) == pytest.approx(5.0)
+    assert pairwise_distances(s, [(0, 0)], [(3, 4)])[0, 0] == pytest.approx(5.0)
 
 
 def test_distance_identity():
     s = Euclidean(3)
-    a = np.array([1.0, -2.0, 0.5])
-    assert distance(s, a, a) == 0.0
+    a = np.array([[1.0, -2.0, 0.5]])
+    assert pairwise_distances(s, a, a)[0, 0] == 0.0
 
 
 def test_metric_matrix_lookup():
     d = np.array([[0.0, 7.0], [7.0, 0.0]])
     s = MetricMatrix(d)
-    assert distance(s, 0, 1) == 7.0
-    assert distance(s, 1, 1) == 0.0
+    assert pairwise_distances(s, [0, 1], [1])[:, 0].tolist() == [7.0, 0.0]
 
 
 def test_metric_matrix_rejects_triangle_violation():
@@ -37,35 +37,13 @@ def test_metric_matrix_rejects_asymmetry():
         MetricMatrix(d)
 
 
-def test_midpoint_basic():
-    s = Euclidean(2)
-    assert np.allclose(midpoint(s, (0, 0), (2, 2)), (1, 1))
-    assert np.allclose(midpoint(s, (5, 5), (5, 5)), (5, 5))
-    assert np.allclose(midpoint(s, (-1, 0), (1, 0)), (0, 0))
-
-
-def test_midpoint_halves_distance(rng):
-    s = Euclidean(3)
-    for _ in range(50):
-        a, b = rng.normal(size=(2, 3))
-        z = midpoint(s, a, b)
-        half = distance(s, a, b) / 2
-        assert abs(distance(s, a, z) - half) <= 1e-12
-        assert abs(distance(s, z, b) - half) <= 1e-12
-
-
-def test_midpoint_unsupported_on_metric_matrix():
-    s = MetricMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(UnsupportedSpace):
-        midpoint(s, 0, 1)
-
-
 def test_triangle_inequality_random(rng):
     s = Euclidean(2)
     for _ in range(100):
-        a, b, c = rng.normal(size=(3, 2))
-        assert distance(s, a, b) == pytest.approx(distance(s, b, a))
-        assert distance(s, a, c) <= distance(s, a, b) + distance(s, b, c) + 1e-12
+        abc = rng.normal(size=(3, 2))
+        D = pairwise_distances(s, abc, abc)
+        assert D[0, 1] == pytest.approx(D[1, 0])
+        assert D[0, 2] <= D[0, 1] + D[1, 2] + 1e-12
 
 
 def test_pairwise_matches_scalar(rng):
@@ -75,13 +53,13 @@ def test_pairwise_matches_scalar(rng):
     D = pairwise_distances(s, xs, ys)
     for i in range(4):
         for j in range(3):
-            assert D[i, j] == pytest.approx(distance(s, xs[i], ys[j]))
+            assert D[i, j] == pytest.approx(math.dist(xs[i], ys[j]))
 
 
 def test_point_dimension_checked():
     s = Euclidean(2)
     with pytest.raises(DimensionMismatch):
-        distance(s, (0, 0, 0), (1, 1))
+        pairwise_distances(s, [(0, 0, 0)], [(1, 1)])
 
 
 def _path_metric(n):

@@ -7,17 +7,20 @@ from otbary import (
     DiscreteMeasure,
     Euclidean,
     InfeasibleWeights,
+    NumericalFailure,
     ProductSizeExceeded,
     UnsupportedSpace,
-    measures_equal,
     pushforward,
     solve_transport,
     wasserstein,
     wasserstein_1d,
 )
 from otbary import pivoting, transport
+from otbary.cli import main
+from otbary.measures import save_measure
 from conftest import embedded, line_measures, random_measure
 from highs_oracle import highs_transport
+from oracles import measures_equal
 
 
 def test_single_cell_plan():
@@ -172,6 +175,47 @@ def test_1d_oracle_derived_pair(line):
     )
     assert wasserstein_1d(2, mu, nu) == pytest.approx(np.sqrt(brute))
     assert wasserstein_1d(2, mu, nu) == pytest.approx(1.0)
+
+
+def _short(levels):
+    # The same levels with the first positive one 1e-8 short.
+    levels = levels.copy()
+    levels[np.flatnonzero(levels > 0)[0]] -= 1e-8
+    return levels
+
+
+def _short_entries(entries):
+    return lambda refinement: (entries(refinement)[0], _short(entries(refinement)[1]))
+
+
+def _short_simplex(simplex):
+    def solve(C, weights):
+        basis, x, *rest = simplex(C, weights)
+        return (basis, _short(x), *rest)
+
+    return solve
+
+
+@pytest.mark.parametrize(
+    "dim, name, shorten",
+    [(1, "_entries", _short_entries), (2, "coupling_simplex", _short_simplex)],
+    ids=["line", "plane"],
+)
+def test_plans_are_checked_before_returning(tmp_path, monkeypatch, capsys, dim, name, shorten):
+    # One mass 1e-8 short: the line route's north-west-corner plan and the
+    # LP's plan both raise, and `otbary dist` exits 2.
+    space = Euclidean(dim)
+    rng = np.random.default_rng(dim)
+    mu, nu = (DiscreteMeasure(space, rng.normal(size=(n, dim)), np.full(n, 1 / n)) for n in (3, 4))
+    wasserstein(space, 2, mu, nu)
+    monkeypatch.setattr(transport, name, shorten(getattr(transport, name)))
+    with pytest.raises(NumericalFailure, match="transport plan marginals miss the weights"):
+        wasserstein(space, 2, mu, nu)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_measure(mu, a)
+    save_measure(nu, b)
+    assert main(["dist", "--in-a", str(a), "--in-b", str(b)]) == 2
+    assert "NumericalFailure" in capsys.readouterr().err
 
 
 def test_1d_oracle_requires_dim1(plane):
