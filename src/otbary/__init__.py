@@ -3,20 +3,20 @@
 The library works with discrete probability measures over a Euclidean space
 or an explicit finite metric matrix.  Pairwise distances come from the
 north-west-corner coupling on the line and the transportation LP
-elsewhere, on the pivot loop that the library's other LPs share; barycenters of measure ensembles come from the exact
+elsewhere, on the pivot loop that the library's other LPs share;
+barycenters of measure ensembles come from the exact
 multi-marginal transport LP whose optimal coupling is pushed forward through
 the point-level Fréchet mean, with a fixed-support joint LP as the scalable
 fallback.  A small harness reproduces barycenter consistency numerically
-under growing-ensemble and empirical-sampling approximations.
+under growing-ensemble and empirical-sampling approximations.  Every
+plan and multi-marginal coupling is one sparse type, :class:`Coupling`.
 """
 
 from .barycenter import (
     BarycenterResult,
     barycenter_finite,
     barycenter_fixed_support,
-    ensemble_objective,
     quantize,
-    variance,
 )
 from .consistency import (
     ConsistencyReport,
@@ -49,12 +49,9 @@ from .measures import (
     save_ensemble,
     save_measure,
 )
-from .multimarginal import (
-    MultiCoupling,
-    pushforward_barycenter,
-    solve_multimarginal,
-)
+from .multimarginal import pushforward_barycenter, solve_multimarginal
 from .spaces import Euclidean, MetricMatrix, pairwise_distances
-from .transport import TransportPlan, solve_transport, wasserstein, wasserstein_1d
+from .staircase import Coupling
+from .transport import solve_transport, wasserstein
 
 __version__ = "0.1.0"

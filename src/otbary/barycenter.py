@@ -1,4 +1,4 @@
-"""Barycenters and variance of finitely supported measure ensembles.
+"""Barycenters of finitely supported measure ensembles, and quantization.
 
 Two routes: the exact multi-marginal construction (barycenter = pushforward
 of the optimal multi-coupling under the Fréchet map) and a fixed-support
@@ -35,7 +35,8 @@ left.
 Neither route has a size option.  The multi-marginal one stops at
 ``multimarginal.MAX_PRODUCT`` tuples (except on the line at p = 2), the
 fixed-support one at :func:`otbary.pivoting.check_rows`, and both raise
-``ProductSizeExceeded`` before they build any cost.
+``ProductSizeExceeded`` before they build any cost.  :func:`quantize`
+computes only the distances to its chosen centers, O(n k).
 """
 
 from __future__ import annotations
@@ -61,17 +62,6 @@ class BarycenterResult:
     per_measure_costs: list[float] = field(default_factory=list)
     pivots: int = 0
     min_reduced_cost: float | None = None
-
-
-def ensemble_objective(
-    space: Space, p: float, ens: MeasureEnsemble, nu: DiscreteMeasure
-) -> float:
-    """sum_j lam_j W_p^p(nu, mu_j)."""
-    total = 0.0
-    for lam_j, mu_j in zip(ens.lam, ens.measures):
-        w, _ = wasserstein(space, p, nu, mu_j)
-        total += lam_j * w**p
-    return total
 
 
 def _with_unweighted(space, p, ens, nu, costs) -> list[float]:
@@ -229,32 +219,26 @@ def barycenter_fixed_support(
     )
 
 
-def variance(space: Space, p: float, ens: MeasureEnsemble) -> float:
-    """Spread of the ensemble around its barycenter:
-    inf_nu sum_j lam_j W_p^p(nu, mu_j)."""
-    return barycenter_finite(space, p, ens).objective
-
-
 def quantize(m: DiscreteMeasure, k: int) -> DiscreteMeasure:
     """Support reduction to at most k atoms: greedy farthest-first center
     selection over the atoms, mass assigned to the nearest center.
 
     Centers are nested in k, so the quantization error is nonincreasing.
-    Selection is deterministic.
+    Selection is deterministic.  Only the distances to the chosen centers
+    are computed, one column as each is chosen, so memory is O(n k).
     """
     if k < 1:
         raise DimensionMismatch(f"k must be >= 1, got {k}")
     if k >= m.n_atoms:
         return m
-    D = pairwise_distances(m.space, m.atoms, m.atoms)
-    start = int(np.argmax(m.weights))
-    centers = [start]
-    nearest = D[:, start].copy()
+    centers = [int(np.argmax(m.weights))]
+    columns = [pairwise_distances(m.space, m.atoms, m.atoms[centers])[:, 0]]
+    nearest = columns[0]
     while len(centers) < k:
-        nxt = int(np.argmax(nearest))
-        centers.append(nxt)
-        nearest = np.minimum(nearest, D[:, nxt])
-    centers = sorted(centers)
-    assign = np.argmin(D[:, centers], axis=1)
-    weights = np.bincount(assign, weights=m.weights, minlength=len(centers))
-    return DiscreteMeasure(m.space, m.atoms[centers], weights)
+        centers.append(int(np.argmax(nearest)))
+        columns.append(pairwise_distances(m.space, m.atoms, m.atoms[centers[-1:]])[:, 0])
+        nearest = np.minimum(nearest, columns[-1])
+    order = np.argsort(centers, kind="stable")
+    assign = np.argmin(np.stack(columns, axis=1)[:, order], axis=1)
+    weights = np.bincount(assign, weights=m.weights, minlength=k)
+    return DiscreteMeasure(m.space, m.atoms[np.sort(centers)], weights)

@@ -1,11 +1,13 @@
-"""Command-line surface: dist, bary, mmot, variance, quantize, experiment.
+"""Command-line surface: dist, bary, mmot, quantize, experiment.
 
 Exit codes: 0 success, 1 validation error (bad files or measures), 2 solver
 error, 3 config error.  A solver error includes ``ProductSizeExceeded``: a
 product past ``multimarginal.MAX_PRODUCT`` tuples or an LP past
 ``pivoting.check_rows``, fixed bounds that no flag sets.  Structured
 results go to stdout as JSON; output files are deterministic for fixed
-flags and seed.
+flags and seed.  The plan that ``dist --plan`` writes and the coupling that
+``mmot --out`` writes are both a :class:`otbary.staircase.Coupling`, read
+off its cell and mass arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import functools
 import json
 import sys
 
-from .barycenter import barycenter_finite, barycenter_fixed_support, quantize, variance
+from .barycenter import barycenter_finite, barycenter_fixed_support, quantize
 from .consistency import config_from_dict, run_experiment
 from .errors import (
     InfeasibleWeights,
@@ -49,14 +51,14 @@ def _write_json(obj, path) -> None:
 
 def _plan_dict(plan) -> dict:
     return {
-        "entries": [[i, j, mass] for i, j, mass in plan.support],
-        "cost": plan.cost,
+        "entries": [[*ij, mass] for ij, mass in zip(plan.index.tolist(), plan.mass.tolist())],
+        "cost": plan.objective,
     }
 
 
 def _coupling_dict(gamma) -> dict:
     return {
-        "entries": [[list(idx), mass] for idx, mass in gamma.entries],
+        "entries": list(zip(gamma.index.tolist(), gamma.mass.tolist())),
         "objective": gamma.objective,
         "shape": list(gamma.shape),
     }
@@ -96,14 +98,7 @@ def cmd_mmot(args) -> int:
     if args.bary:
         nu = pushforward_barycenter(ens, gamma)
         save_measure(nu, args.bary)
-    _emit({"objective": gamma.objective, "entries": len(gamma.entries)})
-    return EXIT_OK
-
-
-def cmd_variance(args) -> int:
-    ens = load_ensemble(args.in_path)
-    v = variance(ens.space, args.p, ens)
-    _emit({"variance": v, "p": args.p})
+    _emit({"objective": gamma.objective, "entries": len(gamma.mass)})
     return EXIT_OK
 
 
@@ -158,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--bary", default=None, help="also write the pushforward barycenter")
     sp.set_defaults(fn=cmd_mmot)
-
-    sp = sub.add_parser("variance", parents=[order], help="ensemble variance")
-    sp.add_argument("--in", required=True, dest="in_path")
-    sp.set_defaults(fn=cmd_variance)
 
     sp = sub.add_parser("quantize", help="support reduction")
     sp.add_argument("--in", required=True, dest="in_path")

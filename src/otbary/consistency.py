@@ -206,7 +206,7 @@ def _quantile_costs(p: float, Qa, Qb, width) -> np.ndarray:
 
 
 def _outer_distance(p: float, cost, lam_a, lam_b) -> float:
-    return max(solve_transport(cost, lam_a, lam_b).cost, 0.0) ** (1.0 / p)
+    return max(solve_transport(cost, lam_a, lam_b).objective, 0.0) ** (1.0 / p)
 
 
 def _line_row(ens: MeasureEnsemble, ref: MeasureEnsemble, artifacts: bool):

@@ -14,9 +14,10 @@ matrices) the tensor comes from ``product_costs``, which builds no
 per-tuple array, and the pass then runs on the basic tuples alone.
 Elsewhere (Euclidean p != 2) one pass over the index grid of the whole
 product gives the costs, and the basic tuples keep its points.  Either
-way the points and the objective come from the pass, and the coupling
-keeps the Fréchet means of its positive-mass tuples, so the pushforward
-solves no tuple a second time.
+way the points and the objective come from the pass, and the coupling (a
+:class:`otbary.staircase.Coupling`, the type the two-marginal routes
+return too) keeps the Fréchet means of its positive-mass tuples as its
+``points``, so the pushforward solves no tuple a second time.
 
 The production path (:func:`solve_multimarginal`) has two routes.  On the
 line with p = 2 (:func:`comonotone_route`, which
@@ -44,7 +45,6 @@ entry, and a dense two-phase simplex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,43 +53,9 @@ from .frechet import frechet_means, has_product_costs, product_costs
 from .measures import DiscreteMeasure, MeasureEnsemble
 from .pivoting import check_rows
 from .spaces import Space, check_order, is_line
-from .staircase import _comonotone_entries, check_marginals, coupling_simplex
+from .staircase import Coupling, _comonotone_entries, check_marginals, coupling_simplex
 
 MAX_PRODUCT = 10**6  # tuples of the largest product the coupling LP takes on
-
-
-@dataclass
-class MultiCoupling:
-    """Sparse J-way coupling: its positive-mass index tuples (rows of
-    ``index``, in increasing lexicographic order), their masses, the Fréchet
-    mean of each tuple's atoms (``points``: (K, d) coordinates, or (K,)
-    labels on a metric matrix) and the objective.
-
-    ``pivots`` and ``min_reduced_cost`` come from the coupling LP: its
-    pivot count and the least reduced cost of its final pricing pass over
-    the whole product (basic tuples count as 0), the optimality certificate.
-    Routes that price nothing (J = 1, the line at p = 2, the HiGHS oracle)
-    leave 0 and None."""
-
-    index: np.ndarray
-    mass: np.ndarray
-    points: np.ndarray
-    objective: float
-    shape: tuple[int, ...]
-    pivots: int = 0
-    min_reduced_cost: float | None = None
-
-    @property
-    def entries(self) -> list[tuple[tuple[int, ...], float]]:
-        return [
-            (tuple(int(i) for i in row), float(m)) for row, m in zip(self.index, self.mass)
-        ]
-
-    def marginals(self) -> list[np.ndarray]:
-        return [
-            np.bincount(self.index[:, j], weights=self.mass, minlength=n)
-            for j, n in enumerate(self.shape)
-        ]
 
 
 def _index_grid(shape: tuple[int, ...]) -> np.ndarray:
@@ -103,7 +69,7 @@ def comonotone_route(space: Space, p: float) -> bool:
     return is_line(space) and p == 2
 
 
-def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCoupling:
+def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> Coupling:
     """Optimal vertex of the multi-marginal transportation polytope.
 
     On the line with p = 2 (J >= 2) the answer is the comonotone coupling,
@@ -112,10 +78,10 @@ def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCo
     optimal coupling is supported on a monotone chain of index tuples.
     Other inputs run the coupling LP over the whole product, and the
     Fréchet means of its basic tuples give the points and the objective.
-    Either way the entries come in increasing lexicographic order, zero
+    Either way the cells come in increasing lexicographic order, zero
     masses (the pivot loop returns round-off levels as 0) are dropped, the
-    objective sums the entries kept, and the marginals are checked within
-    ``staircase.MARGINAL_TOL``.
+    objective sums the cells kept, the coupling holds no duals, and the
+    marginals are checked within ``staircase.MARGINAL_TOL``.
 
     Raises:
         DimensionMismatch: p < 1.
@@ -132,9 +98,9 @@ def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCo
     shape = tuple(m.n_atoms for m in measures)
     if len(measures) == 1:
         m = measures[0]
-        return MultiCoupling(
-            index=np.arange(m.n_atoms)[:, None], mass=m.weights.copy(),
-            points=m.atoms.copy(), objective=0.0, shape=shape,
+        return Coupling(
+            index=np.arange(m.n_atoms)[:, None], mass=m.weights.copy(), shape=shape,
+            objective=0.0, points=m.atoms.copy(),
         )
     pivots, min_reduced_cost = 0, None
     weights = [m.weights for m in measures]
@@ -166,20 +132,21 @@ def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCo
         else:
             points, costs = full[0][basis], full[1][basis]
     keep = x > 0
-    gamma = MultiCoupling(
-        index=idx[keep], mass=x[keep], points=points[keep], objective=float(costs @ x),
-        shape=shape, pivots=pivots, min_reduced_cost=min_reduced_cost,
+    gamma = Coupling(
+        index=idx[keep], mass=x[keep], shape=shape, objective=float(costs @ x),
+        pivots=pivots, min_reduced_cost=min_reduced_cost, points=points[keep],
     )
     check_marginals(gamma.marginals(), weights, "coupling")
     return gamma
 
 
-def pushforward_barycenter(ens: MeasureEnsemble, gamma: MultiCoupling) -> DiscreteMeasure:
-    """Image of the coupling under the barycenter map: one atom per
-    positive-mass entry, located at the tuple's Fréchet mean (computed once,
-    by the solve that produced ``gamma``), on the ensemble's space."""
+def pushforward_barycenter(ens: MeasureEnsemble, gamma: Coupling) -> DiscreteMeasure:
+    """Image of the coupling under the barycenter map: one atom per cell,
+    located at the tuple's Fréchet mean (computed once, by the solve that
+    produced ``gamma``), on the ensemble's space.  A transport plan has no
+    means and raises DimensionMismatch."""
     if gamma.shape != tuple(m.n_atoms for m in ens.measures):
         raise DimensionMismatch("coupling shape does not match the ensemble")
-    keep = gamma.mass > 0
-    masses = gamma.mass[keep]
-    return DiscreteMeasure(ens.space, gamma.points[keep], masses / masses.sum())
+    if gamma.points is None:
+        raise DimensionMismatch("coupling carries no Fréchet means")
+    return DiscreteMeasure(ens.space, gamma.points, gamma.mass / gamma.mass.sum())

@@ -19,6 +19,12 @@ line route of :func:`otbary.transport.wasserstein` needs both the entries
 and the path, and reads them (:func:`_entries`, :func:`_path`) off one
 refinement.
 
+:class:`Coupling` is the one result type of every coupling the package
+computes, the two-marginal plans of :func:`otbary.transport.wasserstein`
+and the J-way couplings of :func:`otbary.multimarginal.solve_multimarginal`
+alike: the index tuples of its positive-mass cells and their masses, never
+an array over the product.
+
 :func:`coupling_simplex` is the LP over the couplings of J >= 2 weight
 vectors, for :func:`otbary.transport.solve_transport` (J = 2) and
 :func:`otbary.multimarginal.solve_multimarginal`.  It starts at the
@@ -30,6 +36,7 @@ the package returns with their weights, within ``MARGINAL_TOL``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -40,6 +47,39 @@ from .pivoting import MASS_CUT, primal_simplex
 
 MARGINAL_TOL = 1e-9
 _BOUNDS = np.array([0.0, 1.0, -np.inf])
+
+
+@dataclass
+class Coupling:
+    """Sparse coupling of J weight vectors: its positive-mass cells (rows of
+    ``index``, (K, J), in increasing lexicographic order), their masses, the
+    product's ``shape`` and the ``objective``, the cost summed over the
+    cells.
+
+    ``pivots`` and ``min_reduced_cost`` come from the coupling LP: its pivot
+    count and the least reduced cost of its final pricing pass (basic cells
+    count as 0), the optimality certificate; routes that price nothing leave
+    0 and None.  ``duals`` holds one potential array per member where the
+    route computes them (both two-marginal routes, with u_0 = 0 and
+    u_i + v_j = cost_ij on the basis), and ``points`` the Fréchet mean of
+    each cell's atoms ((K, d) coordinates, or (K,) labels on a metric
+    matrix) where a Fréchet pass made them; None otherwise.
+    """
+
+    index: np.ndarray
+    mass: np.ndarray
+    shape: tuple[int, ...]
+    objective: float
+    pivots: int = 0
+    min_reduced_cost: float | None = None
+    duals: list[np.ndarray] | None = None
+    points: np.ndarray | None = None
+
+    def marginals(self) -> list[np.ndarray]:
+        return [
+            np.bincount(self.index[:, j], weights=self.mass, minlength=n)
+            for j, n in enumerate(self.shape)
+        ]
 
 
 def check_marginals(marginals, weights, what: str) -> None:

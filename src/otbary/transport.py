@@ -6,66 +6,47 @@ north-west-corner coupling is optimal with no pivot (Hoffman 1963).  It is
 read off the common refinement of the two cumulative weights
 (:mod:`otbary.staircase`, shared with the multi-marginal line route); the
 cost is summed over its at most n + m - 1 cells and the duals follow along
-the staircase basis in O(n + m), so no n x m cost matrix is built.  Every
-other space builds the cost matrix and runs :func:`solve_transport`.
-The line is :func:`otbary.spaces.is_line`.  Both routes check their plan's
-marginals against the weights within ``staircase.MARGINAL_TOL``.
+the staircase basis in O(n + m), so no n x m array is built.  Every other
+space builds the cost matrix and runs :func:`solve_transport`.  The line
+is :func:`otbary.spaces.is_line`.
+
+Both routes return a :class:`otbary.staircase.Coupling`: the plan's
+positive-mass cells, in increasing lexicographic order, their masses, the
+cost and the duals u, v (u_0 = 0).  Both check its marginals against the
+weights within ``staircase.MARGINAL_TOL``, summed over the cells alone.
 
 :func:`solve_transport` is the J = 2 case of the one coupling LP,
 :func:`otbary.staircase.coupling_simplex`, whose setup the multi-marginal
 tensor simplex runs for J >= 3, on the pivot loop of
-:mod:`otbary.pivoting`.  It returns a basic optimal plan with duals u, v
-(u_0 = 0) whose reduced costs are certified nonnegative at 1e-9.
-
-:func:`wasserstein_1d` is the independent one-dimensional oracle: it
-integrates the quantile-function gap over the common refinement of cumulative
-weight breakpoints and is exact for discrete inputs.
+:mod:`otbary.pivoting`.  Its plan is a basic optimal one whose reduced
+costs are certified nonnegative at 1e-9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleWeights, UnsupportedSpace
+from .errors import DimensionMismatch, InfeasibleWeights
 from .measures import DiscreteMeasure
 from .pivoting import check_rows
 from .spaces import Space, check_order, is_line, pairwise_distances
-from .staircase import _entries, _path, _refinement, check_marginals, coupling_simplex
+from .staircase import Coupling, _entries, _path, _refinement, check_marginals, coupling_simplex
 
 FEASIBILITY_TOL = 1e-9
 
 
-@dataclass
-class TransportPlan:
-    """Basic optimal coupling between two weight vectors, with duals ``u``,
-    ``v`` (u_i + v_j = cost_ij on the basis) and the simplex's pivot count
-    (0 on the line, where the start is optimal)."""
-
-    plan: np.ndarray
-    cost: float
-    u: np.ndarray
-    v: np.ndarray
-    pivots: int = 0
-
-    @property
-    def support(self) -> list[tuple[int, int, float]]:
-        ii, jj = np.nonzero(self.plan)
-        return [(int(i), int(j), float(self.plan[i, j])) for i, j in zip(ii, jj)]
-
-
-def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
+def solve_transport(cost, w_src, w_tgt) -> Coupling:
     """Solve the transportation LP min <cost, pi> with fixed marginals.
 
     The LP is :func:`otbary.staircase.coupling_simplex` on the two weight
     vectors: the source rows and all but the last target row (that row is
     implied by the others), n + m - 1 rows and one variable per cell, in C
     order, from the north-west-corner basis.  The marginal totals need not
-    be 1; the target weights are scaled to the source total.  The plan
-    holds the loop's levels, round-off already 0, and the duals are shifted
-    so that u_0 = 0.  With one source or one target the plan is forced and
-    no LP is run.
+    be 1; the target weights are scaled to the source total.  The coupling
+    keeps the basic cells of positive level (the loop sets round-off to 0),
+    its objective sums the cost over them, and the duals are shifted so
+    that u_0 = 0.  With one source or one target the plan is forced and no
+    LP is run.
 
     Raises:
         InfeasibleWeights: marginal totals differ by more than 1e-9.
@@ -95,19 +76,26 @@ def solve_transport(cost, w_src, w_tgt) -> TransportPlan:
     if n == 1 or m == 1:
         # One source or one target: the plan is forced, and u_i + v_j = C_ij
         # on every cell.
-        plan = b[None, :] if n == 1 else a[:, None]
-        u, v, pivots = C[:, 0] - C[0, 0], C[0].copy(), 0
+        basis, x = np.arange(n * m), b if n == 1 else a
+        u, v, pivots, min_reduced_cost = C[:, 0] - C[0, 0], C[0].copy(), 0, None
     else:
         check_rows(n + m - 1, n * m)
-        basis, x, pivots, _, y = coupling_simplex(C, [a, b])
-        plan = np.zeros((n, m))
-        plan.reshape(-1)[basis] = x
+        basis, x, pivots, min_reduced_cost, y = coupling_simplex(C, [a, b])
+        order = np.argsort(basis)
+        basis, x = basis[order], x[order]
         u, v = y[:n] - y[0], y[n:] + y[0]
-    check_marginals([plan.sum(axis=1), plan.sum(axis=0)], [a, b], "transport plan")
-    return TransportPlan(plan=plan, cost=float((plan * C).sum()), u=u, v=v, pivots=pivots)
+    keep = x > 0
+    basis, x = basis[keep], x[keep]
+    plan = Coupling(
+        index=np.column_stack(np.unravel_index(basis, (n, m))), mass=x, shape=(n, m),
+        objective=float(C.ravel()[basis] @ x), pivots=pivots,
+        min_reduced_cost=min_reduced_cost, duals=[u, v],
+    )
+    check_marginals(plan.marginals(), [a, b], "transport plan")
+    return plan
 
 
-def _line_transport(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportPlan:
+def _line_transport(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     # North-west-corner coupling of the sorted atoms and the duals of its
     # staircase basis.  Along the path a row step i -> i + 1 at column j
     # gives u_{i+1} - u_i = c_k - c_{k-1} (c_k the cost of the k-th cell),
@@ -122,13 +110,12 @@ def _line_transport(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Trans
     row_step = in_row[1:]
     u = np.concatenate([[0.0], np.cumsum(gain[row_step])])
     v = c[0] + np.concatenate([[0.0], np.cumsum(gain[~row_step])])
-    # The plan's marginals, summed over its cells alone: O(n + m).
-    marginals = [np.bincount(idx[:, k], mass, n) for k, n in enumerate((mu.n_atoms, nu.n_atoms))]
-    check_marginals(marginals, [mu.weights, nu.weights], "transport plan")
-    plan = np.zeros((mu.n_atoms, nu.n_atoms))
-    plan[idx[:, 0], idx[:, 1]] = mass
-    cost = float(mass @ (np.abs(x[idx[:, 0]] - y[idx[:, 1]]) ** p))
-    return TransportPlan(plan=plan, cost=cost, u=u, v=v)
+    plan = Coupling(
+        index=idx, mass=mass, shape=(mu.n_atoms, nu.n_atoms),
+        objective=float(mass @ (np.abs(x[idx[:, 0]] - y[idx[:, 1]]) ** p)), duals=[u, v],
+    )
+    check_marginals(plan.marginals(), [mu.weights, nu.weights], "transport plan")
+    return plan
 
 
 def wasserstein(
@@ -136,10 +123,10 @@ def wasserstein(
     p: float,
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-) -> tuple[float, TransportPlan]:
+) -> tuple[float, Coupling]:
     """W_p distance and an optimal plan between two measures on ``space``.
 
-    The plan is indexed by the measures' own atoms.  On the line the plan is
+    The plan's cells index the measures' own atoms.  On the line the plan is
     the north-west-corner coupling, exact with no solver; elsewhere it comes
     from :func:`solve_transport`.
     """
@@ -153,27 +140,5 @@ def wasserstein(
             check_rows(mu.n_atoms + nu.n_atoms - 1, mu.n_atoms * nu.n_atoms)
         C = pairwise_distances(space, mu.atoms, nu.atoms) ** p
         result = solve_transport(C, mu.weights, nu.weights)
-    return max(result.cost, 0.0) ** (1.0 / p), result
+    return max(result.objective, 0.0) ** (1.0 / p), result
 
-
-def wasserstein_1d(p: float, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Closed-form W_p on the line via quantile functions; exact for
-    discrete inputs.  Independent of the LP path."""
-    if not is_line(mu.space):
-        raise UnsupportedSpace("wasserstein_1d requires Euclidean dimension 1")
-    if nu.space != mu.space:
-        raise DimensionMismatch("measures live on different spaces")
-    check_order(p)
-    xa = mu.atoms[:, 0]
-    xb = nu.atoms[:, 0]
-    ca = np.cumsum(mu.weights)
-    cb = np.cumsum(nu.weights)
-    cuts = np.union1d(np.union1d(ca, cb), [0.0, 1.0])
-    cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
-    lo = cuts[:-1]
-    hi = cuts[1:]
-    mid = (lo + hi) / 2.0
-    qa = xa[np.minimum(np.searchsorted(ca, mid, side="left"), xa.size - 1)]
-    qb = xb[np.minimum(np.searchsorted(cb, mid, side="left"), xb.size - 1)]
-    total = float(np.dot(hi - lo, np.abs(qa - qb) ** p))
-    return max(total, 0.0) ** (1.0 / p)

@@ -17,9 +17,9 @@ import scipy.optimize
 from otbary.errors import InfeasibleWeights, ProductSizeExceeded
 from otbary.measures import MeasureEnsemble
 from otbary.frechet import frechet_means
-from otbary.multimarginal import MultiCoupling, _index_grid
+from otbary.multimarginal import _index_grid
 from otbary.spaces import Space
-from otbary.staircase import MASS_CUT
+from otbary.staircase import MASS_CUT, Coupling
 
 BRUTE_FORCE_CAP = 10**4
 # HiGHS's default feasibility tolerances (1e-7) let its objective sit above
@@ -29,7 +29,7 @@ BRUTE_FORCE_CAP = 10**4
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
-def brute_force_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> MultiCoupling:
+def brute_force_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> Coupling:
     """Optimal coupling of the multi-marginal LP, solved by HiGHS."""
     measures = ens.measures
     shape = tuple(m.n_atoms for m in measures)
@@ -59,9 +59,9 @@ def brute_force_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> M
     if not res.success:
         raise InfeasibleWeights(f"oracle LP failed: {res.message}")
     keep = np.flatnonzero(res.x > MASS_CUT)
-    return MultiCoupling(
-        index=np.array(tuples, dtype=np.intp)[keep], mass=res.x[keep],
-        points=points[keep], objective=float(res.fun), shape=shape,
+    return Coupling(
+        index=np.array(tuples, dtype=np.intp)[keep], mass=res.x[keep], shape=shape,
+        objective=float(res.fun), points=points[keep],
     )
 
 

@@ -15,7 +15,6 @@ from otbary import (
     ExperimentConfig,
     MeasureEnsemble,
     barycenter_finite,
-    ensemble_objective,
     frechet_means,
     generate_deformation_ensemble,
     pushforward,
@@ -23,12 +22,12 @@ from otbary import (
     run_experiment,
     solve_multimarginal,
     wasserstein,
-    wasserstein_1d,
 )
 from otbary.cli import main
 from otbary.measures import save_ensemble, save_measure
 from otbary.multimarginal import _index_grid
 from highs_oracle import brute_force_multimarginal, highs_transport
+from oracles import ensemble_objective, wasserstein_1d
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -281,7 +280,6 @@ def test_criterion_8_cli_determinism(tmp_path):
         assert main(["dist", "--in-a", str(pa), "--in-b", str(pb), "--plan", str(plan)]) == 0
         assert main(["bary", "--in", str(pe), "--out", str(bary)]) == 0
         assert main(["mmot", "--in", str(pe), "--out", str(coup), "--bary", str(mbary)]) == 0
-        assert main(["variance", "--in", str(pe)]) == 0
         assert main(["quantize", "--in", str(pa), "--k", "2", "--out", str(q)]) == 0
         assert main(["experiment", "--config", str(pc), "--out", str(csv_out)]) == 0
         return [f.read_bytes() for f in (plan, bary, coup, mbary, q, csv_out)]

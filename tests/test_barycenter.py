@@ -15,10 +15,8 @@ from otbary import (
     ProductSizeExceeded,
     barycenter_finite,
     barycenter_fixed_support,
-    ensemble_objective,
     pushforward,
     quantize,
-    variance,
     wasserstein,
 )
 from otbary import barycenter as bary_module
@@ -30,7 +28,7 @@ from otbary.spaces import as_atoms, pairwise_distances
 from conftest import GRID_GRAPH, random_ensemble, random_measure, space_points, tensor_ensembles
 from dense_simplex import solve_lp
 from highs_oracle import HIGHS_OPTIONS
-from oracles import measures_equal
+from oracles import ensemble_objective, measures_equal
 
 
 def quantile_average_1d(space, measures, lam, n):
@@ -182,18 +180,20 @@ def test_fixed_support_identical_measures(line, rng):
 
 
 def test_variance_cases(line):
+    # The ensemble's variance is its barycenter's objective.
     mu = DiscreteMeasure(line, [[0.0], [1.0]], [0.5, 0.5])
-    assert variance(line, 2, MeasureEnsemble([mu, mu], [0.5, 0.5])) == pytest.approx(0.0, abs=1e-12)
+    same = MeasureEnsemble([mu, mu], [0.5, 0.5])
+    assert barycenter_finite(line, 2, same).objective == pytest.approx(0.0, abs=1e-12)
     diracs2 = MeasureEnsemble(
         [DiscreteMeasure(line, [[0.0]], [1.0]), DiscreteMeasure(line, [[2.0]], [1.0])],
         [0.5, 0.5],
     )
-    assert variance(line, 2, diracs2) == pytest.approx(1.0)
+    assert barycenter_finite(line, 2, diracs2).objective == pytest.approx(1.0)
     diracs3 = MeasureEnsemble(
         [DiscreteMeasure(line, [[float(i)]], [1.0]) for i in range(3)],
         np.full(3, 1 / 3),
     )
-    assert variance(line, 2, diracs3) == pytest.approx(2.0 / 3.0)
+    assert barycenter_finite(line, 2, diracs3).objective == pytest.approx(2.0 / 3.0)
 
 
 def test_quantize_identity_and_k1(line):
@@ -232,6 +232,21 @@ def test_quantize_error_nonincreasing(rng, line):
         if prev is not None:
             assert w <= prev + 1e-12
         prev = w
+
+
+def test_quantize_memory_is_linear_in_the_atoms(plane):
+    # n = 3 000 atoms, k = 8 centers: one distance column per center, where
+    # the n x n matrix would take 72 MB and its difference tensor 144 MB.
+    rng = np.random.default_rng(3000)
+    m = DiscreteMeasure(plane, rng.normal(size=(3000, 2)), rng.dirichlet(np.ones(3000)))
+    tracemalloc.start()
+    try:
+        q = quantize(m, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert q.n_atoms == 8 and q.weights.sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

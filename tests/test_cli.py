@@ -62,7 +62,7 @@ def test_dist_diracs_p1(dirac_files, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["variance", "--in", "e.json", "--tol", "1e-9"],
+        ["bary", "--in", "e.json", "--out", "b.json", "--tol", "1e-9"],
         ["quantize", "--in", "m.json", "--k", "1", "--out", "q.json", "--seed", "3"],
         ["bary", "--in", "e.json", "--out", "b.json", "--method", "auto"],
         ["experiment", "--config", "c.json", "--out", "r.csv", "--p", "1"],
@@ -75,7 +75,7 @@ def test_dist_diracs_p1(dirac_files, capsys):
          "--max-product-size", "4"],
         ["bary", "--in", "e.json", "--out", "b.json", "--max-product-size", "4"],
         ["mmot", "--in", "e.json", "--out", "c.json", "--max-product-size", "4"],
-        ["variance", "--in", "e.json", "--max-product-size", "4"],
+        ["variance", "--in", "e.json"],  # the command is gone: `bary` prints it
         ["experiment", "--config", "c.json", "--out", "r.csv", "--max-product-size", "4"],
         ["experiment", "--config", "c.json", "--out", "r.csv", "--seed", "4"],
     ],
@@ -205,9 +205,53 @@ def test_mmot_writes_coupling_and_bary(tmp_path, ensemble_file, capsys):
     assert measures_equal(load_measure(bary), DiscreteMeasure(LINE, [[1.5]], [1.0]))
 
 
-def test_variance(ensemble_file, capsys):
-    assert main(["variance", "--in", str(ensemble_file)]) == 0
-    assert json.loads(capsys.readouterr().out)["variance"] == pytest.approx(2.25)
+PINNED_PLANS = {
+    # dist --plan: the cells in increasing lexicographic order with their
+    # masses, and the cost.
+    "line": (
+        DiscreteMeasure(LINE, [[0.0], [1.0], [2.0]], [0.25, 0.25, 0.5]),
+        DiscreteMeasure(LINE, [[0.5], [3.0]], [0.5, 0.5]),
+        b'{"entries": [[0, 0, 0.25], [1, 0, 0.25], [2, 1, 0.5]], "cost": 0.625}\n',
+    ),
+    "plane": (
+        DiscreteMeasure(Euclidean(2), [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [0.5, 0.25, 0.25]),
+        DiscreteMeasure(Euclidean(2), [[1.0, 1.0], [2.0, 0.0]], [0.5, 0.5]),
+        b'{"entries": [[0, 0, 0.25], [0, 1, 0.25], [1, 0, 0.25], [2, 1, 0.25]], "cost": 2.25}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PLANS)
+def test_dist_plan_bytes_are_pinned(tmp_path, capsys, name):
+    a, b, expected = PINNED_PLANS[name]
+    pa, pb, plan = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "plan.json"
+    save_measure(a, pa)
+    save_measure(b, pb)
+    assert main(["dist", "--in-a", str(pa), "--in-b", str(pb), "--plan", str(plan)]) == 0
+    assert plan.read_bytes() == expected
+
+
+def test_mmot_coupling_bytes_are_pinned(tmp_path, capsys):
+    plane = Euclidean(2)
+    ens = MeasureEnsemble([
+        DiscreteMeasure(plane, [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]),
+        DiscreteMeasure(plane, [[0.0, 1.0], [2.0, 1.0], [1.0, 3.0]], [0.25, 0.25, 0.5]),
+        DiscreteMeasure(plane, [[3.0, 0.0], [3.0, 2.0]], [0.75, 0.25]),
+    ], [0.5, 0.25, 0.25])
+    pe, out = tmp_path / "ens.json", tmp_path / "coupling.json"
+    save_ensemble(ens, pe)
+    assert main(["mmot", "--in", str(pe), "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b'{"entries": [[[0, 0, 0], 0.25], [[0, 1, 1], 0.25], [[1, 1, 0], 0.25], '
+        b'[[1, 2, 0], 0.25]], "objective": 2.09375, "shape": [2, 3, 2]}\n'
+    )
+    assert json.loads(capsys.readouterr().out) == {"objective": 2.09375, "entries": 4}
+
+
+def test_variance(tmp_path, ensemble_file, capsys):
+    # The ensemble's variance is the objective `bary` prints.
+    assert main(["bary", "--in", str(ensemble_file), "--out", str(tmp_path / "b.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["objective"] == pytest.approx(2.25)
 
 
 def test_quantize_roundtrip(tmp_path, capsys):

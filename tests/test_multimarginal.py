@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otbary import (
+    DimensionMismatch,
     DiscreteMeasure,
     Euclidean,
     MeasureEnsemble,
@@ -31,7 +32,7 @@ from conftest import (
     random_measure,
     tensor_ensembles,
 )
-from oracles import measures_equal
+from oracles import dense as dense_plan, measures_equal
 
 
 def _marginal_system(measures, idx):
@@ -82,9 +83,8 @@ def test_all_diracs_single_entry(plane):
     lam = np.array([0.2, 0.3, 0.5])
     ens = MeasureEnsemble(ms, lam)
     gamma = solve_multimarginal(plane, 2, ens)
-    assert len(gamma.entries) == 1
-    idx, mass = gamma.entries[0]
-    assert mass == pytest.approx(1.0)
+    assert len(gamma.mass) == 1
+    assert gamma.mass[0] == pytest.approx(1.0)
     _, expected, _ = frechet_means(plane, 2, lam, [m.atoms for m in ms], np.zeros((1, 3), int))
     assert gamma.objective == pytest.approx(expected[0])
 
@@ -131,7 +131,7 @@ def test_marginal_feasibility(rng, plane):
         for marg, m in zip(gamma.marginals(), ens.measures):
             assert np.max(np.abs(marg - m.weights)) <= 1e-9
         # vertex sparsity bound
-        n_pos = sum(1 for _, mass in gamma.entries if mass > 1e-12)
+        n_pos = int((gamma.mass > 1e-12).sum())
         assert n_pos <= sum(gamma.shape) - len(gamma.shape) + 1
 
 
@@ -143,6 +143,18 @@ def test_pushforward_derived_example(line):
     bary = pushforward_barycenter(ens, gamma)
     expected = DiscreteMeasure(line, [[0.5], [2.5]], [0.5, 0.5])
     assert measures_equal(bary, expected)
+
+
+def test_pushforward_needs_the_means_of_a_multi_marginal_coupling(line):
+    # A transport plan of the same shape is a Coupling too, without points.
+    mu = DiscreteMeasure(line, [[0.0], [2.0]], [0.5, 0.5])
+    nu = DiscreteMeasure(line, [[1.0], [3.0]], [0.5, 0.5])
+    ens = MeasureEnsemble([mu, nu], [0.5, 0.5])
+    _, plan = wasserstein(line, 2, mu, nu)
+    with pytest.raises(DimensionMismatch, match="no Fréchet means"):
+        pushforward_barycenter(ens, plan)
+    with pytest.raises(DimensionMismatch, match="shape"):
+        pushforward_barycenter(MeasureEnsemble([mu], [1.0]), plan)
 
 
 def test_pushforward_identical_measures(line, rng):
@@ -200,7 +212,7 @@ def test_line_route_ignores_the_product_cap(line):
           for _ in range(6)]
     ens = MeasureEnsemble(ms, np.full(6, 1 / 6))
     gamma = solve_multimarginal(line, 2, ens)
-    assert gamma.shape == (15,) * 6 and len(gamma.entries) <= 6 * 14 + 1
+    assert gamma.shape == (15,) * 6 and len(gamma.mass) <= 6 * 14 + 1
     for marg, m in zip(gamma.marginals(), ms):
         assert np.max(np.abs(marg - m.weights)) <= 1e-9
 
@@ -242,9 +254,8 @@ def _lp_objectives(ens, shape):
 def _check_comonotone(ens, gamma):
     for marg, m in zip(gamma.marginals(), ens.measures):
         assert np.max(np.abs(marg - m.weights)) <= 1e-9
-    assert len(gamma.entries) <= sum(gamma.shape) - len(gamma.shape) + 1
-    tuples = np.array([idx for idx, _ in gamma.entries])
-    assert np.all(np.diff(tuples, axis=0) >= 0)
+    assert len(gamma.mass) <= sum(gamma.shape) - len(gamma.shape) + 1
+    assert np.all(np.diff(gamma.index, axis=0) >= 0)
 
 
 @given(ens=line_ensembles(QUARTERS))
@@ -285,7 +296,7 @@ def test_tensor_simplex_matches_both_lp_solvers(ens, p):
     assert gamma.objective <= dense + 1e-12
     for marg, m in zip(gamma.marginals(), ens.measures):
         assert np.max(np.abs(marg - m.weights)) <= 1e-9
-    assert len(gamma.entries) <= sum(gamma.shape) - len(gamma.shape) + 1
+    assert len(gamma.mass) <= sum(gamma.shape) - len(gamma.shape) + 1
     assert gamma.min_reduced_cost >= -1e-9
 
 
@@ -406,7 +417,7 @@ def test_identical_members_cost_exactly_zero(atoms, p):
     gamma = solve_multimarginal(GRID_GRAPH, p, ens)
     assert brute_force_multimarginal(GRID_GRAPH, p, ens).objective == 0.0
     assert gamma.objective == 0.0
-    assert all(len(set(tup)) == 1 for tup, _ in gamma.entries)
+    assert all(len(set(tup)) == 1 for tup in gamma.index.tolist())
 
 
 def _uniform_clouds(plane, n, J):
@@ -511,10 +522,12 @@ def test_short_refactor_periods_match_highs(plane, every, monkeypatch):
     r = solve_transport(C, a, b)
     assert r.pivots > 10 and solves.count(2) >= r.pivots // every
     reference = highs_transport(C, a, b)
-    assert abs(r.cost - reference) <= 1e-9 * reference
-    assert np.max(np.abs(r.plan.sum(axis=1) - a)) <= 1e-9
-    assert np.max(np.abs(r.plan.sum(axis=0) - b)) <= 1e-9
-    assert (C - r.u[:, None] - r.v[None, :]).min() >= -1e-9
+    assert abs(r.objective - reference) <= 1e-9 * reference
+    plan = dense_plan(r)
+    assert np.max(np.abs(plan.sum(axis=1) - a)) <= 1e-9
+    assert np.max(np.abs(plan.sum(axis=0) - b)) <= 1e-9
+    u, v = r.duals
+    assert (C - u[:, None] - v[None, :]).min() >= -1e-9
 
 
 @pytest.mark.parametrize(

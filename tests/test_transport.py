@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,38 +15,37 @@ from otbary import (
     pushforward,
     solve_transport,
     wasserstein,
-    wasserstein_1d,
 )
 from otbary import pivoting, transport
 from otbary.cli import main
 from otbary.measures import save_measure
 from conftest import embedded, line_measures, random_measure
 from highs_oracle import highs_transport
-from oracles import measures_equal
+from oracles import dense, measures_equal, wasserstein_1d
 
 
 def test_single_cell_plan():
     r = solve_transport([[4.2]], [1.0], [1.0])
-    assert r.plan[0, 0] == pytest.approx(1.0)
-    assert r.cost == pytest.approx(4.2)
+    assert dense(r)[0, 0] == pytest.approx(1.0)
+    assert r.objective == pytest.approx(4.2)
 
 
 def test_zero_cost_matching():
     r = solve_transport([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
-    assert r.cost == pytest.approx(0.0)
-    assert np.allclose(r.plan, np.diag([0.5, 0.5]))
+    assert r.objective == pytest.approx(0.0)
+    assert np.allclose(dense(r), np.diag([0.5, 0.5]))
 
 
 def test_forced_single_target():
     # sources at 0 and 2, one target at 1, squared distance cost
     r = solve_transport([[1.0], [1.0]], [0.5, 0.5], [1.0])
-    assert r.cost == pytest.approx(1.0)
+    assert r.objective == pytest.approx(1.0)
 
 
 def test_pivots_are_counted():
     # The north-west-corner start is the diagonal, the optimum the other one.
     r = solve_transport([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], [0.5, 0.5])
-    assert r.cost == 0.0
+    assert r.objective == 0.0
     assert r.pivots >= 1
 
 
@@ -64,7 +65,7 @@ def test_lp_past_the_row_bound_raises(monkeypatch):
     monkeypatch.setattr(pivoting, "MAX_ROWS", 4)
     with pytest.raises(ProductSizeExceeded, match="LP of 5 rows"):
         solve_transport(np.ones((2, 4)), [0.5, 0.5], np.full(4, 0.25))
-    assert solve_transport(np.ones((1, 8)), [1.0], np.full(8, 0.125)).cost == 1.0
+    assert solve_transport(np.ones((1, 8)), [1.0], np.full(8, 0.125)).objective == 1.0
     plane = Euclidean(2)
     dirac = DiscreteMeasure(plane, [[0.0, 0.0]], [1.0])
     atoms = np.arange(1.0, 17.0).reshape(8, 2)
@@ -96,13 +97,18 @@ def test_plan_feasibility_random(rng):
         b = rng.random(m) + 0.05
         b /= b.sum()
         r = solve_transport(C, a, b)
-        assert np.max(np.abs(r.plan.sum(axis=1) - a)) <= 1e-9
-        assert np.max(np.abs(r.plan.sum(axis=0) - b)) <= 1e-9
-        assert r.plan.min() >= 0.0
-        assert r.cost == pytest.approx(float((r.plan * C).sum()), rel=1e-9)
+        plan = dense(r)
+        assert np.max(np.abs(plan.sum(axis=1) - a)) <= 1e-9
+        assert np.max(np.abs(plan.sum(axis=0) - b)) <= 1e-9
+        assert r.mass.min() >= 0.0
+        assert r.objective == pytest.approx(float((plan * C).sum()), rel=1e-9)
         # optimality certificate: nonnegative reduced costs
-        reduced = C - r.u[:, None] - r.v[None, :]
+        u, v = r.duals
+        reduced = C - u[:, None] - v[None, :]
         assert reduced.min() >= -1e-9
+        # positive-mass cells only, in increasing lexicographic order
+        assert r.mass.min() > 0.0 and r.shape == (n, m)
+        assert np.all(np.diff(r.index[:, 0] * m + r.index[:, 1]) > 0)
 
 
 def _weights(rng, n, total, zeros):
@@ -130,12 +136,14 @@ def test_solve_transport_matches_highs(case):
         C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
         r = solve_transport(C, a, b)
         reference = highs_transport(C, a, b)
-        assert abs(r.cost - reference) <= 1e-9 * reference
-        assert np.max(np.abs(r.plan.sum(axis=1) - a)) <= 1e-9
-        assert np.max(np.abs(r.plan.sum(axis=0) - b)) <= 1e-9
-        assert r.plan.min() >= 0.0
-        assert (C - r.u[:, None] - r.v[None, :]).min() >= -1e-9
-        assert r.u[0] == 0.0
+        assert abs(r.objective - reference) <= 1e-9 * reference
+        plan = dense(r)
+        assert np.max(np.abs(plan.sum(axis=1) - a)) <= 1e-9
+        assert np.max(np.abs(plan.sum(axis=0) - b)) <= 1e-9
+        assert r.mass.min() >= 0.0
+        u, v = r.duals
+        assert (C - u[:, None] - v[None, :]).min() >= -1e-9
+        assert u[0] == 0.0
 
 
 def test_wasserstein_diracs(plane):
@@ -290,15 +298,17 @@ def test_line_route_is_certified(mu, nu, p):
     w, r = wasserstein(line, p, mu, nu)
     C = np.abs(mu.atoms[:, 0][:, None] - nu.atoms[:, 0][None, :]) ** p
     # Dual certificate on the full matrix: feasible duals, tight on the plan.
-    slack = C - r.u[:, None] - r.v[None, :]
+    u, v = r.duals
+    slack = C - u[:, None] - v[None, :]
+    plan = dense(r)
     assert slack.min() >= -1e-9
-    assert np.all(np.abs(slack[r.plan > 0]) <= 1e-9)
-    assert np.max(np.abs(r.plan.sum(axis=1) - mu.weights)) <= 1e-9
-    assert np.max(np.abs(r.plan.sum(axis=0) - nu.weights)) <= 1e-9
-    assert r.plan.min() >= 0.0 and r.pivots == 0
+    assert np.all(np.abs(slack[plan > 0]) <= 1e-9)
+    assert np.max(np.abs(plan.sum(axis=1) - mu.weights)) <= 1e-9
+    assert np.max(np.abs(plan.sum(axis=0) - nu.weights)) <= 1e-9
+    assert plan.min() >= 0.0 and r.pivots == 0
     # The same atoms at (x, 0) in the plane go through the transport simplex.
-    simplex = wasserstein(Euclidean(2), p, embedded(mu), embedded(nu))[1].cost
-    assert abs(r.cost - simplex) <= 1e-12 * simplex
+    simplex = wasserstein(Euclidean(2), p, embedded(mu), embedded(nu))[1].objective
+    assert abs(r.objective - simplex) <= 1e-12 * simplex
     back = wasserstein(line, p, nu, mu)[0]
     assert abs(back - w) <= 1e-12 * w
 
@@ -312,3 +322,22 @@ def test_line_route_builds_no_cost_matrix(line, rng, monkeypatch):
     mu = random_measure(rng, line, max_atoms=40)
     nu = random_measure(rng, line, max_atoms=40)
     assert wasserstein(line, 2, mu, nu)[0] == pytest.approx(wasserstein_1d(2, mu, nu))
+
+
+def test_line_route_allocates_linear_memory(line):
+    # Two 5 000-atom measures: the plan has at most n + m - 1 = 9 999 cells,
+    # where a dense n x m array would take 200 MB.
+    rng = np.random.default_rng(5000)
+    mu, nu = (
+        DiscreteMeasure(line, rng.normal(size=(5000, 1)), rng.dirichlet(np.ones(5000)))
+        for _ in range(2)
+    )
+    tracemalloc.start()
+    try:
+        w, plan = wasserstein(line, 2, mu, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(plan.mass) <= 9999 and plan.shape == (5000, 5000)
+    assert abs(w - wasserstein_1d(2, mu, nu)) <= 1e-8
