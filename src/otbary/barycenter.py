@@ -33,7 +33,7 @@ weight 0 does not enter either LP, so its cost is the one transport solve
 left.
 
 Neither route has a size option.  The multi-marginal one stops at
-``multimarginal.MAX_PRODUCT`` tuples (except on the line at p = 2), the
+``multimarginal.MAX_PRODUCT`` tuples (except on the line), the
 fixed-support one at :func:`otbary.pivoting.check_rows`, and both raise
 ``ProductSizeExceeded`` before they build any cost.  :func:`quantize`
 computes only the distances to its chosen centers, O(n k).

@@ -8,21 +8,22 @@ row of the report records the barycenter's objective, its distance to the
 reference barycenter and the ensemble-level distance, the exact nested
 transport problem (outer LP over member measures, inner costs W_p^p).
 
-On the line at p = 2 all three come from one common refinement of the
-cumulative weights of the row's members and the reference's members
-(:func:`_line_quantiles`): on each of its intervals every quantile
-function Q_k is constant, the barycenter's quantile function is the
-lam-weighted average of the members' (the comonotone coupling of
-:func:`otbary.multimarginal.solve_multimarginal`'s line route), and
-W_2^2 between two measures is the width-weighted sum of their squared
-quantile gaps.  Such a row (:func:`otbary.multimarginal.comonotone_route`)
-computes no barycenter and no reference barycenter, and runs one
-transport solve, the outer one of the ensemble distance.  Every other
-space and order recomputes the barycenter with
+On the line (:func:`otbary.spaces.is_line`) all three come from one
+common refinement of the cumulative weights of the row's members and the
+reference's members (:func:`_line_quantiles`), at every p.  On each of its
+intervals every quantile function Q_k is constant, the barycenter's
+quantile function is the pointwise Fréchet mean of the members' (the
+comonotone coupling of
+:func:`otbary.multimarginal.solve_multimarginal`'s line route; at p = 2
+the lam-weighted average, at p = 1 the running maximum of the medians),
+and W_p^p between two measures is the width-weighted sum of |quantile
+gap|^p.  Such a row computes no barycenter and no reference barycenter,
+and runs one transport solve, the outer one of the ensemble distance.
+Every other space recomputes the barycenter with
 :func:`otbary.barycenter.barycenter_finite` and compares it with the
 reference barycenter by :func:`otbary.transport.wasserstein`.
-:func:`ensemble_distance` prices member pairs on the line
-(:func:`otbary.spaces.is_line`) from the same refinement at any p.
+:func:`ensemble_distance` prices member pairs on the line from the same
+refinement.
 
 All randomness is derived from the single master seed through
 ``numpy.random.SeedSequence`` keyed by (seed, size, member, replication), so
@@ -41,6 +42,7 @@ import numpy as np
 from .barycenter import barycenter_finite
 from .deformations import DeformationSpec, draw_deformations
 from .errors import DimensionMismatch, InvalidConfig, OTBaryError
+from .frechet import frechet_means
 from .measures import (
     DiscreteMeasure,
     MeasureEnsemble,
@@ -50,7 +52,6 @@ from .measures import (
     sample_empirical,
     save_measure,
 )
-from .multimarginal import comonotone_route
 from .spaces import Euclidean, Space, check_order, is_line
 from .staircase import _comonotone_entries, check_marginals
 from .transport import solve_transport, wasserstein
@@ -209,20 +210,41 @@ def _outer_distance(p: float, cost, lam_a, lam_b) -> float:
     return max(solve_transport(cost, lam_a, lam_b).objective, 0.0) ** (1.0 / p)
 
 
-def _line_row(ens: MeasureEnsemble, ref: MeasureEnsemble, artifacts: bool):
-    # One experiment row on the line at p = 2, from one refinement over the
-    # row's members and the reference's: the barycenter's quantile function
-    # is mean = lam @ Q, its objective the lam-weighted W_2^2 to the members
-    # and dist_to_ref its W_2 to the reference's.  Returns dist_to_ref,
-    # ensemble_dist, the objective and, when artifacts are asked for, the
-    # barycenter itself.
+def _quantile_means(p: float, lam, Q) -> tuple[np.ndarray, np.ndarray]:
+    # The barycenter's quantile function F on a refinement, from one Fréchet
+    # pass over its intervals' quantile tuples (member k's atom on interval
+    # i is Q[k, i]), and each interval's objective.  A p = 1 median need not
+    # rise along the refinement; its running maximum is still a median on
+    # every interval (the medians at t form [L(t), U(t)] with L, U
+    # nondecreasing), so F is a quantile function.
+    K = Q.shape[1]
+    F, objs, _ = frechet_means(
+        Euclidean(1), p, lam, list(Q[:, :, None]), np.tile(np.arange(K)[:, None], (1, len(Q)))
+    )
+    F = F[:, 0]
+    return (np.maximum.accumulate(F) if p == 1 else F), objs
+
+
+def _line_row(ens: MeasureEnsemble, ref: MeasureEnsemble, p: float, artifacts: bool):
+    # One experiment row on the line, from one refinement over the row's
+    # members and the reference's: the barycenter's quantile function F,
+    # its objective the lam-weighted W_p^p to the members and dist_to_ref
+    # its W_p to the reference's.  At p = 2 F is lam @ Q, in closed form.
+    # Returns dist_to_ref, ensemble_dist, the objective and, when artifacts
+    # are asked for, the barycenter itself.
     Q, width = _line_quantiles([*ens.measures, *ref.measures])
     Qa, Qb = Q[: ens.size], Q[ens.size :]
-    mean = ens.lam @ Qa
-    objective = float(width @ (ens.lam @ (Qa - mean) ** 2))
-    dist = float(width @ (mean - ref.lam @ Qb) ** 2) ** 0.5
-    ens_dist = _outer_distance(2, _quantile_costs(2, Qa, Qb, width), ens.lam, ref.lam)
-    bary = DiscreteMeasure(ens.space, mean[:, None], width / width.sum()) if artifacts else None
+    if p == 2:
+        F = ens.lam @ Qa
+        objective = float(width @ (ens.lam @ (Qa - F) ** 2))
+        F_ref = ref.lam @ Qb
+    else:
+        F, objs = _quantile_means(p, ens.lam, Qa)
+        objective = float(width @ objs)
+        F_ref, _ = _quantile_means(p, ref.lam, Qb)
+    dist = float(width @ np.abs(F - F_ref) ** p) ** (1.0 / p)
+    ens_dist = _outer_distance(p, _quantile_costs(p, Qa, Qb, width), ens.lam, ref.lam)
+    bary = DiscreteMeasure(ens.space, F[:, None], width / width.sum()) if artifacts else None
     return dist, ens_dist, objective, bary
 
 
@@ -254,8 +276,8 @@ def run_experiment(
     distance to the reference barycenter and the ensemble's distance to
     the reference; an :class:`OTBaryError` becomes that row's ``error``.
 
-    On the line at p = 2 (where :func:`otbary.multimarginal.comonotone_route`
-    holds) a row reads all three off one refinement of its members' and the
+    On the line (where :func:`otbary.spaces.is_line` holds), at any p, a
+    row reads all three off one refinement of its members' and the
     reference's quantile functions: no barycenter is computed, neither the
     row's nor the reference's, and the refinement's widths are checked
     against every member's weights within ``staircase.MARGINAL_TOL``
@@ -269,14 +291,13 @@ def run_experiment(
 
     Artifacts are named ``bary_n{size}_rep{rep}.json`` (``J`` in place of
     ``n`` when not sampling) and, when sampling,
-    ``sample_n{size}_rep{rep}_j{j}.json``; on the line at p = 2 the
-    barycenter is built from its quantile function only when they are
-    kept.
+    ``sample_n{size}_rep{rep}_j{j}.json``; on the line the barycenter is
+    built from its quantile function only when they are kept.
     """
     sampling = cfg.framework == "empirical_sampling"
     label = "n" if sampling else "J"
     space = cfg.ensemble.space
-    line = comonotone_route(space, cfg.p)
+    line = is_line(space)
     if not line:
         ref = barycenter_finite(space, cfg.p, cfg.ensemble)
     report = ConsistencyReport()
@@ -295,7 +316,7 @@ def run_experiment(
                     ens = MeasureEnsemble(cfg.ensemble.measures[:size], lam / lam.sum())
                 if line:
                     dist, ens_dist, objective, bary = _line_row(
-                        ens, cfg.ensemble, bool(keep_artifacts)
+                        ens, cfg.ensemble, cfg.p, bool(keep_artifacts)
                     )
                 else:
                     result = barycenter_finite(space, cfg.p, ens)

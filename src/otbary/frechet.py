@@ -39,6 +39,13 @@ p = 2 and metric matrices, without a per-tuple array or point;
   off an atom, which puts a median that sits next to an atom on the right
   ray at once; such a row iterates relative to that atom, where rounding
   leaves the step's direction intact.
+- Euclidean p != 1, 2 first tests every atom too.  f is differentiable
+  there, so an atom is the minimizer exactly when the other terms'
+  gradient vanishes at it: |sum_{a_j != a} c_j (a - a_j)| <= 1e-12
+  sum_j c_j |a - a_j|.  Such a row returns its atom exactly.  Iterating
+  instead, a row that starts one ulp off that atom finds f flat below
+  its resolution while the distance to the atom that scales the tests
+  below is about one ulp too, and it hops between neighbouring floats.
 - Every other row iterates Newton steps on f, Hessian
   sum_j c_j (I + (p - 2) u_j u_j^T) with c_j = p lam_j |x - a_j|^(p - 2),
   with Armijo backtracking that asks for a quarter of the decrease the
@@ -141,10 +148,13 @@ def _weiszfeld_steps(g, on, c, lam):
     return (shrink / c.sum(axis=1))[:, None] * r
 
 
-def _atom_tests(pts, lam):
+def _atom_tests(pts, lam, p):
     # For every row: the index of the best atom meeting the anchor condition
-    # (-1 where none does), and the best Vardi-Zhang step off an atom: its
-    # atom, the displacement and f there.
+    # (-1 where none does) and, at p = 1, the best Vardi-Zhang step off an
+    # atom: its atom, the displacement and f there (inf at p > 1).  At p > 1
+    # the atom's own term has zero gradient there, so the condition is that
+    # the others' gradient vanishes, within ANCHOR_TOL of the sum of their
+    # magnitudes.
     n, J, dim = pts.shape
     slack = ANCHOR_TOL * lam.sum()
     anchor = np.full(n, -1)
@@ -153,13 +163,18 @@ def _atom_tests(pts, lam):
     offset = np.zeros((n, dim))
     escape_f = np.full(n, np.inf)
     for k in range(J):
-        f, g, _, _, on, c = _local(pts[:, k], pts, lam, 1)
+        f, g, _, d, on, c = _local(pts[:, k], pts, lam, p)
         pull = _norm(g)
-        weight = (lam * on).sum(axis=1)
-        ok = (pull <= weight + slack) & (f < anchor_f)
+        if p == 1:
+            bound = (lam * on).sum(axis=1) + slack
+        else:
+            bound = ANCHOR_TOL * (c * d).sum(axis=1)
+        ok = (pull <= bound) & (f < anchor_f)
         anchor[ok] = k
         anchor_f[ok] = f[ok]
-        out = np.flatnonzero(pull > weight + slack)
+        if p != 1:
+            continue
+        out = np.flatnonzero(pull > bound)
         step = _weiszfeld_steps(g[out], on[out], c[out], lam)
         f_e = _power_sum(lam, _dists(pts[out, k] + step, pts[out]), 1)
         better = f_e < escape_f[out]
@@ -343,12 +358,12 @@ def _euclidean_chunk(pts, lam, p):
     x[same] = pts[same, 0]
     rest = np.flatnonzero(~same)
     origin = np.zeros(rest.size, dtype=np.intp)
-    if p == 1:
+    if p != 2:
         # Anchored rows are solved.  The others start from the weighted mean
-        # or, when lower, the best escape point off an atom, and iterate
-        # relative to that atom: next to it, a displacement measured from
-        # elsewhere would lose its direction to rounding.
-        anchor, escape, offset, escape_f = _atom_tests(pts[rest], lam)
+        # or, when lower, the best escape point off an atom (p = 1 only), and
+        # iterate relative to that atom: next to it, a displacement measured
+        # from elsewhere would lose its direction to rounding.
+        anchor, escape, offset, escape_f = _atom_tests(pts[rest], lam, p)
         hit = anchor >= 0
         x[rest[hit]] = pts[rest[hit], anchor[hit]]
         mean = (lam[:, None] * pts[rest]).sum(axis=1) / lam.sum()
@@ -364,8 +379,7 @@ def _euclidean_chunk(pts, lam, p):
     if p == 2:
         x[rest] = base + start
     else:
-        if p == 1:
-            start[lower] = offset[lower]
+        start[lower] = offset[lower]
         x_local, iters[rest] = _iterate_rows(local, start, lam, p)
         x[rest], x_local, more = _to_floats(P, base, local, x_local, lam, p)
         iters[rest] += more

@@ -12,7 +12,7 @@ itself, a chunk at a time.  Where the costs have a closed form
 (:func:`otbary.frechet.has_product_costs`: Euclidean p = 2 and metric
 matrices) the tensor comes from ``product_costs``, which builds no
 per-tuple array, and the pass then runs on the basic tuples alone.
-Elsewhere (Euclidean p != 2) one pass over the index grid of the whole
+Elsewhere (Euclidean p != 2 off the line) one pass over the index grid of the whole
 product gives the costs, and the basic tuples keep its points.  Either
 way the points and the objective come from the pass, and the coupling (a
 :class:`otbary.staircase.Coupling`, the type the two-marginal routes
@@ -20,23 +20,27 @@ return too) keeps the Fréchet means of its positive-mass tuples as its
 ``points``, so the pushforward solves no tuple a second time.
 
 The production path (:func:`solve_multimarginal`) has two routes.  On the
-line with p = 2 (:func:`comonotone_route`, which
+line (:func:`otbary.spaces.is_line`, which
 :func:`otbary.consistency.run_experiment` asks too) it returns the
 comonotone (north-west-corner) coupling of the sorted marginals, built
 from the common refinement of their cumulative weights
 (:mod:`otbary.staircase`, shared with the two-marginal line route of
-:func:`otbary.transport.wasserstein`): the cost sum_j lam_j |x_j - mean|^2
-is submodular, so that coupling is optimal (Carlier, J. Convex Anal. 2003)
-and needs no LP at all.  It has at most sum_j n_j - J + 1 entries and
-builds nothing over the product, so the product bound does not apply to
-it.  Every other input builds the cost
-tensor C of shape (n_1, ..., n_J), of at most ``MAX_PRODUCT`` tuples, and
-runs the one coupling LP, :func:`otbary.staircase.coupling_simplex`, the
-setup :func:`otbary.transport.solve_transport` runs at J = 2: the
-staircase start, sum_j n_j - J + 1 rows, pricing in two passes over the
-tensor and no constraint matrix, on the pivot loop of
-:mod:`otbary.pivoting`.  Before returning, the coupling's marginals are
-checked against the weights (:func:`otbary.staircase.check_marginals`).
+:func:`otbary.transport.wasserstein`), at every p >= 1.  Every W_p on the
+line is the integral over t in [0, 1] of |Q_nu(t) - Q_mu(t)|^p, so the
+objective of any barycenter candidate is at least the integral of
+min_z sum_j lam_j |z - Q_j(t)|^p, which a nondecreasing choice of the
+pointwise minimizers attains; the coupling that carries the quantile
+tuples costs exactly that integral, so it is optimal and needs no LP at
+all.  It has at most sum_j n_j - J + 1 entries and builds nothing over
+the product, so the product bound does not apply to it.  Every other
+space builds the cost tensor C of shape (n_1, ..., n_J), of at most
+``MAX_PRODUCT`` tuples, and runs the one coupling LP,
+:func:`otbary.staircase.coupling_simplex`, the setup
+:func:`otbary.transport.solve_transport` runs at J = 2: the staircase
+start, sum_j n_j - J + 1 rows, pricing in two passes over the tensor and
+no constraint matrix, on the pivot loop of :mod:`otbary.pivoting`.
+Before returning, the coupling's marginals are checked against the
+weights (:func:`otbary.staircase.check_marginals`).
 
 The independent oracles live with the tests: a HiGHS LP assembled entry by
 entry, and a dense two-phase simplex.
@@ -63,21 +67,16 @@ def _index_grid(shape: tuple[int, ...]) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T
 
 
-def comonotone_route(space: Space, p: float) -> bool:
-    """Whether :func:`solve_multimarginal` takes the comonotone route, with
-    no LP: on the line at p = 2."""
-    return is_line(space) and p == 2
-
-
 def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> Coupling:
     """Optimal vertex of the multi-marginal transportation polytope.
 
-    On the line with p = 2 (J >= 2) the answer is the comonotone coupling,
+    On the line (J >= 2, any p) the answer is the comonotone coupling,
     with at most sum_j n_j - J + 1 entries and objective sum mass * cost;
-    it is exact because the quadratic Fréchet cost is submodular, so an
-    optimal coupling is supported on a monotone chain of index tuples.
-    Other inputs run the coupling LP over the whole product, and the
-    Fréchet means of its basic tuples give the points and the objective.
+    it is exact because every W_p there integrates |gap|^p of quantile
+    functions, so the pointwise Fréchet means of the members' quantiles
+    form an optimal barycenter.  Other spaces run the coupling LP over the
+    whole product, and the Fréchet means of its basic tuples give the
+    points and the objective.
     Either way the cells come in increasing lexicographic order, zero
     masses (the pivot loop returns round-off levels as 0) are dropped, the
     objective sums the cells kept, the coupling holds no duals, and the
@@ -85,9 +84,9 @@ def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> Couplin
 
     Raises:
         DimensionMismatch: p < 1.
-        ProductSizeExceeded: off the line p = 2 route, a product support
-            of more than ``MAX_PRODUCT`` tuples or an LP past
-            ``pivoting.check_rows``; raised before any cost is built.
+        ProductSizeExceeded: off the line, a product support of more than
+            ``MAX_PRODUCT`` tuples or an LP past ``pivoting.check_rows``;
+            raised before any cost is built.
         NumericalFailure: the simplex failed, or the marginals miss the
             weights.
     """
@@ -105,7 +104,7 @@ def solve_multimarginal(space: Space, p: float, ens: MeasureEnsemble) -> Couplin
     pivots, min_reduced_cost = 0, None
     weights = [m.weights for m in measures]
     atoms = [m.atoms for m in measures]
-    if comonotone_route(space, p):
+    if is_line(space):
         idx, x = _comonotone_entries(weights)
         points, costs, _ = frechet_means(space, p, ens.lam, atoms, idx)
     else:

@@ -5,10 +5,16 @@ the one coupling LP, all on the members' weight vectors.
 weights.  :func:`_comonotone_entries` reads the coupling off it: each
 interval between consecutive breakpoints of the members' cumulative weights
 carries one entry, at the index tuple of the members' quantiles on it.  On
-the line with a convex cost in x - y this coupling is optimal: for two
-marginals the cost matrix of sorted atoms is Monge (Hoffman 1963), and for
-J marginals at p = 2 the Fréchet cost is submodular (Carlier, J. Convex
-Anal. 2003).  On any space it is a feasible coupling.
+the line this coupling is optimal for the Fréchet cost at every p >= 1.
+Every W_p there is the integral over t in [0, 1] of |Q_nu(t) - Q_mu(t)|^p,
+so no barycenter candidate has an objective below the integral of
+min_z sum_j lam_j |z - Q_j(t)|^p, and a nondecreasing choice of the
+pointwise minimizers, a quantile function, attains it (at p = 1, the
+lowest median).  The coupling's tuples are the quantiles on each
+interval, so its cost is that integral, the optimum of the multi-marginal
+problem (Agueh & Carlier, SIAM J. Math. Anal. 2011).  For two marginals
+the cost matrix of sorted atoms is Monge (Hoffman 1963).  On any space it
+is a feasible coupling.
 
 :func:`_staircase` joins those entries into a staircase, a monotone
 lattice path from (0, ..., 0) to (n_1 - 1, ..., n_J - 1) that advances one

@@ -29,6 +29,9 @@ def random_ensemble(rng, space, n_measures, max_atoms=4, uniform_lam=False, **kw
 # Quarter-integer atoms: members share atoms, and distinct couplings differ
 # in cost by far more than the LP solvers' optimality tolerances.
 QUARTERS = st.integers(-20, 20).map(lambda k: k / 4)
+# Orders at which the line routes are checked: the median, a strictly
+# convex order on each side of 2, and 2.
+LINE_ORDERS = [1, 1.5, 2, 3]
 DYADIC_CUTS = 64
 GRID_GRAPH_SIDE = 7
 

@@ -6,12 +6,14 @@ Sets ``sys.modules["scipy"] = None``, so any ``import scipy...`` raises,
 imports ``otbary`` and ``otbary.cli``, and runs through ``cli.main``, in
 a temporary directory: ``dist`` in 2D and, writing its plan, on the line
 (``Euclidean(1)``, the north-west-corner route), ``bary`` in 2D at p = 1
-and p = 2, on a grid graph and on a fixed support, ``mmot`` and three
+and p = 2, on a grid graph, on a fixed support and on the line at p = 1
+for 3 members of 101 atoms (a product of 1.03e6 tuples, past
+``multimarginal.MAX_PRODUCT``, which the line route does not need),
+``mmot`` and three
 ``experiment`` runs: empirical sampling in 2D, which takes the
 barycenter route, and two on the line at p = 2, which take the quantile
 route, empirical sampling and a growing ensemble up to J = 6 members of
-15 atoms, whose product of 1.1e7 tuples is past
-``multimarginal.MAX_PRODUCT``, which the line route does not need.  One
+15 atoms, whose product of 1.1e7 tuples is past the cap too.  One
 more ``mmot`` run, on 3 plane members of 101 atoms (a product of 1.03e6
 tuples), must exit 2 with ``ProductSizeExceeded``.  Exits 1 if a command
 exits with another code than it should, if a row of an experiment
@@ -57,8 +59,8 @@ def _inputs(tmp: Path) -> dict:
     axis = np.linspace(-1.5, 1.5, 4)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     paths = {name: tmp / f"{name}.json"
-             for name in ("a", "b", "line_a", "line_b", "plane", "big_plane", "graph", "grid", "sampled_2d",
-                          "sampled_1d", "growing_1d")}
+             for name in ("a", "b", "line_a", "line_b", "plane", "big_plane", "big_line", "graph",
+                          "grid", "sampled_2d", "sampled_1d", "growing_1d")}
     save_measure(clouds[0], paths["a"])
     save_measure(clouds[1], paths["b"])
     save_ensemble(ot.MeasureEnsemble(clouds, [0.5, 0.3, 0.2]), paths["plane"])
@@ -72,6 +74,10 @@ def _inputs(tmp: Path) -> dict:
     big = [ot.DiscreteMeasure(plane, big_rng.normal(size=(101, 2)), np.full(101, 1 / 101))
            for _ in range(3)]
     save_ensemble(ot.MeasureEnsemble(big, np.full(3, 1 / 3)), paths["big_plane"])
+    big_line = [ot.DiscreteMeasure(ot.Euclidean(1), big_rng.normal(size=(101, 1)),
+                                   big_rng.dirichlet(np.ones(101)))
+                for _ in range(3)]
+    save_ensemble(ot.MeasureEnsemble(big_line, [0.5, 0.3, 0.2]), paths["big_line"])
     save_ensemble(ot.MeasureEnsemble(nodes, np.full(3, 1 / 3)), paths["graph"])
     save_measure(ot.DiscreteMeasure(plane, grid, np.full(16, 1 / 16)), paths["grid"])
     paths["sampled_2d"].write_text(json.dumps({
@@ -142,6 +148,7 @@ def main() -> int:
             (["bary", "--in", f["plane"], "--out", out, "--p", "2"], 0),
             (["bary", "--in", f["graph"], "--out", out], 0),
             (["bary", "--in", f["plane"], "--out", out, "--support", f["grid"]], 0),
+            (["bary", "--in", f["big_line"], "--out", out, "--p", "1"], 0),
             (["mmot", "--in", f["plane"], "--out", out], 0),
             (["mmot", "--in", f["big_plane"], "--out", out], 2),
         ]

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -194,6 +195,19 @@ def test_variance_cases(line):
         np.full(3, 1 / 3),
     )
     assert barycenter_finite(line, 2, diracs3).objective == pytest.approx(2.0 / 3.0)
+
+
+def test_line_barycenter_past_the_product_cap(line):
+    # Ten members of 1 000 atoms at p = 1: a product of 1e30 tuples, but the
+    # line route solves the refinement's at most 9 991 tuples.
+    rng = np.random.default_rng(20150612)
+    ms = [DiscreteMeasure(line, rng.normal(size=(1000, 1)), rng.dirichlet(np.ones(1000)))
+          for _ in range(10)]
+    ens = MeasureEnsemble(ms, rng.dirichlet(np.ones(10)))
+    t0 = time.perf_counter()
+    result = barycenter_finite(line, 1, ens)
+    assert time.perf_counter() - t0 < 1.0
+    assert result.measure.n_atoms <= 10 * 999 + 1
 
 
 def test_quantize_identity_and_k1(line):

@@ -141,9 +141,9 @@ def _refuse(*args, **kwargs):
 
 
 def test_bary_oversized_exits_2(tmp_path, monkeypatch, capsys):
-    # In the plane: the line route at p = 2 builds no product, so the cap
-    # does not apply there.  With the bound at 4 tuples, a product of 8
-    # exits 2 before any cost is built.
+    # In the plane: the line route builds no product, so the cap does not
+    # apply there.  With the bound at 4 tuples, a product of 8 exits 2
+    # before any cost is built.
     monkeypatch.setattr(multimarginal, "MAX_PRODUCT", 4)
     monkeypatch.setattr(multimarginal, "product_costs", _refuse)
     monkeypatch.setattr(multimarginal, "frechet_means", _refuse)
@@ -412,11 +412,11 @@ def test_import_does_not_load_scipy_optimize():
 def test_cli_runs_without_scipy():
     # The library needs numpy alone.  The smoke script blocks scipy, runs
     # dist (in 2D and, with a plan, on the line), bary (p = 1, p = 2,
-    # graph, fixed support), mmot and three experiments (sampling in 2D and
-    # on the line, and a growing ensemble on the line past the product cap)
-    # through the CLI, and fails if any of them does, a row records an
-    # error or a scipy module loads.  One more mmot, on a product past the
-    # cap, must exit 2.
+    # graph, fixed support, and on the line at p = 1 past the product cap),
+    # mmot and three experiments (sampling in 2D and on the line, and a
+    # growing ensemble on the line past the product cap) through the CLI,
+    # and fails if any of them does, a row records an error or a scipy
+    # module loads.  One more mmot, on a product past the cap, must exit 2.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -426,6 +426,6 @@ def test_cli_runs_without_scipy():
         text=True,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.count(": exit 0") == 10
+    assert out.stdout.count(": exit 0") == 11
     assert out.stdout.count("otbary mmot: exit 2") == 1
     assert out.stdout.count(" rows, 0 with an error") == 3

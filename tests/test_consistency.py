@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otbary import (
@@ -20,7 +20,7 @@ from otbary import (
 )
 from otbary import consistency
 from otbary.consistency import config_from_dict
-from conftest import embedded, line_measures, random_ensemble
+from conftest import LINE_ORDERS, embedded, line_measures, random_ensemble
 from oracles import measures_equal
 
 
@@ -218,18 +218,28 @@ def test_config_from_dict_template_route(line):
 
 @st.composite
 def line_experiments(draw):
-    """An experiment config on the line at p = 2: a reference of 1-4
-    members drawn by ``line_measures`` and either framework, with random
-    sizes, replications and seed."""
+    """An experiment config on the line at p in LINE_ORDERS: a reference of
+    1-4 members drawn by ``line_measures`` and either framework, with random
+    sizes, replications and seed.  Ensemble weights are floats or small
+    integers; integers split the weight evenly often enough to tie p = 1
+    medians."""
     J = draw(st.integers(1, 4))
     measures = [draw(line_measures(max_atoms=10)) for _ in range(J)]
-    lam = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=J, max_size=J)))
+    lam = np.asarray(draw(st.one_of(
+        st.lists(st.floats(0.05, 1.0), min_size=J, max_size=J),
+        st.lists(st.integers(1, 3).map(float), min_size=J, max_size=J),
+    )))
     ref = MeasureEnsemble(measures, lam / lam.sum())
     framework = draw(st.sampled_from(["empirical_sampling", "growing_ensemble"]))
     top = 30 if framework == "empirical_sampling" else J
     sizes = sorted(draw(st.sets(st.integers(1, top), min_size=1, max_size=3)))
-    return ExperimentConfig(framework, 2, draw(st.integers(0, 2**31)), sizes, ref,
+    return ExperimentConfig(framework, draw(st.sampled_from(LINE_ORDERS)),
+                            draw(st.integers(0, 2**31)), sizes, ref,
                             replications=draw(st.integers(1, 2)))
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12
 
 
 def row_ensemble(cfg, size, rep):
@@ -249,28 +259,60 @@ def row_ensemble(cfg, size, rep):
 @settings(max_examples=50, deadline=None)
 def test_line_rows_match_per_row_barycenters(cfg):
     # Each row against the barycenter of its ensemble and of the reference,
-    # their W_2 and the ensemble distance, computed here one call each.
-    line = Euclidean(1)
-    ref = barycenter_finite(line, 2, cfg.ensemble).measure
+    # their W_p and the ensemble distance, computed here one call each.
+    # The barycenter is unique at p > 1 only, so dist_to_ref is compared
+    # there.
+    line, p = Euclidean(1), cfg.p
+    ref = barycenter_finite(line, p, cfg.ensemble).measure
     for row in run_experiment(cfg).rows:
         assert row.error == ""
         ens = row_ensemble(cfg, row.size, row.replication)
-        bary = barycenter_finite(line, 2, ens)
-        assert abs(row.objective - bary.objective) <= 1e-12
-        assert abs(row.dist_to_ref - wasserstein(line, 2, bary.measure, ref)[0]) <= 1e-12
-        assert abs(row.ensemble_dist - ensemble_distance(line, 2, ens, cfg.ensemble)) <= 1e-12
-        # On the line at p = 2 the barycenter's quantile function is the
-        # lam-weighted average of the members', a 1-Lipschitz map.
-        assert row.dist_to_ref <= row.ensemble_dist * (1 + 1e-9) + 1e-15
+        bary = barycenter_finite(line, p, ens)
+        assert _close(row.objective, bary.objective)
+        if p > 1:
+            assert _close(row.dist_to_ref, wasserstein(line, p, bary.measure, ref)[0])
+        assert _close(row.ensemble_dist, ensemble_distance(line, p, ens, cfg.ensemble))
+        if p == 2:
+            # The barycenter's quantile function is the lam-weighted
+            # average of the members', a 1-Lipschitz map.
+            assert row.dist_to_ref <= row.ensemble_dist * (1 + 1e-9) + 1e-15
+
+
+# Four members whose p = 1 medians on the refinement's two halves are the
+# atoms 2, then 1 (the medians there are [1, 2], then [1, 3]): only the
+# running maximum is a quantile function.
+FALLING_MEDIANS = MeasureEnsemble(
+    [DiscreteMeasure(Euclidean(1), [[1.0]], [1.0]),
+     DiscreteMeasure(Euclidean(1), [[0.0]], [1.0]),
+     DiscreteMeasure(Euclidean(1), [[2.0], [5.0]], [0.5, 0.5]),
+     DiscreteMeasure(Euclidean(1), [[3.0]], [1.0])],
+    np.array([1.0, 2.0, 2.0, 1.0]) / 6,
+)
+
+
+@given(cfg=line_experiments())
+@settings(max_examples=50, deadline=None)
+@example(cfg=ExperimentConfig("growing_ensemble", 1, 0, [1, 2, 3, 4], FALLING_MEDIANS))
+def test_line_distance_is_the_wp_of_its_barycenters(cfg):
+    # dist_to_ref integrates |F - F_ref|^p, which is W_p only between
+    # quantile functions: at p = 1 too, it is the W_p of the two
+    # barycenters the rows build.
+    line = Euclidean(1)
+    ref = consistency._line_row(cfg.ensemble, cfg.ensemble, cfg.p, True)[3]
+    for row in run_experiment(cfg).rows:
+        ens = row_ensemble(cfg, row.size, row.replication)
+        bary = consistency._line_row(ens, cfg.ensemble, cfg.p, True)[3]
+        assert _close(row.dist_to_ref, wasserstein(line, cfg.p, bary, ref)[0])
 
 
 @pytest.mark.parametrize("space, p, line_route", [
-    (Euclidean(1), 2, True), (Euclidean(1), 1, False), (Euclidean(2), 2, False),
+    (Euclidean(1), 2, True), (Euclidean(1), 1, True), (Euclidean(2), 2, False),
+    (Euclidean(1), 3, True),
 ])
 def test_experiment_route(rng, monkeypatch, space, p, line_route):
-    # On the line at p = 2 a row runs one transport solve, the outer one of
-    # the ensemble distance, and no barycenter; elsewhere the reference
-    # barycenter is computed once and each row computes its own.
+    # On the line, at every p, a row runs one transport solve, the outer
+    # one of the ensemble distance, and no barycenter; elsewhere the
+    # reference barycenter is computed once and each row computes its own.
     calls = {"barycenter_finite": 0, "wasserstein": 0, "solve_transport": 0}
 
     def counted(name):

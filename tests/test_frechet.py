@@ -255,11 +255,23 @@ NEAR_ATOM_P1 = (
 )
 
 
+# Minimizers on an atom at p > 1, where the weighted mean starts a row one
+# ulp off that atom (here the atoms 2 and 3): iterating, f is flat below
+# its resolution there, and the row hopped between neighbouring floats
+# until the iteration cap.
+ATOM_MINIMIZERS = [
+    (1.5, np.array([[4.0], [2.0], [2.0], [0.0]]), np.array([2.0, 2.0, 1.0, 2.0]) / 7),
+    (3.0, np.array([[3.0], [4.0], [2.0], [4.0]]), np.array([1.0, 1.0, 3.0, 2.0]) / 7),
+]
+
+
 @given(case=frechet_tuples(), others=st.lists(frechet_tuples(), max_size=6), where=st.integers(0, 6))
 @settings(max_examples=200, deadline=None)
 @example(case=(1.5, *NEAR_ATOM_ROUNDING[0]), others=[], where=0)
 @example(case=(1.5, *NEAR_ATOM_ROUNDING[1]), others=[], where=0)
 @example(case=(1.0, *NEAR_ATOM_P1), others=[], where=0)
+@example(case=ATOM_MINIMIZERS[0], others=[], where=0)
+@example(case=ATOM_MINIMIZERS[1], others=[], where=0)
 def test_kernel_is_certified_and_batch_independent(case, others, where):
     import scipy.optimize
 
@@ -293,6 +305,19 @@ def test_anchor_returns_the_atom_exactly(plane):
     assert np.array_equal(x, pts[0])
     assert it < 10
     assert f == frechet_objective(plane, 1, pts, lam, pts[0])
+
+
+@pytest.mark.parametrize("p, pts, lam", ATOM_MINIMIZERS)
+def test_atom_minimizer_returns_the_atom_exactly(p, pts, lam):
+    # On the line and on an axis of the plane, at p > 1: the others'
+    # gradient vanishes at the atom, which the atom test returns with no
+    # iteration.
+    for pts in (pts, np.hstack([pts, np.zeros_like(pts)])):
+        space = Euclidean(pts.shape[1])
+        x, f, it = _mean(space, p, pts, lam)
+        k = np.argmin([frechet_objective(space, p, pts, lam, a) for a in pts])
+        assert np.array_equal(x, pts[k]) and it == 0
+        assert f == frechet_objective(space, p, pts, lam, pts[k])
 
 
 def test_iteration_cap_raises(plane, monkeypatch):

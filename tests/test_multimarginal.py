@@ -26,6 +26,7 @@ from dense_simplex import solve_lp
 from highs_oracle import HIGHS_OPTIONS, brute_force_multimarginal, highs_transport
 from conftest import (
     GRID_GRAPH,
+    LINE_ORDERS,
     QUARTERS,
     indexed,
     random_ensemble,
@@ -192,9 +193,9 @@ def _refuse(*args, **kwargs):
 
 
 def test_product_size_cap(plane, monkeypatch):
-    # In the plane: the line route at p = 2 builds no product, so the cap
-    # does not apply there.  With the bound at 4 tuples, a product of 8
-    # raises before any cost is built: the cost builders fail if reached.
+    # In the plane: the line route builds no product, so the cap does not
+    # apply there.  With the bound at 4 tuples, a product of 8 raises
+    # before any cost is built: the cost builders fail if reached.
     monkeypatch.setattr(multimarginal, "MAX_PRODUCT", 4)
     monkeypatch.setattr(multimarginal, "product_costs", _refuse)
     monkeypatch.setattr(multimarginal, "frechet_means", _refuse)
@@ -204,18 +205,22 @@ def test_product_size_cap(plane, monkeypatch):
         solve_multimarginal(plane, 2, ens)
 
 
-def test_line_route_ignores_the_product_cap(line):
-    # Six members of 15 atoms: a product of 1.1e7 tuples, over the default
-    # cap, but the comonotone coupling has at most 85 entries.
+def test_line_route_ignores_the_product_cap(line, monkeypatch):
+    # Six members of 15 atoms: a product of 1.1e7 tuples, over the cap (here
+    # 4 tuples), but the comonotone coupling has at most 85 entries, at every
+    # order.  Nothing is built over the product: its builders fail if reached.
+    monkeypatch.setattr(multimarginal, "MAX_PRODUCT", 4)
+    monkeypatch.setattr(multimarginal, "product_costs", _refuse)
+    monkeypatch.setattr(multimarginal, "_index_grid", _refuse)
     rng = np.random.default_rng(6)
     ms = [DiscreteMeasure(line, rng.normal(size=(15, 1)), rng.dirichlet(np.ones(15)))
           for _ in range(6)]
     ens = MeasureEnsemble(ms, np.full(6, 1 / 6))
-    gamma = solve_multimarginal(line, 2, ens)
-    assert gamma.shape == (15,) * 6 and len(gamma.mass) <= 6 * 14 + 1
-    for marg, m in zip(gamma.marginals(), ms):
-        assert np.max(np.abs(marg - m.weights)) <= 1e-9
-
+    for p in LINE_ORDERS:
+        gamma = solve_multimarginal(line, p, ens)
+        assert gamma.shape == (15,) * 6 and len(gamma.mass) <= 6 * 14 + 1
+        for marg, m in zip(gamma.marginals(), ms):
+            assert np.max(np.abs(marg - m.weights)) <= 1e-9
 
 
 FLOATS = st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False)
@@ -241,14 +246,14 @@ def line_ensembles(draw, coord):
     return MeasureEnsemble(measures, lam / lam.sum())
 
 
-def _lp_objectives(ens, shape):
+def _lp_objectives(ens, shape, p):
     # HiGHS through the oracle, and the in-house dense simplex on the full
-    # product LP that the line p = 2 route no longer builds.
+    # product LP that the line route does not build.
     line = Euclidean(1)
     idx = _index_grid(shape)
-    costs = frechet_means(line, 2, ens.lam, [m.atoms for m in ens.measures], idx)[1]
+    costs = frechet_means(line, p, ens.lam, [m.atoms for m in ens.measures], idx)[1]
     dense = solve_lp(costs, *_marginal_system(ens.measures, idx)).objective
-    return brute_force_multimarginal(line, 2, ens).objective, dense
+    return brute_force_multimarginal(line, p, ens).objective, dense
 
 
 def _check_comonotone(ens, gamma):
@@ -258,29 +263,29 @@ def _check_comonotone(ens, gamma):
     assert np.all(np.diff(gamma.index, axis=0) >= 0)
 
 
-@given(ens=line_ensembles(QUARTERS))
+@given(ens=line_ensembles(QUARTERS), p=st.sampled_from(LINE_ORDERS))
 @settings(max_examples=150, deadline=None)
-def test_line_p2_comonotone_matches_both_lp_solvers(ens):
-    gamma = solve_multimarginal(Euclidean(1), 2, ens)
-    for value in _lp_objectives(ens, gamma.shape):
+def test_line_comonotone_matches_both_lp_solvers(ens, p):
+    gamma = solve_multimarginal(Euclidean(1), p, ens)
+    for value in _lp_objectives(ens, gamma.shape, p):
         assert abs(gamma.objective - value) <= 1e-12
     _check_comonotone(ens, gamma)
 
 
-@given(ens=line_ensembles(FLOATS))
+@given(ens=line_ensembles(FLOATS), p=st.sampled_from(LINE_ORDERS))
 @settings(max_examples=100, deadline=None)
-def test_line_p2_comonotone_never_beaten(ens):
+def test_line_comonotone_never_beaten(ens, p):
     # Arbitrary floats include atoms ~1e-11 apart, where both LP solvers may
     # stop at a vertex a few 1e-12 above the optimum (within their reduced-
     # cost tolerance); the comonotone coupling must never be the worse one.
-    gamma = solve_multimarginal(Euclidean(1), 2, ens)
-    for value in _lp_objectives(ens, gamma.shape):
+    gamma = solve_multimarginal(Euclidean(1), p, ens)
+    for value in _lp_objectives(ens, gamma.shape, p):
         assert gamma.objective <= value + 1e-12
     _check_comonotone(ens, gamma)
 
 
 # ---------------------------------------------------------------------------
-# The tensor simplex: every input off the line p = 2 route.
+# The tensor simplex: every input off the line.
 # ---------------------------------------------------------------------------
 
 @given(ens=tensor_ensembles(), p=st.sampled_from([1, 2, 3]))
