@@ -19,6 +19,9 @@ the lam-weighted average, at p = 1 the running maximum of the medians),
 and W_p^p between two measures is the width-weighted sum of |quantile
 gap|^p.  Such a row computes no barycenter and no reference barycenter,
 and runs one transport solve, the outer one of the ensemble distance.
+The reference's side of that refinement does not change from row to
+row: :class:`_LineReference` builds it once per experiment, and each row
+computes only what its own members change (see there).
 Every other space recomputes the barycenter with
 :func:`otbary.barycenter.barycenter_finite` and compares it with the
 reference barycenter by :func:`otbary.transport.wasserstein`.
@@ -53,7 +56,7 @@ from .measures import (
     save_measure,
 )
 from .spaces import Euclidean, Space, check_order, is_line
-from .staircase import _comonotone_entries, check_marginals
+from .staircase import _BOUNDS, _entries, _refinement, check_marginals
 from .transport import solve_transport, wasserstein
 
 FRAMEWORKS = ("growing_ensemble", "empirical_sampling", "deformation")
@@ -82,6 +85,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.framework not in FRAMEWORKS:
             raise InvalidConfig(f"unknown framework {self.framework!r}")
+        try:
+            check_order(self.p)
+        except DimensionMismatch as exc:
+            raise InvalidConfig(str(exc)) from None
         if self.replications < 1:
             raise InvalidConfig("replications must be >= 1")
         if len(self.sizes) == 0 or self.sizes[0] < 1 or any(
@@ -112,17 +119,19 @@ class ReportRow:
 class ConsistencyReport:
     rows: list[ReportRow] = field(default_factory=list)
 
-    def median_dist(self, size: int) -> float:
+    def median_dist(self, size: int) -> float | None:
+        """Median dist_to_ref over the rows of ``size`` that succeeded, None
+        when none did (so that the summary stays JSON)."""
         vals = [
             r.dist_to_ref
             for r in self.rows
             if r.size == size and r.dist_to_ref is not None
         ]
         if not vals:
-            return float("nan")
+            return None
         return float(np.median(vals))
 
-    def summary(self) -> dict[int, float]:
+    def summary(self) -> dict[int, float | None]:
         return {s: self.median_dist(s) for s in sorted({r.size for r in self.rows})}
 
     def to_csv(self, path, *, timing: bool = False) -> None:
@@ -172,7 +181,7 @@ def ensemble_distance(
         raise DimensionMismatch("ensembles do not live on the given space")
     check_order(p)
     if is_line(space):
-        Q, width = _line_quantiles([*ens_a.measures, *ens_b.measures])
+        Q, width, _ = _line_quantiles([*ens_a.measures, *ens_b.measures])
         cost = _quantile_costs(p, Q[: ens_a.size], Q[ens_a.size :], width)
     else:
         cost = np.zeros((ens_a.size, ens_b.size))
@@ -183,20 +192,23 @@ def ensemble_distance(
     return _outer_distance(p, cost, ens_a.lam, ens_b.lam)
 
 
-def _line_quantiles(measures) -> tuple[np.ndarray, np.ndarray]:
+def _line_quantiles(measures, base=_BOUNDS):
     # The quantile functions of measures on the line over the common
-    # refinement of their cumulative weights: Q[k] holds member k's atom on
-    # each interval, and width the intervals' lengths.  Each member's
-    # weights must be the summed widths of its atoms' intervals, within
-    # MARGINAL_TOL, as solve_multimarginal checks of its coupling; one
-    # bincount over the members' atoms, numbered in turn, checks them all.
-    idx, width = _comonotone_entries([m.weights for m in measures])
+    # refinement of their cumulative weights and the sorted points ``base``
+    # (see staircase._refinement): Q[k] holds member k's atom on each
+    # interval, and width the intervals' lengths; the refinement comes
+    # last.  Each member's weights must be the summed widths of its atoms'
+    # intervals, within MARGINAL_TOL, as solve_multimarginal checks of its
+    # coupling; one bincount over the members' atoms, numbered in turn,
+    # checks them all.
+    refinement = _refinement([m.weights for m in measures], base)
+    idx, width = _entries(refinement)
     first = np.cumsum([0] + [m.n_atoms for m in measures[:-1]])
     flat = (idx + first).T
     weights = np.concatenate([m.weights for m in measures])
     marginals = np.bincount(flat.ravel(), np.tile(width, len(measures)), weights.shape[0])
     check_marginals([marginals], [weights], "quantile refinement")
-    return np.concatenate([m.atoms[:, 0] for m in measures])[flat], width
+    return np.concatenate([m.atoms[:, 0] for m in measures])[flat], width, refinement
 
 
 def _quantile_costs(p: float, Qa, Qb, width) -> np.ndarray:
@@ -211,41 +223,80 @@ def _outer_distance(p: float, cost, lam_a, lam_b) -> float:
 
 
 def _quantile_means(p: float, lam, Q) -> tuple[np.ndarray, np.ndarray]:
-    # The barycenter's quantile function F on a refinement, from one Fréchet
-    # pass over its intervals' quantile tuples (member k's atom on interval
-    # i is Q[k, i]), and each interval's objective.  A p = 1 median need not
-    # rise along the refinement; its running maximum is still a median on
-    # every interval (the medians at t form [L(t), U(t)] with L, U
-    # nondecreasing), so F is a quantile function.
+    # One Fréchet pass over the quantile tuples of a refinement (member k's
+    # atom on interval i is Q[k, i]): each interval's mean and objective.
     K = Q.shape[1]
     F, objs, _ = frechet_means(
         Euclidean(1), p, lam, list(Q[:, :, None]), np.tile(np.arange(K)[:, None], (1, len(Q)))
     )
-    F = F[:, 0]
-    return (np.maximum.accumulate(F) if p == 1 else F), objs
+    return F[:, 0], objs
 
 
-def _line_row(ens: MeasureEnsemble, ref: MeasureEnsemble, p: float, artifacts: bool):
-    # One experiment row on the line, from one refinement over the row's
-    # members and the reference's: the barycenter's quantile function F,
-    # its objective the lam-weighted W_p^p to the members and dist_to_ref
-    # its W_p to the reference's.  At p = 2 F is lam @ Q, in closed form.
-    # Returns dist_to_ref, ensemble_dist, the objective and, when artifacts
-    # are asked for, the barycenter itself.
-    Q, width = _line_quantiles([*ens.measures, *ref.measures])
-    Qa, Qb = Q[: ens.size], Q[ens.size :]
-    if p == 2:
-        F = ens.lam @ Qa
-        objective = float(width @ (ens.lam @ (Qa - F) ** 2))
-        F_ref = ref.lam @ Qb
-    else:
-        F, objs = _quantile_means(p, ens.lam, Qa)
-        objective = float(width @ objs)
-        F_ref, _ = _quantile_means(p, ref.lam, Qb)
-    dist = float(width @ np.abs(F - F_ref) ** p) ** (1.0 / p)
-    ens_dist = _outer_distance(p, _quantile_costs(p, Qa, Qb, width), ens.lam, ref.lam)
-    bary = DiscreteMeasure(ens.space, F[:, None], width / width.sum()) if artifacts else None
-    return dist, ens_dist, objective, bary
+def _monotone(p: float, F) -> np.ndarray:
+    # The barycenter's quantile function from its intervals' means.  A p = 1
+    # median need not rise along the refinement; its running maximum is
+    # still a median on every interval (the medians at t form [L(t), U(t)]
+    # with L, U nondecreasing), so it is a quantile function.
+    return np.maximum.accumulate(F) if p == 1 else F
+
+
+class _LineReference:
+    """The reference ensemble's side of the line rows of one experiment.
+
+    :func:`run_experiment` builds it before its first line row and drops it
+    with the call.  It holds the refinement of the reference members'
+    cumulative weights (its sorted points and interval starts), their
+    quantiles Q on it with the widths, and F, the Fréchet means of its
+    quantile tuples: one pass at p != 2 (before p = 1's running maximum),
+    ref.lam @ Q at p = 2.
+
+    A sampled row's members refine those points further, which gives the
+    refinement over the row's and the reference's members bit for bit
+    (:func:`otbary.staircase._refinement`).  No reference point falls
+    inside a kept interval of it, so on each such interval the reference's
+    quantiles and means are those of the reference interval that holds
+    it; only at p = 2 is the row's F_ref the matrix product again, on the
+    row's intervals, since a product's bits can depend on a column's place
+    in the matrix.  A prefix row (the first J members) has the reference's
+    own refinement, so it reads Q, the widths, F and the first J rows of
+    the inner costs, computed here for the largest J, ``prefix``.
+    """
+
+    def __init__(self, ref: MeasureEnsemble, p: float, prefix: int):
+        self.ref, self.p, self.prefix = ref, p, prefix
+        self.Q, self.width, (_, _, self.points, starts, _, _) = _line_quantiles(ref.measures)
+        self.starts = starts[1:]  # the intervals' starts from 0 on, one per column of Q
+        self.F = ref.lam @ self.Q if p == 2 else _quantile_means(p, ref.lam, self.Q)[0]
+        if prefix:
+            self.costs = _quantile_costs(p, self.Q[:prefix], self.Q, self.width)
+
+    def row(self, ens: MeasureEnsemble, artifacts: bool):
+        # One experiment row: the barycenter's quantile function F, its
+        # objective the lam-weighted W_p^p to the members and dist_to_ref
+        # its W_p to the reference's.  At p = 2 F is lam @ Q, in closed
+        # form.  Returns dist_to_ref, ensemble_dist, the objective and,
+        # when artifacts are asked for, the barycenter itself.
+        p, lam_ref = self.p, self.ref.lam
+        if self.prefix:
+            Qa, width, F_ref = self.Q[: ens.size], self.width, self.F
+            cost = self.costs[: ens.size]
+        else:
+            Qa, width, (_, _, _, starts, _, _) = _line_quantiles(ens.measures, self.points)
+            at = self.starts.searchsorted(starts[1:], side="right") - 1
+            Qb = self.Q[:, at]
+            F_ref = lam_ref @ Qb if p == 2 else self.F[at]
+            cost = _quantile_costs(p, Qa, Qb, width)
+        if p == 2:
+            F = ens.lam @ Qa
+            objective = float(width @ (ens.lam @ (Qa - F) ** 2))
+        else:
+            F, objs = _quantile_means(p, ens.lam, Qa)
+            objective = float(width @ objs)
+            F, F_ref = _monotone(p, F), _monotone(p, F_ref)
+        dist = float(width @ np.abs(F - F_ref) ** p) ** (1.0 / p)
+        ens_dist = _outer_distance(p, cost, ens.lam, lam_ref)
+        bary = DiscreteMeasure(ens.space, F[:, None], width / width.sum()) if artifacts else None
+        return dist, ens_dist, objective, bary
 
 
 def generate_deformation_ensemble(
@@ -281,7 +332,10 @@ def run_experiment(
     reference's quantile functions: no barycenter is computed, neither the
     row's nor the reference's, and the refinement's widths are checked
     against every member's weights within ``staircase.MARGINAL_TOL``
-    (``NumericalFailure`` otherwise).  Elsewhere the reference barycenter
+    (``NumericalFailure`` otherwise).  The reference's half of it, and at
+    p != 2 its one Fréchet pass, is built by the first line row and kept
+    for the others of this call only (:class:`_LineReference`); an error
+    there is every row's.  Elsewhere the reference barycenter
     is computed once and each row runs
     :func:`otbary.barycenter.barycenter_finite`,
     :func:`otbary.transport.wasserstein` and :func:`ensemble_distance`.
@@ -300,6 +354,7 @@ def run_experiment(
     line = is_line(space)
     if not line:
         ref = barycenter_finite(space, cfg.p, cfg.ensemble)
+    line_ref = None  # built by the first line row, so that its errors are the rows'
     report = ConsistencyReport()
     for size in cfg.sizes:
         for rep in range(cfg.replications):
@@ -315,9 +370,10 @@ def run_experiment(
                     lam = cfg.ensemble.lam[:size]
                     ens = MeasureEnsemble(cfg.ensemble.measures[:size], lam / lam.sum())
                 if line:
-                    dist, ens_dist, objective, bary = _line_row(
-                        ens, cfg.ensemble, cfg.p, bool(keep_artifacts)
-                    )
+                    if line_ref is None:
+                        prefix = 0 if sampling else cfg.sizes[-1]
+                        line_ref = _LineReference(cfg.ensemble, cfg.p, prefix)
+                    dist, ens_dist, objective, bary = line_ref.row(ens, bool(keep_artifacts))
                 else:
                     result = barycenter_finite(space, cfg.p, ens)
                     bary, objective = result.measure, result.objective

@@ -6,7 +6,12 @@ at construction and renormalized to machine precision; anything further off
 is rejected.  Every measure is canonical from construction on: zero-weight
 atoms dropped, the rest sorted lexicographically, and atoms within
 ``MERGE_TOL`` of a group's first atom merged into it.  The exact solvers
-index their plans by these atoms.
+index their plans by these atoms.  Input already in that form (every
+weight positive, every step to the next atom lexicographically positive
+and longer than 3 ``MERGE_TOL``), such as the atoms an empirical sample
+keeps of a canonical measure, is checked in O(n) and kept as it is;
+anything else is sorted and merged.  Both go through the same
+constructor and its checks.
 
 The space's JSON form is :mod:`otbary.spaces`'s; the input check of
 :func:`pushforward` is the one test of a space's type here.
@@ -40,9 +45,10 @@ def _checked_weights(weights, count: int, what: str) -> np.ndarray:
         raise DimensionMismatch(f"{what}: {w.shape[0]} weights for {count} items")
     if w.size == 0:
         raise DimensionMismatch(f"{what}: empty weight vector")
-    if np.any(w < -1e-15):
-        raise NegativeWeight(f"{what}: negative weight {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
+    least = w.min()
+    if least < -1e-15:
+        raise NegativeWeight(f"{what}: negative weight {least:.3e}")
+    w = np.maximum(w, 0.0)
     total = w.sum()
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumOutOfTolerance(
@@ -73,6 +79,20 @@ def _group_starts(points: np.ndarray) -> np.ndarray:
     return np.asarray(starts)
 
 
+def _is_canonical(points: np.ndarray, weights: np.ndarray) -> bool:
+    # Whether the sort and merge of _canonical would return the atoms as
+    # they are: every weight positive and every step to the next point
+    # lexicographically positive and longer than 3 * MERGE_TOL, so that no
+    # point joins the group of the one before (see _group_starts).  A first
+    # coordinate that rises by more settles a step alone.
+    step = points[1:] - points[:-1]
+    if not (step[:, 0] > 3 * MERGE_TOL).all():
+        lead = step[np.arange(step.shape[0]), (step != 0).argmax(axis=1)]
+        if not ((lead > 0) & (np.abs(step).max(axis=1) > 3 * MERGE_TOL)).all():
+            return False
+    return bool(weights.min() > 0)
+
+
 def _canonical(atoms: np.ndarray, weights: np.ndarray):
     """Drop zero weights, sort, merge duplicates, renormalize.
 
@@ -80,10 +100,14 @@ def _canonical(atoms: np.ndarray, weights: np.ndarray):
     canonical measure again changes nothing.  Exact ties are ordered by
     weight, group weights are summed left to right and the total is taken
     after sorting, so the result does not depend on the order of the input.
+    Atoms already in that form, such as a sample's subset of a canonical
+    measure's atoms, are only checked, in O(n), and copied.
     """
-    keep = weights > 0
-    atoms, weights = atoms[keep], weights[keep]
     points = atoms.reshape(atoms.shape[0], -1)  # metric-matrix labels as 1-D points
+    if _is_canonical(points, weights):
+        return atoms.copy(), _renormalized(weights)
+    keep = weights > 0
+    atoms, weights, points = atoms[keep], weights[keep], points[keep]
     order = np.lexsort((weights, *points.T[::-1]))
     atoms, weights = atoms[order], weights[order]
     starts = _group_starts(points[order])
@@ -141,7 +165,9 @@ def sample_empirical(m: DiscreteMeasure, n: int, seed: int) -> DiscreteMeasure:
 
     Draws are multinomial over the atoms; deterministic for a given seed.
     They are counted per atom of m, and each drawn atom carries weight
-    count / n.
+    count / n.  The drawn atoms keep m's order, so unless m has atoms
+    within 3 ``MERGE_TOL`` of each other the sample is canonical as built
+    and its construction only checks that.
     """
     if n < 1:
         raise DimensionMismatch(f"sample size must be >= 1, got {n}")

@@ -45,7 +45,12 @@ constraint column of variable k.  Everything else lives here:
   variable in.  The basic values it returns come from an LU solve on the
   final basis, and levels of at most ``MASS_CUT`` (1e-15, the round-off of
   a zero level in that solve) come out as exactly 0: the LPs' plans,
-  couplings and objectives take them as they are.
+  couplings and objectives take them as they are.  A start basis that
+  prices nothing in stops on the first pass, priced from the perturbed
+  run's first factorization, and still takes that last solve: numpy's
+  solve of b alone and column 0 of its solve of [b | I] differ in the
+  last bit on about half of random staircase bases, and a plan's levels
+  must not depend on whether the loop pivoted.
 - The loop holds about (4m + 2 min(period, m)) m floats (B, [b | I],
   B_0^-1 and the product form), and the setup a few floats per variable
   (costs, reduced costs), so each LP setup calls :func:`check_rows` with
@@ -163,7 +168,8 @@ def _pivot_loop(c, b, basis, B, column, price):
     # cost of the final pricing pass and its duals.
     m = b.shape[0]
     period = REFACTOR_EVERY * max(1, m // 128)
-    rhs = np.concatenate([b[:, None], np.eye(m)], axis=1)
+    rhs = np.eye(m, m + 1, 1)
+    rhs[:, 0] = b
     # B^-1 = B_0^-1 - W^T Q: M holds B_0^-1 over the rows q_1..q_j of Q, so
     # one matvec gives both B_0^-1 a and Q a; W holds the rows w_1..w_j.
     # Room for m updates at first; both grow if the period is longer.

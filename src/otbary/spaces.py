@@ -13,6 +13,7 @@ JSON form.  The routes ask these functions instead of testing types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +87,10 @@ Space = Euclidean | MetricMatrix
 
 
 def check_order(p: float) -> None:
-    """Raise DimensionMismatch unless the order p of a distance is >= 1."""
-    if p < 1:
-        raise DimensionMismatch(f"order p must be >= 1, got {p}")
+    """Raise DimensionMismatch unless the order p of a distance is a finite
+    number >= 1."""
+    if not 1 <= p < math.inf:  # NaN fails here
+        raise DimensionMismatch(f"order p must be >= 1 and finite, got {p}")
 
 
 def as_atoms(space: Space, atoms) -> np.ndarray:
@@ -103,7 +105,7 @@ def as_atoms(space: Space, atoms) -> np.ndarray:
             raise DimensionMismatch(
                 f"atoms have shape {a.shape}, expected (n, {space.dim})"
             )
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise DimensionMismatch("atoms have non-finite coordinates")
         return a
     a = np.asarray(atoms)

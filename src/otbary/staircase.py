@@ -92,23 +92,26 @@ def check_marginals(marginals, weights, what: str) -> None:
     """Raise NumericalFailure where a marginal misses its weights by more
     than ``MARGINAL_TOL``: one comparison per marginal."""
     for got, want in zip(marginals, weights):
-        if not (abs(got - want) <= MARGINAL_TOL).all():  # NaN fails too
+        if not abs(got - want).max() <= MARGINAL_TOL:  # NaN fails too
             raise NumericalFailure(f"{what} marginals miss the weights")
 
 
-def _refinement(weights):
-    # Each member's cumulative weights but the total; the points -inf, 0, 1
-    # and those weights, member by member; and, sorted, the starts of the
-    # intervals between the points of mass above MASS_CUT (repeated points
-    # leave mass 0), the first from -inf, and every interval's mass with
-    # the mask of those kept.
+def _refinement(weights, base=_BOUNDS):
+    # Each member's cumulative weights but the total; the points, ``base``
+    # (-inf, 0 and 1, or the sorted points of a refinement to refine
+    # further) and then those weights, member by member; the points sorted;
+    # the starts of the intervals between them of mass above MASS_CUT
+    # (repeated points leave mass 0), the first from -inf; and every
+    # interval's mass with the mask of those kept.  The sorted points are
+    # those of the union, so refining a refinement's points by more weights
+    # gives, bit for bit, the refinement of all the weights at once.
     inner = [np.add.accumulate(w[:-1]) for w in weights]
-    points = np.concatenate([_BOUNDS, *inner])
+    points = np.concatenate([base, *inner])
     t = points.copy()
     t.sort()
     mass = t[1:] - t[:-1]
     keep = mass > MASS_CUT
-    return inner, points, t[:-1][keep], mass, keep
+    return inner, points, t, t[:-1][keep], mass, keep
 
 
 def _comonotone_entries(weights) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +122,7 @@ def _entries(refinement):
     # One entry per interval of the common refinement of the cumulative
     # weights; member j sits at its quantile index on that interval.  Atoms
     # are sorted, so increasing intervals give increasing index tuples.
-    inner, _, starts, mass, keep = refinement
+    inner, _, _, starts, mass, keep = refinement
     idx = np.stack([np.searchsorted(c, starts[1:], side="right") for c in inner], axis=1)
     return idx, mass[keep][1:]
 
@@ -140,7 +143,7 @@ def _staircase(weights) -> np.ndarray:
 
 
 def _path(refinement):
-    _, points, starts, _, _ = refinement
+    _, points, _, starts, _, _ = refinement
     return starts.searchsorted(points[2:]).argsort(kind="stable")
 
 

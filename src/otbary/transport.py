@@ -19,7 +19,10 @@ weights within ``staircase.MARGINAL_TOL``, summed over the cells alone.
 :func:`otbary.staircase.coupling_simplex`, whose setup the multi-marginal
 tensor simplex runs for J >= 3, on the pivot loop of
 :mod:`otbary.pivoting`.  Its plan is a basic optimal one whose reduced
-costs are certified nonnegative at 1e-9.
+costs are certified nonnegative at 1e-9.  A tiny LP, such as the outer
+J_a x J_b one of a line experiment row, costs mostly the fixed numpy calls
+of its setup, pivot loop and result, so the plan's cells come out of the
+sorted flat basis by one ``divmod``.
 """
 
 from __future__ import annotations
@@ -86,8 +89,10 @@ def solve_transport(cost, w_src, w_tgt) -> Coupling:
         u, v = y[:n] - y[0], y[n:] + y[0]
     keep = x > 0
     basis, x = basis[keep], x[keep]
+    index = np.empty((basis.shape[0], 2), dtype=np.intp)
+    np.divmod(basis, m, out=(index[:, 0], index[:, 1]))
     plan = Coupling(
-        index=np.column_stack(np.unravel_index(basis, (n, m))), mass=x, shape=(n, m),
+        index=index, mass=x, shape=(n, m),
         objective=float(C.ravel()[basis] @ x), pivots=pivots,
         min_reduced_cost=min_reduced_cost, duals=[u, v],
     )

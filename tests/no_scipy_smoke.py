@@ -9,11 +9,13 @@ a temporary directory: ``dist`` in 2D and, writing its plan, on the line
 and p = 2, on a grid graph, on a fixed support and on the line at p = 1
 for 3 members of 101 atoms (a product of 1.03e6 tuples, past
 ``multimarginal.MAX_PRODUCT``, which the line route does not need),
-``mmot`` and three
+``mmot`` and five
 ``experiment`` runs: empirical sampling in 2D, which takes the
-barycenter route, and two on the line at p = 2, which take the quantile
-route, empirical sampling and a growing ensemble up to J = 6 members of
-15 atoms, whose product of 1.1e7 tuples is past the cap too.  One
+barycenter route, and four on the line, which take the quantile route:
+empirical sampling at p = 2 and p = 1, and a growing ensemble up to J = 6
+members of 15 atoms, whose product of 1.1e7 tuples is past the cap too,
+at p = 2 and p = 1.5 (the last two make one Fréchet pass for the
+reference and one per row).  One
 more ``mmot`` run, on 3 plane members of 101 atoms (a product of 1.03e6
 tuples), must exit 2 with ``ProductSizeExceeded``.  Exits 1 if a command
 exits with another code than it should, if a row of an experiment
@@ -133,6 +135,10 @@ def _inputs(tmp: Path) -> dict:
             ],
         },
     }))
+    # The same line experiments at other orders.
+    for name, p in (("sampled_1d", 1), ("growing_1d", 1.5)):
+        paths[f"{name}_p{p}"] = tmp / f"{name}_p{p}.json"
+        paths[f"{name}_p{p}"].write_text(json.dumps({**json.loads(paths[name].read_text()), "p": p}))
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -152,7 +158,8 @@ def main() -> int:
             (["mmot", "--in", f["plane"], "--out", out], 0),
             (["mmot", "--in", f["big_plane"], "--out", out], 2),
         ]
-        reports = {name: tmp / f"{name}.csv" for name in ("sampled_2d", "sampled_1d", "growing_1d")}
+        reports = {name: tmp / f"{name}.csv" for name in (
+            "sampled_2d", "sampled_1d", "growing_1d", "sampled_1d_p1", "growing_1d_p1.5")}
         runs += [(["experiment", "--config", f[name], "--out", str(csv_path)], 0)
                  for name, csv_path in reports.items()]
         failed = 0

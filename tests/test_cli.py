@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from otbary import DiscreteMeasure, Euclidean, MeasureEnsemble
-from otbary import barycenter, multimarginal, pivoting, transport
+from otbary import barycenter, consistency, multimarginal, pivoting, transport
 from otbary.cli import main
+from otbary.errors import NumericalFailure
 from otbary.measures import (
     load_measure,
     save_ensemble,
@@ -364,6 +365,49 @@ def test_experiment_bad_sizes_exit_3(tmp_path):
         assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 3
 
 
+def test_experiment_bad_order_exits_3(tmp_path, capsys):
+    # The order is checked when the config is parsed, before any row: on
+    # the line p = 0.5 once wrote a row of errors and exited 0.
+    cfg_path = experiment_config(tmp_path)
+    raw = json.loads(cfg_path.read_text())
+    for p in (0.5, float("nan"), float("inf")):
+        write_json(cfg_path, {**raw, "p": p})
+        assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 3
+        assert "order p must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_experiment_stdout_stays_json_when_every_row_fails(tmp_path, capsys, monkeypatch):
+    # A size none of whose rows succeeded has no median: JSON null, not NaN.
+    def fail(self, ens, artifacts):
+        raise NumericalFailure("forced")
+
+    def reject(constant):
+        raise ValueError(f"stdout is not JSON: {constant}")
+
+    monkeypatch.setattr(consistency._LineReference, "row", fail)
+    cfg_path = experiment_config(tmp_path)
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out == {"rows": 4, "medians": {"5": None, "10": None}}
+
+
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_non_finite_order_exits_1(tmp_path, dirac_files, ensemble_file, capsys, p):
+    # argparse reads "nan" and "inf" as floats; the library rejects them as
+    # it rejects p < 1.  dist once printed {"w_p": NaN, ...}, not JSON.
+    pa, pb = dirac_files
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["dist", "--in-a", str(pa), "--in-b", str(pb)],
+        ["bary", "--in", str(ensemble_file), "--out", out],
+        ["mmot", "--in", str(ensemble_file), "--out", out],
+    ):
+        assert main([*argv, "--p", p]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "order p must be >= 1" in captured.err
+
+
 def test_cli_outputs_reparse(tmp_path, ensemble_file):
     # round-trip: measures written by commands parse back to equal measures
     out = tmp_path / "bary.json"
@@ -413,10 +457,11 @@ def test_cli_runs_without_scipy():
     # The library needs numpy alone.  The smoke script blocks scipy, runs
     # dist (in 2D and, with a plan, on the line), bary (p = 1, p = 2,
     # graph, fixed support, and on the line at p = 1 past the product cap),
-    # mmot and three experiments (sampling in 2D and on the line, and a
-    # growing ensemble on the line past the product cap) through the CLI,
-    # and fails if any of them does, a row records an error or a scipy
-    # module loads.  One more mmot, on a product past the cap, must exit 2.
+    # mmot and five experiments (sampling in 2D and on the line at p = 2
+    # and p = 1, and a growing ensemble on the line past the product cap
+    # at p = 2 and p = 1.5) through the CLI, and fails if any of them does,
+    # a row records an error or a scipy module loads.  One more mmot, on a
+    # product past the cap, must exit 2.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -426,6 +471,6 @@ def test_cli_runs_without_scipy():
         text=True,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.count(": exit 0") == 11
+    assert out.stdout.count(": exit 0") == 13
     assert out.stdout.count("otbary mmot: exit 2") == 1
-    assert out.stdout.count(" rows, 0 with an error") == 3
+    assert out.stdout.count(" rows, 0 with an error") == 5

@@ -19,7 +19,7 @@ from otbary import (
     wasserstein,
 )
 from otbary import consistency
-from otbary.consistency import config_from_dict
+from otbary.consistency import CSV_COLUMNS, config_from_dict
 from conftest import LINE_ORDERS, embedded, line_measures, random_ensemble
 from oracles import measures_equal
 
@@ -142,6 +142,12 @@ def test_config_validation(line):
         ExperimentConfig("empirical_sampling", 2, 0, [10], ens, replications=0)
     with pytest.raises(InvalidConfig, match="exceeds ensemble size"):
         ExperimentConfig("growing_ensemble", 2, 0, [1, 3], ens)
+    # The order is checked before any row, on every space.
+    plane = DiscreteMeasure(Euclidean(2), [[0.0, 0.0]], [1.0])
+    for m in (t, plane):
+        for p in (0.5, float("nan"), float("inf")):
+            with pytest.raises(InvalidConfig, match="order p must be >= 1"):
+                ExperimentConfig("growing_ensemble", p, 0, [1], MeasureEnsemble([m], [1.0]))
 
 
 def test_growing_constant_sequence(line):
@@ -278,6 +284,61 @@ def test_line_rows_match_per_row_barycenters(cfg):
             assert row.dist_to_ref <= row.ensemble_dist * (1 + 1e-9) + 1e-15
 
 
+def joint_row(ens, ref, p):
+    """A line row computed anew from one refinement over the row's and the
+    reference's members: dist_to_ref, ensemble_dist and the objective."""
+    Q, width, _ = consistency._line_quantiles([*ens.measures, *ref.measures])
+    Qa, Qb = Q[: ens.size], Q[ens.size :]
+    if p == 2:
+        F, F_ref = ens.lam @ Qa, ref.lam @ Qb
+        objective = float(width @ (ens.lam @ (Qa - F) ** 2))
+    else:
+        F, objs = consistency._quantile_means(p, ens.lam, Qa)
+        F_ref = consistency._quantile_means(p, ref.lam, Qb)[0]
+        F, F_ref = consistency._monotone(p, F), consistency._monotone(p, F_ref)
+        objective = float(width @ objs)
+    dist = float(width @ np.abs(F - F_ref) ** p) ** (1.0 / p)
+    cost = consistency._quantile_costs(p, Qa, Qb, width)
+    return dist, consistency._outer_distance(p, cost, ens.lam, ref.lam), objective
+
+
+def _wide_ensemble(seed):
+    rng = np.random.default_rng(seed)
+    J, n = int(rng.integers(2, 12)), int(rng.integers(3, 12))
+    lam = rng.dirichlet(np.ones(J))
+    return MeasureEnsemble([
+        DiscreteMeasure(Euclidean(1), rng.normal(size=(n, 1)), rng.dirichlet(np.ones(n)))
+        for _ in range(J)
+    ], lam)
+
+
+# Three shifted 20-atom grids sampled up to n = 1000, as in the benchmark,
+# and nine members of ten atoms: refinements of 60 to over 100 intervals.
+# On the second, at n = 50, lam_ref @ Q_ref read at the row's intervals
+# misses lam_ref @ Q_b in the last bit: a matrix product's bits can depend
+# on a column's place in it.
+GRIDS = MeasureEnsemble(
+    [DiscreteMeasure(Euclidean(1), np.linspace(0.0, 1.0, 20)[:, None] + s, np.full(20, 0.05))
+     for s in (-0.2, 0.05, 0.25)],
+    np.full(3, 1 / 3),
+)
+
+
+@given(cfg=line_experiments())
+@settings(max_examples=100, deadline=None)
+@example(cfg=ExperimentConfig("empirical_sampling", 1.5, 11, [100, 1000], GRIDS))
+@example(cfg=ExperimentConfig("empirical_sampling", 2, 50, [10, 50], _wide_ensemble(50)))
+def test_line_rows_equal_a_refinement_built_anew(cfg):
+    # The rows read the reference's side off one build per experiment;
+    # bit for bit, that is the row computed from a refinement of all its
+    # and the reference's members, built anew.
+    for row in run_experiment(cfg).rows:
+        ens = row_ensemble(cfg, row.size, row.replication)
+        assert (row.dist_to_ref, row.ensemble_dist, row.objective) == joint_row(
+            ens, cfg.ensemble, cfg.p
+        )
+
+
 # Four members whose p = 1 medians on the refinement's two halves are the
 # atoms 2, then 1 (the medians there are [1, 2], then [1, 3]): only the
 # running maximum is a quantile function.
@@ -298,10 +359,11 @@ def test_line_distance_is_the_wp_of_its_barycenters(cfg):
     # quantile functions: at p = 1 too, it is the W_p of the two
     # barycenters the rows build.
     line = Euclidean(1)
-    ref = consistency._line_row(cfg.ensemble, cfg.ensemble, cfg.p, True)[3]
+    side = consistency._LineReference(cfg.ensemble, cfg.p, 0)
+    ref = side.row(cfg.ensemble, True)[3]
     for row in run_experiment(cfg).rows:
         ens = row_ensemble(cfg, row.size, row.replication)
-        bary = consistency._line_row(ens, cfg.ensemble, cfg.p, True)[3]
+        bary = side.row(ens, True)[3]
         assert _close(row.dist_to_ref, wasserstein(line, cfg.p, bary, ref)[0])
 
 
@@ -338,18 +400,31 @@ def test_experiment_route(rng, monkeypatch, space, p, line_route):
 
 def test_line_row_checks_the_refinement(rng, line, monkeypatch):
     # A refinement whose widths miss a member's weights fails the row, as a
-    # coupling off its marginals fails solve_multimarginal.
-    entries = consistency._comonotone_entries
+    # coupling off its marginals fails solve_multimarginal: the row's own
+    # refinement of its members against the reference's points, and the
+    # reference's refinement, built once for all rows.  The reference's
+    # points start with those of staircase._BOUNDS, a row's with -inf.
+    entries = consistency._entries
+    short_side = []
 
-    def short(weights):
-        idx, width = entries(weights)
-        return idx, width - np.eye(1, width.shape[0]).ravel() * 1e-8
+    def short(refinement):
+        idx, width = entries(refinement)
+        if ("row" if refinement[1][0] == -np.inf else "reference") in short_side:
+            width = width - np.eye(1, width.shape[0]).ravel() * 1e-8
+        return idx, width
 
-    monkeypatch.setattr(consistency, "_comonotone_entries", short)
+    monkeypatch.setattr(consistency, "_entries", short)
     ens = random_ensemble(rng, line, 3, max_atoms=6)
-    rows = run_experiment(ExperimentConfig("empirical_sampling", 2, 0, [5, 10], ens)).rows
-    assert all(r.error.startswith("NumericalFailure") for r in rows)
-    assert all(r.dist_to_ref is None for r in rows)
+    for framework, sizes, side in [
+        ("empirical_sampling", [5, 10], "row"), ("empirical_sampling", [5, 10], "reference"),
+        ("growing_ensemble", [1, 3], "reference"),
+    ]:
+        short_side[:] = [side]
+        rows = run_experiment(ExperimentConfig(framework, 2, 0, sizes, ens)).rows
+        assert all(r.error.startswith("NumericalFailure") for r in rows)
+        assert all(r.dist_to_ref is None for r in rows)
+    short_side.clear()
+    assert all(r.error == "" for r in run_experiment(ExperimentConfig(framework, 2, 0, sizes, ens)).rows)
 
 
 @pytest.mark.parametrize("framework, sizes", [
@@ -366,3 +441,97 @@ def test_line_artifacts_are_the_barycenters(rng, line, tmp_path, framework, size
         written = load_measure(tmp_path / f"bary_{label}{row.size}_rep{row.replication}.json")
         expected = barycenter_finite(line, 2, row_ensemble(cfg, row.size, row.replication))
         assert measures_equal(written, expected.measure, tol=1e-12)
+
+
+# A small line ensemble whose rows, at each order and in both frameworks,
+# are pinned to the bytes the experiment wrote before the reference side
+# was built once per experiment.
+PINNED_ENSEMBLE = MeasureEnsemble([
+    DiscreteMeasure(Euclidean(1), [[0.0], [1.0], [2.5]], [0.2, 0.5, 0.3]),
+    DiscreteMeasure(Euclidean(1), [[0.5], [2.0]], [0.6, 0.4]),
+    DiscreteMeasure(Euclidean(1), [[-1.0], [0.25], [1.5], [3.0]], [0.1, 0.2, 0.3, 0.4]),
+], [0.5, 0.3, 0.2])
+PINNED_CONFIGS = {"empirical_sampling": ([4, 16], 2), "growing_ensemble": ([1, 2, 3], 1)}
+PINNED_LINE_ROWS = {
+    ("empirical_sampling", 1): [
+        "4,0,0.27500000000000002,0.3775,0.38749999999999996",
+        "4,1,0.20000000000000004,0.32499999999999996,0.27499999999999997",
+        "16,0,0.26250000000000007,0.24437499999999998,0.39687499999999998",
+        "16,1,0.14374999999999996,0.23749999999999993,0.29999999999999999",
+    ],
+    ("empirical_sampling", 1.5): [
+        "4,0,0.38704599860685435,0.57947357975694391,0.29531688841922005",
+        "4,1,0.39410079624011912,0.52495164237566161,0.16678071091478086",
+        "16,0,0.31373422749197799,0.42625879653860532,0.35553569255229067",
+        "16,1,0.27056113136808191,0.42299995581523059,0.25491122351731593",
+    ],
+    ("empirical_sampling", 2): [
+        "4,0,0.41457809879442503,0.7271519786124494,0.23937499999999995",
+        "4,1,0.47169905660283029,0.62549980015984019,0.10499999999999998",
+        "16,0,0.3646488036453705,0.56540914389493202,0.34640624999999992",
+        "16,1,0.35750874115187731,0.56596157113358847,0.2228125",
+    ],
+    ("empirical_sampling", 3): [
+        "4,0,0.49728388988771405,0.82179657648770865,0.16571924841377883",
+        "4,1,0.63091234755074865,0.80926723345664553,0.045504271437036579",
+        "16,0,0.43650780881634366,0.73100443455321651,0.35451156519257121",
+        "16,1,0.4887374690933764,0.76072551620839945,0.19395363701245777",
+    ],
+    ("growing_ensemble", 1): [
+        "1,0,0.050000000000000017,0.30499999999999988,0",
+        "2,0,0.050000000000000017,0.15499999999999992,0.20624999999999991",
+        "3,0,0,0,0.30499999999999988",
+    ],
+    ("growing_ensemble", 1.5): [
+        "1,0,0.18427119254198462,0.40730589506010956,0",
+        "2,0,0.15509835427131283,0.28507285700718732,0.13447570152642332",
+        "3,0,0,0,0.22662822764398777",
+    ],
+    ("growing_ensemble", 2): [
+        "1,0,0.25248762345905185,0.48989794855663549,0",
+        "2,0,0.1697884713400766,0.39921798556678267,0.076171874999999958",
+        "3,0,0,0,0.17624999999999993",
+    ],
+    ("growing_ensemble", 3): [
+        "1,0,0.3757723513501286,0.64432937127104861,0",
+        "2,0,0.23266183116774111,0.59001113164863683,0.025304098997741147",
+        "3,0,0,0,0.12203314070706708",
+    ],
+}
+
+
+@pytest.mark.parametrize("framework, p", PINNED_LINE_ROWS)
+def test_line_experiment_bytes_are_pinned(tmp_path, framework, p):
+    sizes, reps = PINNED_CONFIGS[framework]
+    cfg = ExperimentConfig(framework, p, 7, sizes, PINNED_ENSEMBLE, replications=reps)
+    run_experiment(cfg).to_csv(tmp_path / "r.csv")
+    lines = [",".join(CSV_COLUMNS)] + [f"{framework},{row},," for row in PINNED_LINE_ROWS[framework, p]]
+    assert (tmp_path / "r.csv").read_bytes() == "".join(f"{x}\r\n" for x in lines).encode()
+
+
+@pytest.mark.parametrize("framework", ["empirical_sampling", "growing_ensemble", "deformation"])
+@pytest.mark.parametrize("p", [1, 1.5, 3])
+def test_line_experiment_makes_one_reference_pass(monkeypatch, framework, p):
+    # At p != 2 each row makes one Fréchet pass, its own, and the reference
+    # makes one for the whole experiment: R rows, R + 1 passes.  A prefix
+    # experiment builds one refinement, the reference's, for every row.
+    counts = {"frechet_means": 0, "_refinement": 0}
+
+    def counted(name):
+        inner = getattr(consistency, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(consistency, name, counted(name))
+    sizes, reps = PINNED_CONFIGS.get(framework, PINNED_CONFIGS["growing_ensemble"])
+    cfg = ExperimentConfig(framework, p, 7, sizes, PINNED_ENSEMBLE, replications=reps + 1)
+    rows = run_experiment(cfg).rows
+    assert all(r.error == "" for r in rows)
+    assert counts["frechet_means"] == len(rows) + 1
+    prefix = framework != "empirical_sampling"
+    assert counts["_refinement"] == (1 if prefix else len(rows) + 1)

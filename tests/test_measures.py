@@ -18,6 +18,8 @@ from otbary import (
 )
 from otbary.measures import (
     MERGE_TOL,
+    _canonical,
+    _is_canonical,
     ensemble_from_dict,
     ensemble_to_dict,
     measure_from_dict,
@@ -271,3 +273,58 @@ def test_canonical_sums_long_groups_left_to_right(line):
         assert m.n_atoms == 4
         assert m.atoms.tobytes() == ref_atoms.tobytes()
         assert m.weights.tobytes() == ref_weights.tobytes()
+
+
+@st.composite
+def canonical_atoms(draw):
+    # Distinct points on a half-integer grid, sorted, with positive weights
+    # summing to 1: a canonical form, every step at least 0.5 long.
+    dim = draw(st.integers(1, 2))
+    cell = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim).map(tuple)
+    points = sorted(draw(st.sets(cell, min_size=1, max_size=8)))
+    raw = np.asarray(draw(st.lists(POSITIVE, min_size=len(points), max_size=len(points))))
+    return Euclidean(dim), np.asarray(points, dtype=float) / 2, raw / raw.sum()
+
+
+@given(case=canonical_atoms(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_input_is_only_checked(case, data):
+    # Canonical atoms take the O(n) exit and come back as they were, bit
+    # for bit, in a copy; shuffled, they reach the same form through the
+    # sort.  A step of at most 3 MERGE_TOL, or an exact tie, after any atom
+    # turns the exit down, and the merge rule applies as before.
+    space, atoms, weights = case
+    m = DiscreteMeasure(space, atoms, weights)
+    assert _is_canonical(m.atoms, m.weights)
+    again_atoms, again_weights = _canonical(m.atoms, m.weights)
+    assert again_atoms.tobytes() == m.atoms.tobytes() and again_atoms is not m.atoms
+    assert again_weights.tobytes() == m.weights.tobytes()
+    ref_atoms, ref_weights = reference_canonical(atoms, weights)
+    assert m.atoms.tobytes() == ref_atoms.tobytes()
+    assert m.weights.tobytes() == ref_weights.tobytes()
+
+    perm = np.asarray(data.draw(st.permutations(range(len(weights)))))
+    shuffled = DiscreteMeasure(space, atoms[perm], weights[perm])
+    assert shuffled.atoms.tobytes() == m.atoms.tobytes()
+    assert shuffled.weights.tobytes() == m.weights.tobytes()
+
+    i = data.draw(st.integers(0, len(weights) - 1))
+    step = data.draw(st.just(0.0) | st.floats(0.0, 3 * MERGE_TOL))
+    near = atoms[i].copy()
+    near[-1] += step
+    close = np.insert(atoms, i + 1, near, axis=0)
+    share = data.draw(st.floats(0.1, 0.9))
+    split = np.insert(weights, i + 1, weights[i] * share)
+    split[i] *= 1 - share
+    gap = near[-1] - atoms[i, -1]  # the step as rounded
+    assert _is_canonical(close, split) == (gap > 3 * MERGE_TOL)
+    merged = DiscreteMeasure(space, close, split)
+    ref_atoms, ref_weights = reference_canonical(close, split)
+    assert merged.atoms.tobytes() == ref_atoms.tobytes()
+    assert merged.weights.tobytes() == ref_weights.tobytes()
+    if gap <= MERGE_TOL:
+        assert merged.n_atoms == m.n_atoms
+
+    zero = weights.copy()
+    zero[i] = 0.0
+    assert not _is_canonical(atoms, zero)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from otbary import DimensionMismatch, Euclidean, MetricMatrix
-from otbary.spaces import TRIANGLE_BLOCK_ENTRIES, pairwise_distances
+from otbary.spaces import TRIANGLE_BLOCK_ENTRIES, check_order, pairwise_distances
 
 
 def test_euclidean_345():
@@ -91,3 +91,12 @@ def test_metric_matrix_triangle_check_memory_on_a_12_by_12_grid():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_check_order_takes_finite_orders_from_one():
+    # NaN compares false with everything, so it must fail on its own.
+    for p in (1, 1.5, 2, 3, 1e6):
+        check_order(p)
+    for p in (0.5, 0.999, -1, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DimensionMismatch, match="order p must be >= 1"):
+            check_order(p)
